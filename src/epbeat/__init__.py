@@ -11,14 +11,13 @@ chaotic realization-switching beat process.
 __version__ = "0.1.0"
 
 from .model import (Grid, ModeBasis, CouplingSpec, ProblemSpec,
-                    CouplingMatrices, build_problem, hamiltonian_g,
-                    free_modes, gaussian_bump_basis, given_mode_basis,
+                    CouplingMatrices, block_operator, build_problem,
+                    hamiltonian_g, gaussian_bump_basis, given_mode_basis,
                     project_coupling)
-from .truncated import (TruncatedSolution, build_truncated, diagonalize_sym,
-                        solve_truncated)
-from .effective import (EffectivePotential, assemble_ep, eval_ep,
-                        characteristic, ep_well_alignment, recurse_ep,
-                        ep_from_poles, schur_ep)
+from .truncated import TruncatedSolution, diagonalize_sym
+from .effective import (EffectivePotential, eval_ep, characteristic,
+                        ep_well_alignment, recurse_ep, ep_from_poles,
+                        reduce_block)
 from .spectrum import (SpectrumResult, CountRecord, linearize_ep, find_roots,
                        count_accounting, scan_roots)
 from .assembly import (AssembledState, DensityField, reconstruct_state,
@@ -29,20 +28,18 @@ from .realizations import (RealizationSet, RealizationGroup, MixedDensity,
                            mix_density, realization_densities,
                            default_pr_threshold)
 from .beat import BeatEvent, BeatTrajectory, simulate_beat, empirical_freqs
-from .oracle import (ComparisonReport, direct_spectrum, compare_spectra,
-                     build_full_operator)
+from .oracle import ComparisonReport, direct_spectrum, compare_spectra
 from .pipeline import PipelineResult, solve_problem, mean_intermediate_density
 from .errors import (ConfigError, NumericalError, PoleProximityError,
                      VerificationError)
 
 __all__ = [
     "Grid", "ModeBasis", "CouplingSpec", "ProblemSpec", "CouplingMatrices",
-    "build_problem", "hamiltonian_g", "free_modes", "gaussian_bump_basis",
+    "block_operator", "build_problem", "hamiltonian_g", "gaussian_bump_basis",
     "given_mode_basis", "project_coupling",
-    "TruncatedSolution", "build_truncated", "diagonalize_sym",
-    "solve_truncated",
-    "EffectivePotential", "assemble_ep", "eval_ep", "characteristic",
-    "ep_well_alignment", "recurse_ep", "ep_from_poles", "schur_ep",
+    "TruncatedSolution", "diagonalize_sym",
+    "EffectivePotential", "eval_ep", "characteristic",
+    "ep_well_alignment", "recurse_ep", "ep_from_poles", "reduce_block",
     "SpectrumResult", "CountRecord", "linearize_ep", "find_roots",
     "count_accounting", "scan_roots",
     "AssembledState", "DensityField", "reconstruct_state", "reconstruct_all",
@@ -52,7 +49,6 @@ __all__ = [
     "realization_densities", "default_pr_threshold",
     "BeatEvent", "BeatTrajectory", "simulate_beat", "empirical_freqs",
     "ComparisonReport", "direct_spectrum", "compare_spectra",
-    "build_full_operator",
     "PipelineResult", "solve_problem", "mean_intermediate_density",
     "ConfigError", "NumericalError", "PoleProximityError",
     "VerificationError",

@@ -19,8 +19,7 @@ from math import log
 import numpy as np
 
 from .errors import NumericalError, PoleProximityError
-from .model import CouplingMatrices, Grid, ModeBasis
-from .effective import mode_zero_coupling
+from .model import Grid, ModeBasis
 from .spectrum import SpectrumResult
 from .truncated import TruncatedSolution
 
@@ -62,9 +61,13 @@ class DensityField:
 
 
 def reconstruct_state(sr: SpectrumResult, i: int, trunc: TruncatedSolution,
-                      v: CouplingMatrices, basis: ModeBasis,
+                      b: np.ndarray, basis: ModeBasis,
                       xi_grid: Grid) -> AssembledState:
-    """Recover the full state behind root i of the spectrum."""
+    """Recover the full state behind root i of the spectrum.
+
+    b is the coupling B = op[:N_g, N_g:] of mode 0 to the eliminated
+    sector that trunc diagonalizes.
+    """
     eta = float(sr.roots[i])
     psi0 = sr.vectors[i]
     n_g = xi_grid.n
@@ -74,12 +77,9 @@ def reconstruct_state(sr: SpectrumResult, i: int, trunc: TruncatedSolution,
     if np.any(gaps <= RESONANCE_GUARD * span):
         raise PoleProximityError(
             f"state at root {eta!r} is undefined at resonance with a pole")
-    b = mode_zero_coupling(v, n_g)
     w = b @ trunc.eigvecs                     # residue vector per pole
     amps = (w.T @ psi0) / (eta - trunc.eigvals)
-    tail_flat = trunc.eigvecs @ amps
-    n_blocks = trunc.shifts.size
-    tails = tail_flat.reshape(n_blocks, n_g)
+    tails = (trunc.eigvecs @ amps).reshape(-1, n_g)
 
     channels = np.vstack([psi0[None, :], tails])
     full = basis.phi.T @ channels             # (n_q, n_xi)
@@ -143,8 +143,8 @@ def complexity_measure(n_realizations: int) -> float:
 
 
 def reconstruct_all(sr: SpectrumResult, trunc: TruncatedSolution,
-                    v: CouplingMatrices, basis: ModeBasis,
+                    b: np.ndarray, basis: ModeBasis,
                     xi_grid: Grid) -> tuple:
     """Reconstruct every certified root, in root order."""
-    return tuple(reconstruct_state(sr, i, trunc, v, basis, xi_grid)
+    return tuple(reconstruct_state(sr, i, trunc, b, basis, xi_grid)
                  for i in range(sr.roots.size))

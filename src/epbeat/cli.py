@@ -27,9 +27,9 @@ import numpy as np
 from . import __version__
 from .assembly import complexity_measure, schmidt_rank
 from .beat import simulate_beat
-from .effective import recurse_ep
+from .effective import recurse_ep, reduce_block
 from .errors import ConfigError, NumericalError, VerificationError
-from .model import build_problem
+from .model import CouplingMatrices, block_operator, build_problem
 from .oracle import compare_spectra, direct_spectrum
 from .pipeline import mean_intermediate_density, solve_problem
 from .realizations import mix_density, realization_densities
@@ -254,8 +254,6 @@ def cmd_beat(runner: _Runner, doc: dict, run: dict) -> int:
 
 
 def cmd_verify(runner: _Runner, doc: dict, run: dict, args) -> int:
-    from .effective import assemble_ep
-    from .truncated import solve_truncated
     from .verification import recovered_spectrum
     spec = build_problem(doc)
     result = solve_problem(spec, run.get("pr_threshold"))
@@ -263,11 +261,17 @@ def cmd_verify(runner: _Runner, doc: dict, run: dict, args) -> int:
     report = compare_spectra(recovered_spectrum(result), energies, 1e-7)
     accounting = count_accounting(result.sr)
 
-    # same pipeline under the per-block reading of the truncated sector
-    # (cross couplings zeroed): exact when they vanish, an approximation
-    # otherwise; reported alongside the coupled reading
-    trunc_pb = solve_truncated(spec, result.v, include_cross=False)
-    sr_pb = find_roots(assemble_ep(trunc_pb, result.v, spec))
+    # same reduction under the per-block reading of the truncated sector
+    # (cross couplings V_nm, n != m >= 1, zeroed): exact when they
+    # vanish, an approximation otherwise; reported alongside the coupled
+    # reading
+    v_pb = result.v.v.copy()
+    cross = ~np.eye(spec.n_tot, dtype=bool)
+    cross[0, :] = cross[:, 0] = False
+    v_pb[cross] = 0.0
+    _, ep_pb = reduce_block(block_operator(spec, CouplingMatrices(v_pb)),
+                            spec.n_g, result.ep.hg_diag, result.ep.eps0)
+    sr_pb = find_roots(ep_pb)
     scale = max(float(np.abs(energies).max()), 1.0)
     per_block = {
         "n_roots": int(sr_pb.roots.size),

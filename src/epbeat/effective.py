@@ -1,4 +1,4 @@
-"""Assembly and evaluation of the energy-dependent effective potential.
+"""The block reduction and evaluation of the effective potential.
 
 Eliminating the truncated sector from the block operator
 
@@ -11,11 +11,12 @@ plus rank-1 pole terms,
     V_eff(eta) = h0 + sum_k w_k w_k^T / (eta - p_k),   w_k = B q_k,
 
 so the compound eigenvalues are the roots of the characteristic
-function F(eta) = det[V_eff(eta) - eta I]. Poles closer than a merge
-tolerance are combined, their residues summed into a single block of
-rank >= 1. The same construction applies recursively: the truncated
-system is itself a block problem whose lowest block can play the
-mode-0 role, which yields the level-2 potential of the hierarchy.
+function F(eta) = det[V_eff(eta) - eta I]. reduce_block performs this
+elimination on slices of one operator, and ep_from_poles is the one
+constructor of the potential: poles closer than a merge tolerance are
+combined, their residues summed into a single block of rank >= 1. The
+hierarchy applies the same reduction again to L, whose lowest block
+plays the mode-0 role at level 2.
 """
 
 from __future__ import annotations
@@ -26,13 +27,15 @@ import numpy as np
 from scipy.linalg import ldl
 
 from .errors import ConfigError, NumericalError, PoleProximityError
-from .model import CouplingMatrices, ProblemSpec, hamiltonian_g
-from .truncated import TruncatedSolution, build_truncated, diagonalize_sym
+from .model import (CouplingMatrices, ProblemSpec, block_operator,
+                    hamiltonian_g)
+from .truncated import TruncatedSolution, diagonalize_sym
 
 POLE_MERGE_FACTOR = 1e-8
 POLE_GUARD_FACTOR = 1e-9
 RESIDUE_RANK_TOL = 1e-10
 DECOUPLED_FACTOR = 1e-13
+WELL_RESIDUAL_TOL = 1e-7
 
 
 def _gershgorin_bounds(m: np.ndarray) -> tuple[float, float]:
@@ -56,7 +59,6 @@ class EffectivePotential:
     h0: np.ndarray
     poles: np.ndarray
     residue_factors: tuple
-    pole_merge_tol: float
     raw_pole_count: int
     n_channels: int
     hg_diag: np.ndarray
@@ -134,101 +136,50 @@ def _merge_poles(poles: np.ndarray, vectors: np.ndarray, tol: float,
     return np.asarray(merged_poles), tuple(factors)
 
 
-def schur_ep(h0: np.ndarray, b: np.ndarray, sub: np.ndarray,
-             n_channels: int, hg_diag: np.ndarray | None = None,
-             eps0: float = 0.0,
-             pole_merge_tol: float | None = None) -> EffectivePotential:
-    """Effective potential of the block problem [[h0, b], [b^T, sub]].
-
-    Diagonalizes the eliminated block and carries b into pole residue
-    vectors. This is the one construction both hierarchy levels use.
-    """
-    h0 = np.asarray(h0, dtype=float)
-    vals, vecs = diagonalize_sym(sub)
-    w = b @ vecs  # residue vector per eliminated eigenpair
-    if pole_merge_tol is None:
-        lo, hi = _gershgorin_bounds(h0)
-        lo = min(lo, float(vals[0])) if vals.size else lo
-        hi = max(hi, float(vals[-1])) if vals.size else hi
-        pole_merge_tol = POLE_MERGE_FACTOR * max(hi - lo, 1.0)
-    poles, factors = _merge_poles(vals, w, pole_merge_tol, h0.shape[0])
-    if hg_diag is None:
-        hg_diag = np.zeros(h0.shape[0])
-    return EffectivePotential(
-        h0=h0, poles=poles, residue_factors=factors,
-        pole_merge_tol=float(pole_merge_tol), raw_pole_count=int(vals.size),
-        n_channels=n_channels, hg_diag=np.asarray(hg_diag, dtype=float),
-        eps0=float(eps0))
-
-
 def ep_from_poles(h0: np.ndarray, poles, residue_vectors, n_channels: int,
-               hg_diag=None, eps0: float = 0.0,
-               pole_merge_tol: float | None = None) -> EffectivePotential:
-    """Hand-built potential from explicit poles and rank-1 residue vectors.
+                  hg_diag=None, eps0: float = 0.0) -> EffectivePotential:
+    """Effective potential from explicit poles and rank-1 residue vectors.
 
-    Replicated pole values merge into higher-rank residues, which is
-    the route to synthetic full-degree instances.
+    The one constructor: reduce_block feeds it the eliminated block's
+    eigenvalues and B q_k, tests feed it hand-built poles. Replicated
+    pole values merge into higher-rank residues, which is the route to
+    synthetic full-degree instances.
     """
-    h0 = np.atleast_2d(np.asarray(h0, dtype=float))
+    h0 = np.array(h0, dtype=float, ndmin=2)
     poles = np.asarray(poles, dtype=float)
     vectors = np.asarray(residue_vectors, dtype=float)
     if vectors.ndim != 2 or vectors.shape != (h0.shape[0], poles.size):
         raise ConfigError("residue_vectors: shape must be (n_g, n_poles)")
-    if pole_merge_tol is None:
-        lo, hi = _gershgorin_bounds(h0)
-        if poles.size:
-            lo, hi = min(lo, poles.min()), max(hi, poles.max())
-        pole_merge_tol = POLE_MERGE_FACTOR * max(hi - lo, 1.0)
-    merged, factors = _merge_poles(poles, vectors, pole_merge_tol, h0.shape[0])
+    lo, hi = _gershgorin_bounds(h0)
+    if poles.size:
+        lo, hi = min(lo, poles.min()), max(hi, poles.max())
+    merge_tol = POLE_MERGE_FACTOR * max(hi - lo, 1.0)
+    merged, factors = _merge_poles(poles, vectors, merge_tol, h0.shape[0])
     if hg_diag is None:
         hg_diag = np.zeros(h0.shape[0])
     return EffectivePotential(
         h0=h0, poles=merged, residue_factors=factors,
-        pole_merge_tol=float(pole_merge_tol), raw_pole_count=int(poles.size),
-        n_channels=n_channels, hg_diag=np.asarray(hg_diag, dtype=float),
-        eps0=float(eps0))
+        raw_pole_count=int(poles.size), n_channels=n_channels,
+        hg_diag=np.asarray(hg_diag, dtype=float), eps0=float(eps0))
 
 
-def mode_zero_coupling(v: CouplingMatrices, n_g: int) -> np.ndarray:
-    """Coupling block B of mode 0 to the truncated sector.
+def reduce_block(op: np.ndarray, n_g: int, hg_diag: np.ndarray,
+                 eps0: float) -> tuple[TruncatedSolution, EffectivePotential]:
+    """Eliminate everything past the first n_g rows of a block operator.
 
-    B[xi, (n-1)*N_g + xi'] = delta_{xi,xi'} V_0n(xi).
+    Diagonalizes L = op[n_g:, n_g:] and carries B = op[:n_g, n_g:] into
+    the residue vectors B q_k of the potential on h0 = op[:n_g, :n_g].
+    Both hierarchy levels and the pipeline use this one reduction.
     """
-    nb = v.n_modes - 1
-    b = np.zeros((n_g, nb * n_g))
-    idx = np.arange(n_g)
-    for bn in range(nb):
-        b[idx, bn * n_g + idx] = v.v[0, bn + 1]
-    return b
-
-
-def assemble_ep(trunc: TruncatedSolution, v: CouplingMatrices,
-                spec: ProblemSpec,
-                pole_merge_tol: float | None = None) -> EffectivePotential:
-    """Effective potential of the full problem from its truncated solution.
-
-    h0 = h_g + diag(V_00); pole positions are the truncated
-    eigenvalues (block shifts already absorbed) and residue vectors
-    w_k(xi) = sum_{n>=1} V_0n(xi) psi0_k(n, xi).
-    """
-    n_g = spec.n_g
-    if trunc.dim != (spec.n_tot - 1) * n_g:
-        raise ConfigError("truncated solution: dimension mismatch with spec")
-    hg = hamiltonian_g(spec)
-    h0 = hg + np.diag(v.v[0, 0])
-    b = mode_zero_coupling(v, n_g)
-    w = b @ trunc.eigvecs
-    if pole_merge_tol is None:
-        lo, hi = _gershgorin_bounds(h0)
-        lo = min(lo, float(trunc.eigvals[0]))
-        hi = max(hi, float(trunc.eigvals[-1]))
-        pole_merge_tol = POLE_MERGE_FACTOR * max(hi - lo, 1.0)
-    poles, factors = _merge_poles(trunc.eigvals, w, pole_merge_tol, n_g)
-    return EffectivePotential(
-        h0=h0, poles=poles, residue_factors=factors,
-        pole_merge_tol=float(pole_merge_tol), raw_pole_count=trunc.dim,
-        n_channels=spec.n_tot - 1, hg_diag=hg.diagonal().copy(),
-        eps0=float(spec.modes.eps[0]))
+    sub = op[n_g:, n_g:]
+    vals, vecs = diagonalize_sym(sub)
+    resid = float(np.max(np.linalg.norm(sub @ vecs - vecs * vals, axis=0)))
+    trunc = TruncatedSolution(dim=sub.shape[0], eigvals=vals, eigvecs=vecs,
+                              residual_bound=resid)
+    ep = ep_from_poles(op[:n_g, :n_g], vals, op[:n_g, n_g:] @ vecs,
+                       n_channels=op.shape[0] // n_g - 1,
+                       hg_diag=hg_diag, eps0=eps0)
+    return trunc, ep
 
 
 def eval_ep(ep: EffectivePotential, eta: float) -> np.ndarray:
@@ -281,8 +232,7 @@ class WellAlignment:
 
 
 def ep_well_alignment(ep: EffectivePotential, root: float,
-                      state: np.ndarray,
-                      residual_tol: float = 1e-7) -> WellAlignment:
+                      state: np.ndarray) -> WellAlignment:
     """Check that the self-consistent well sits under the state's peak.
 
     The interaction profile d(xi) = V_eff(root)(xi,xi) - h_g(xi,xi)
@@ -292,7 +242,7 @@ def ep_well_alignment(ep: EffectivePotential, root: float,
     state = np.asarray(state, dtype=float)
     m = eval_ep(ep, root)
     resid = np.linalg.norm(m @ state - root * state)
-    if resid > residual_tol * ep.span * max(np.linalg.norm(state), 1e-300):
+    if resid > WELL_RESIDUAL_TOL * ep.span * max(np.linalg.norm(state), 1e-300):
         raise NumericalError(
             f"well alignment: root {root!r} fails residual check "
             f"({resid:.3e})")
@@ -316,50 +266,22 @@ def recurse_ep(spec: ProblemSpec, v: CouplingMatrices,
                depth: int) -> tuple[HierarchyLevel, ...]:
     """Recursive effective potentials down the truncation hierarchy.
 
-    Depth 1 reduces the full problem onto mode 0. Depth 2 additionally
-    treats the truncated block system as a fresh problem whose lowest
-    block plays the mode-0 role, and reduces onto it; the level-2
-    roots then recover the truncated operator's spectrum.
+    Depth 1 reduces the full problem onto mode 0. Depth 2 applies the
+    same reduction to the truncated operator L, whose lowest block
+    plays the mode-0 role; the level-2 roots then recover L's spectrum.
     """
     if depth not in (1, 2):
         raise ConfigError(f"depth unsupported: {depth} (must be 1 or 2)")
+    if depth == 2 and spec.n_tot < 3:
+        raise ConfigError(
+            "depth 2 needs N_tot >= 3: the truncated sector must have "
+            "a separable lowest block")
     n_g = spec.n_g
-    trunc_op = build_truncated(spec, v)
-    vals, vecs = diagonalize_sym(trunc_op)
-    trunc = TruncatedSolution(
-        dim=trunc_op.shape[0], eigvals=vals, eigvecs=vecs,
-        shifts=np.asarray(spec.modes.eps[1:] - spec.modes.eps[0]),
-        residual_bound=float(
-            np.max(np.linalg.norm(trunc_op @ vecs - vecs * vals, axis=0))))
-    levels = [HierarchyLevel(
-        depth=1, ep=assemble_ep(trunc, v, spec),
-        operator=_full_block_operator(spec, v))]
-    if depth == 2:
-        if spec.n_tot < 3:
-            raise ConfigError(
-                "depth 2 needs N_tot >= 3: the truncated sector must have "
-                "a separable lowest block")
-        h0_2 = trunc_op[:n_g, :n_g]
-        b_2 = trunc_op[:n_g, n_g:]
-        sub_2 = trunc_op[n_g:, n_g:]
-        ep2 = schur_ep(h0_2, b_2, sub_2, n_channels=spec.n_tot - 2,
-                       hg_diag=hamiltonian_g(spec).diagonal().copy())
-        levels.append(HierarchyLevel(depth=2, ep=ep2, operator=trunc_op))
+    hg_diag = hamiltonian_g(spec).diagonal().copy()
+    op = block_operator(spec, v)
+    levels = []
+    for level in range(1, depth + 1):
+        _, ep = reduce_block(op, n_g, hg_diag, float(spec.modes.eps[0]))
+        levels.append(HierarchyLevel(depth=level, ep=ep, operator=op))
+        op = op[n_g:, n_g:]
     return tuple(levels)
-
-
-def _full_block_operator(spec: ProblemSpec, v: CouplingMatrices) -> np.ndarray:
-    """Coupled-channel operator in the eta scale (eps_0 subtracted)."""
-    n_tot, n_g = spec.n_tot, spec.n_g
-    hg = hamiltonian_g(spec)
-    eps = spec.modes.eps
-    out = np.zeros((n_tot * n_g, n_tot * n_g))
-    idx = np.arange(n_g)
-    for n in range(n_tot):
-        sl = slice(n * n_g, (n + 1) * n_g)
-        out[sl, sl] = hg + np.diag(v.v[n, n]) + (eps[n] - eps[0]) * np.eye(n_g)
-        for m in range(n + 1, n_tot):
-            sm = slice(m * n_g, (m + 1) * n_g)
-            out[sl, sm][idx, idx] = v.v[n, m]
-            out[sm, sl][idx, idx] = v.v[n, m]
-    return out

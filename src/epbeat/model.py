@@ -278,11 +278,6 @@ def given_mode_basis(eps: Sequence[float], phi: Sequence[Sequence[float]],
     return ModeBasis(eps, phi / norms[:, None], q_grid)
 
 
-def free_modes(spec: ProblemSpec) -> ModeBasis:
-    """The mode basis of the problem (already built and validated)."""
-    return spec.modes
-
-
 def project_coupling(basis: ModeBasis, coupling: CouplingSpec,
                      xi_grid: Grid) -> CouplingMatrices:
     """Project the kernel onto the mode basis by q-quadrature.
@@ -296,6 +291,27 @@ def project_coupling(basis: ModeBasis, coupling: CouplingSpec,
     v = np.einsum("aq,qx,bq->abx", weighted, kern, basis.phi, optimize=True)
     v = 0.5 * (v + v.transpose(1, 0, 2))  # kill roundoff asymmetry
     return CouplingMatrices(v)
+
+
+def block_operator(spec: ProblemSpec, v: CouplingMatrices) -> np.ndarray:
+    """Coupled-channel operator in the eta scale (eps_0 subtracted).
+
+    H[(n, xi), (n', xi')] = delta_nn' (h_g + (eps_n - eps_0) I)
+    + delta_xi,xi' V_nn'(xi), mode-major: block n spans rows
+    n*N_g .. (n+1)*N_g - 1. This is the only place that knows the
+    layout; the mode-0 block h0, its coupling B to the other modes and
+    the truncated operator L are the slices [:N_g, :N_g], [:N_g, N_g:]
+    and [N_g:, N_g:]. Exactly symmetric.
+    """
+    n_tot, n_g = spec.n_tot, spec.n_g
+    if v.n_modes != n_tot or v.n_xi != n_g:
+        raise ConfigError("coupling matrices: shape mismatch with spec")
+    shifted = v.v + np.diag(spec.modes.eps - spec.modes.eps[0])[:, :, None]
+    op = np.zeros((n_tot, n_g, n_tot, n_g))
+    xi, modes = np.arange(n_g), np.arange(n_tot)
+    op[:, xi, :, xi] = shifted.transpose(2, 0, 1)
+    op[modes, :, modes, :] += hamiltonian_g(spec)
+    return op.reshape(n_tot * n_g, n_tot * n_g)
 
 
 # ---------------------------------------------------------------------------

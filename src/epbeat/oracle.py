@@ -1,7 +1,7 @@
 """Brute-force ground truth: the coupled problem solved head-on.
 
-The full coupled-channel operator over all modes is assembled and
-diagonalized directly (LAPACK via numpy), with no reduction to the
+The full coupled-channel operator over all modes (model.block_operator)
+is diagonalized directly (LAPACK via numpy), with no reduction to the
 effective potential. Whatever the pole machinery produces must agree
 with this to working precision.
 """
@@ -13,37 +13,23 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NumericalError
-from .model import CouplingMatrices, ProblemSpec, hamiltonian_g
+from .model import CouplingMatrices, ProblemSpec, block_operator
 
 DIMENSION_CAP = 2000
 
 
-def build_full_operator(spec: ProblemSpec, v: CouplingMatrices) -> np.ndarray:
-    """H[(n,xi),(n',xi')] = delta_nn' (h_g + eps_n I) + delta_xi,xi' V_nn'."""
-    n_tot, n_g = spec.n_tot, spec.n_g
-    hg = hamiltonian_g(spec)
-    out = np.zeros((n_tot * n_g, n_tot * n_g))
-    idx = np.arange(n_g)
-    for n in range(n_tot):
-        sl = slice(n * n_g, (n + 1) * n_g)
-        out[sl, sl] = hg + np.diag(v.v[n, n]) + spec.modes.eps[n] * np.eye(n_g)
-        for m in range(n + 1, n_tot):
-            sm = slice(m * n_g, (m + 1) * n_g)
-            out[sl, sm][idx, idx] = v.v[n, m]
-            out[sm, sl][idx, idx] = v.v[n, m]
-    return out
-
-
 def direct_spectrum(spec: ProblemSpec, v: CouplingMatrices,
                     dimension_cap: int = DIMENSION_CAP):
-    """All eigenpairs of the full operator, energies sorted ascending."""
+    """All eigenpairs of the full operator, total energies ascending.
+
+    The eigenvalues of block_operator (eta scale) shifted by eps_0.
+    """
     dim = spec.n_tot * spec.n_g
     if dim > dimension_cap:
         raise NumericalError(
             f"direct_spectrum: dimension {dim} exceeds cap {dimension_cap}")
-    h = build_full_operator(spec, v)
-    energies, vectors = np.linalg.eigh(h)
-    return energies, vectors
+    etas, vectors = np.linalg.eigh(block_operator(spec, v))
+    return etas + spec.modes.eps[0], vectors
 
 
 @dataclass(frozen=True)

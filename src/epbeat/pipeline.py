@@ -1,4 +1,4 @@
-"""End-to-end pipeline: project, truncate, assemble, solve, group."""
+"""End-to-end pipeline: project, build and reduce the operator, solve, group."""
 
 from __future__ import annotations
 
@@ -7,12 +7,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .assembly import density, reconstruct_all
-from .effective import EffectivePotential, assemble_ep
+from .effective import EffectivePotential, reduce_block
 from .errors import NumericalError
-from .model import CouplingMatrices, ProblemSpec, project_coupling
+from .model import (CouplingMatrices, ProblemSpec, block_operator,
+                    hamiltonian_g, project_coupling)
 from .realizations import RealizationSet, group_realizations
 from .spectrum import SpectrumResult, find_roots
-from .truncated import TruncatedSolution, solve_truncated
+from .truncated import TruncatedSolution
 
 
 @dataclass(frozen=True)
@@ -30,10 +31,13 @@ def solve_problem(spec: ProblemSpec,
                   pr_threshold: float | None = None) -> PipelineResult:
     """Run the full chain from a problem spec to grouped realizations."""
     v = project_coupling(spec.modes, spec.coupling, spec.xi_grid)
-    trunc = solve_truncated(spec, v)
-    ep = assemble_ep(trunc, v, spec)
+    op = block_operator(spec, v)
+    n_g = spec.n_g
+    trunc, ep = reduce_block(op, n_g, hamiltonian_g(spec).diagonal().copy(),
+                             float(spec.modes.eps[0]))
     sr = find_roots(ep)
-    states = reconstruct_all(sr, trunc, v, spec.modes, spec.xi_grid)
+    states = reconstruct_all(sr, trunc, op[:n_g, n_g:], spec.modes,
+                             spec.xi_grid)
     rs = group_realizations(states, pr_threshold)
     return PipelineResult(spec=spec, v=v, trunc=trunc, ep=ep, sr=sr,
                           states=states, rs=rs)

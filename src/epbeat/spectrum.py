@@ -102,13 +102,12 @@ class SpectrumResult:
     residual_max: float
 
 
-def find_roots(ep: EffectivePotential,
-               residual_factor: float = ROOT_RESIDUAL_FACTOR) -> SpectrumResult:
+def find_roots(ep: EffectivePotential) -> SpectrumResult:
     """Enumerate and certify every root of the characteristic function.
 
     Each linearization eigenvalue is kept only if it clears the pole
     guard and its channel-0 block satisfies the effective eigenproblem
-    to within residual_factor times the spectral span; certification
+    to within ROOT_RESIDUAL_FACTOR times the spectral span; certification
     failure raises, pole-coincident values are excluded with a report
     entry.
     """
@@ -133,10 +132,10 @@ def find_roots(ep: EffectivePotential,
             continue
         psi = x / nx
         resid = float(np.linalg.norm(eval_ep(ep, eta) @ psi - eta * psi))
-        if resid > residual_factor * span:
+        if resid > ROOT_RESIDUAL_FACTOR * span:
             raise NumericalError(
                 f"find_roots: root {float(eta)!r} failed certification "
-                f"(residual {resid:.3e} > {residual_factor * span:.3e})")
+                f"(residual {resid:.3e} > {ROOT_RESIDUAL_FACTOR * span:.3e})")
         residual_max = max(residual_max, resid)
         roots.append(float(eta))
         vectors.append(psi)
@@ -195,9 +194,7 @@ def count_accounting(sr: SpectrumResult) -> dict:
     }
 
 
-def scan_roots(ep: EffectivePotential,
-               samples_per_interval: int = SCAN_SAMPLES_PER_INTERVAL,
-               bisect_tol: float = BISECTION_TOL) -> np.ndarray:
+def scan_roots(ep: EffectivePotential) -> np.ndarray:
     """Independent sign-change scan of F between adjacent poles.
 
     Samples every inter-pole interval (outer intervals bounded by the
@@ -216,13 +213,13 @@ def scan_roots(ep: EffectivePotential,
         a_in, b_in = a + guard * 2, b - guard * 2
         if b_in <= a_in:
             continue
-        xs = np.linspace(a_in, b_in, samples_per_interval)
+        xs = np.linspace(a_in, b_in, SCAN_SAMPLES_PER_INTERVAL)
         fs = np.array([characteristic(ep, x) for x in xs])
         signs = np.sign(fs)
         for i in np.nonzero(signs[:-1] * signs[1:] < 0)[0]:
             x0, x1 = xs[i], xs[i + 1]
             f0 = fs[i]
-            while x1 - x0 > bisect_tol:
+            while x1 - x0 > BISECTION_TOL:
                 mid = 0.5 * (x0 + x1)
                 fm = characteristic(ep, mid)
                 if fm == 0.0:

@@ -1,11 +1,12 @@
-"""Auxiliary truncated block system over modes n >= 1.
+"""The eliminated sector of a block reduction and the one eigensolver.
 
-Eliminating mode 0 from the coupled-channel problem leaves a block
-operator L over the remaining modes: diagonal blocks
-h_g + diag(V_nn) + eps_n0 * I (eps_n0 = eps_n - eps_0) and
-off-diagonal blocks diag(V_nn'(xi)). The energy shift per block is
-absorbed into L so that its eigenvalues are directly the pole
-positions of the effective potential.
+Eliminating mode 0 from the coupled-channel operator leaves the block
+operator L = op[N_g:, N_g:] over the remaining modes (see
+model.block_operator). Its eigenvalues are the pole positions of the
+effective potential, because the per-block energy shifts eps_n - eps_0
+are already part of L. diagonalize_sym is the only eigensolver of the
+package: LAPACK's symmetric solver behind input and reconstruction
+checks.
 """
 
 from __future__ import annotations
@@ -14,148 +15,44 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, NumericalError
-from .model import CouplingMatrices, ProblemSpec, hamiltonian_g
+from .errors import NumericalError
 
-JACOBI_MAX_SWEEPS = 100
-JACOBI_THRESHOLD = 1e-12
 SYMMETRY_TOL = 1e-12
+RECONSTRUCTION_TOL = 1e-9
 
 
 @dataclass(frozen=True)
 class TruncatedSolution:
-    """Eigen-solution of the truncated operator.
+    """Eigen-solution of the eliminated block operator.
 
     eigvecs columns are global eigenvectors over the flattened
     (block n, xi) index, orthonormal; eigvals are sorted ascending.
-    shifts holds eps_n0 per block n = 1..N_tot-1.
     """
 
     dim: int
     eigvals: np.ndarray
     eigvecs: np.ndarray
-    shifts: np.ndarray
     residual_bound: float
 
-    def block_component(self, k: int, n: int) -> np.ndarray:
-        """xi-profile of eigenvector k on block n (n = 1..N_blocks)."""
-        n_g = self.dim // self.shifts.size
-        return self.eigvecs[(n - 1) * n_g:n * n_g, k]
 
-
-def build_truncated(spec: ProblemSpec, v: CouplingMatrices,
-                    include_cross: bool = True) -> np.ndarray:
-    """Assemble the truncated block operator L, size (N_tot-1)*N_g.
-
-    include_cross=False zeroes the off-diagonal blocks, reducing L to
-    the per-block form in which its spectrum is the union of the
-    individual block spectra.
-    """
-    n_tot, n_g = spec.n_tot, spec.n_g
-    if n_tot < 2:
-        raise ConfigError("modes.count: truncated sector needs N_tot >= 2")
-    if v.n_modes != n_tot or v.n_xi != n_g:
-        raise ConfigError("coupling matrices: shape mismatch with spec")
-    hg = hamiltonian_g(spec)
-    eps0 = spec.modes.eps[0]
-    nb = n_tot - 1
-    mat = np.zeros((nb * n_g, nb * n_g))
-    for bn in range(nb):
-        n = bn + 1
-        sl = slice(bn * n_g, (bn + 1) * n_g)
-        mat[sl, sl] = hg
-        d = v.v[n, n] + (spec.modes.eps[n] - eps0)
-        mat[sl, sl][np.diag_indices(n_g)] += d
-        if include_cross:
-            for bm in range(bn + 1, nb):
-                m = bm + 1
-                sm = slice(bm * n_g, (bm + 1) * n_g)
-                cross = np.diag(v.v[n, m])
-                mat[sl, sm] = cross
-                mat[sm, sl] = cross
-    return mat
-
-
-def diagonalize_sym(m: np.ndarray, tol: float = 1e-9):
+def diagonalize_sym(m: np.ndarray):
     """Full eigendecomposition of a real symmetric matrix.
 
-    Cyclic Jacobi sweeps; unconditionally stable at the dense sizes
-    used here (dim up to a few hundred). Returns (values sorted
-    ascending, orthonormal eigenvector columns).
-
-    Raises NumericalError for non-symmetric input or if the
-    off-diagonal mass has not fallen below threshold after the sweep
-    cap.
+    Returns (values sorted ascending, orthonormal eigenvector columns).
+    Raises NumericalError for non-square or non-symmetric input, or
+    if the eigenpairs do not reconstruct the matrix to
+    RECONSTRUCTION_TOL relative to its norm.
     """
-    a = np.array(m, dtype=float)
+    a = np.asarray(m, dtype=float)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise NumericalError("diagonalize_sym: matrix must be square")
-    n = a.shape[0]
     norm = np.linalg.norm(a)
     if np.linalg.norm(a - a.T) > SYMMETRY_TOL * max(norm, 1.0):
         raise NumericalError("diagonalize_sym: input is not symmetric")
-    vecs = np.eye(n)
-    if n == 1:
-        return a.diagonal().copy(), vecs
-    thresh = JACOBI_THRESHOLD * max(norm, np.finfo(float).tiny)
-
-    def offdiag(x):
-        # direct sum; subtracting the diagonal from the full norm would
-        # cancel catastrophically once the off-diagonal part is tiny
-        y = x.copy()
-        np.fill_diagonal(y, 0.0)
-        return np.linalg.norm(y)
-
-    converged = False
-    for _ in range(JACOBI_MAX_SWEEPS):
-        if offdiag(a) <= thresh:
-            converged = True
-            break
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                apq = a[p, q]
-                if abs(apq) <= thresh / n:
-                    continue
-                # classic 2x2 rotation, numerically stable form
-                theta = (a[q, q] - a[p, p]) / (2.0 * apq)
-                t = np.sign(theta) / (abs(theta) + np.sqrt(theta * theta + 1.0))
-                if theta == 0.0:
-                    t = 1.0
-                c = 1.0 / np.sqrt(t * t + 1.0)
-                s = t * c
-                rot_p = c * a[:, p] - s * a[:, q]
-                rot_q = s * a[:, p] + c * a[:, q]
-                a[:, p], a[:, q] = rot_p, rot_q
-                a[p, :], a[q, :] = c * a[p, :] - s * a[q, :], \
-                    s * a[p, :] + c * a[q, :]
-                a[p, q] = a[q, p] = 0.0
-                vecs[:, p], vecs[:, q] = c * vecs[:, p] - s * vecs[:, q], \
-                    s * vecs[:, p] + c * vecs[:, q]
-    else:
-        converged = offdiag(a) <= thresh
-    if not converged:
-        raise NumericalError(
-            f"diagonalize_sym: no convergence after {JACOBI_MAX_SWEEPS} sweeps")
-    vals = a.diagonal().copy()
-    order = np.argsort(vals, kind="stable")
-    vals = vals[order]
-    vecs = vecs[:, order]
-    m0 = np.asarray(m, dtype=float)
-    recon = np.linalg.norm(m0 - (vecs * vals) @ vecs.T)
-    if recon > tol * max(norm, np.finfo(float).tiny):
+    vals, vecs = np.linalg.eigh(a)
+    recon = np.linalg.norm(a - (vecs * vals) @ vecs.T)
+    if recon > RECONSTRUCTION_TOL * max(norm, np.finfo(float).tiny):
         raise NumericalError(
             f"diagonalize_sym: reconstruction error {recon:.3e} exceeds "
             f"tolerance")
     return vals, vecs
-
-
-def solve_truncated(spec: ProblemSpec, v: CouplingMatrices,
-                    include_cross: bool = True) -> TruncatedSolution:
-    """Build and diagonalize the truncated operator."""
-    mat = build_truncated(spec, v, include_cross=include_cross)
-    vals, vecs = diagonalize_sym(mat)
-    resid = float(np.max(np.linalg.norm(mat @ vecs - vecs * vals, axis=0)))
-    eps = spec.modes.eps
-    shifts = np.asarray(eps[1:] - eps[0], dtype=float)
-    return TruncatedSolution(dim=mat.shape[0], eigvals=vals, eigvecs=vecs,
-                             shifts=shifts, residual_bound=resid)

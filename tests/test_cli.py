@@ -79,6 +79,10 @@ def test_verify_subcommand(config_path, tmp_path):
     report = json.loads((out / "verify_report.json").read_text())
     assert report["configured_instance"]["ep_exactness"]["passed"]
     assert report["random_battery"]["all_passed"]
+    # gaussian coupling has cross couplings: the per-block reading is off
+    per_block = report["configured_instance"]["per_block_reading"]
+    assert per_block["n_roots"] == 18
+    assert per_block["max_rel_dev_vs_direct"] > 1e-4
 
 
 def test_verify_zero_coupling_reports_path(tmp_path):
@@ -92,6 +96,28 @@ def test_verify_zero_coupling_reports_path(tmp_path):
     report = json.loads((out / "verify_report.json").read_text())
     assert report["configured_instance"]["zero_coupling_path"]
     assert report["configured_instance"]["n_realizations"] == 1
+
+
+def test_verify_per_block_reading_exact_without_cross_coupling(tmp_path):
+    # cosine modes 1, 2 are orthogonal, so a constant kernel gives
+    # V_12 = 0; mode 0 overlaps both, so V_01, V_02 != 0
+    q = np.linspace(0.0, 1.0, 201)
+    phi = [1.0 + 0.5 * np.cos(np.pi * q) + 0.5 * np.cos(2 * np.pi * q),
+           np.cos(np.pi * q), np.cos(2 * np.pi * q)]
+    doc = {"grid": {"n": 4},
+           "modes": {"count": 3, "kind": "given", "q_n": 201,
+                     "eps": [0.0, 1.0, 2.0], "phi": [p.tolist() for p in phi]},
+           "coupling": {"kind": "constant", "g": 1.0},
+           "hg": {"stiffness": 0.3, "potential": {"kind": "zero"}}}
+    path = tmp_path / "cosine.json"
+    path.write_text(json.dumps(doc))
+    out = tmp_path / "out"
+    assert main(["verify", "--config", str(path), "--out-dir", str(out),
+                 "--instances", "1"]) == 0
+    report = json.loads((out / "verify_report.json").read_text())
+    per_block = report["configured_instance"]["per_block_reading"]
+    assert per_block["n_roots"] == 12
+    assert per_block["max_rel_dev_vs_direct"] <= 1e-7
 
 
 def test_hierarchy_subcommand(config_path, tmp_path):

@@ -1,21 +1,22 @@
-"""Effective potential assembly, evaluation, characteristic function."""
+"""Effective potential reduction, evaluation, characteristic function."""
 
 import numpy as np
 import pytest
 
 from epbeat import (ConfigError, CouplingSpec, Grid, PoleProximityError,
-                    ProblemSpec, assemble_ep, characteristic,
+                    ProblemSpec, block_operator, characteristic,
                     ep_well_alignment, eval_ep, find_roots, ep_from_poles,
-                    gaussian_bump_basis, project_coupling, recurse_ep,
-                    schur_ep, solve_truncated)
+                    gaussian_bump_basis, hamiltonian_g, project_coupling,
+                    recurse_ep, reduce_block)
 from epbeat.verification import (random_instance, single_well_instance,
                                  two_well_instance, zero_coupling_instance)
 
 
 def pipeline_upto_ep(spec):
     v = project_coupling(spec.modes, spec.coupling, spec.xi_grid)
-    trunc = solve_truncated(spec, v)
-    return v, trunc, assemble_ep(trunc, v, spec)
+    trunc, ep = reduce_block(block_operator(spec, v), spec.n_g,
+                             hamiltonian_g(spec).diagonal(), spec.modes.eps[0])
+    return v, trunc, ep
 
 
 def scalar_ep(a=0.0, poles=(2.0,), weights=(1.0,)):
@@ -36,10 +37,8 @@ class TestAssemble:
         # one grid cell, one extra mode: pole = hg + V_11 + eps_10,
         # residue weight = V_01^2
         hg, v00, v01, v11, eps10 = 0.7, -0.2, 0.4, -0.5, 1.3
-        ep = schur_ep(h0=np.array([[hg + v00]]),
-                      b=np.array([[v01]]),
-                      sub=np.array([[hg + v11 + eps10]]),
-                      n_channels=1)
+        op = np.array([[hg + v00, v01], [v01, hg + v11 + eps10]])
+        _, ep = reduce_block(op, 1, hg_diag=np.array([hg]), eps0=0.0)
         assert ep.poles[0] == pytest.approx(hg + v11 + eps10)
         assert float(ep.residue_factors[0][0, 0] ** 2) == pytest.approx(v01 ** 2)
 

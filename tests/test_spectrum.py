@@ -2,16 +2,17 @@
 
 import numpy as np
 
-from epbeat import (count_accounting, direct_spectrum, find_roots, ep_from_poles,
-                    linearize_ep, project_coupling, scan_roots,
-                    solve_truncated, assemble_ep)
+from epbeat import (block_operator, count_accounting, direct_spectrum,
+                    ep_from_poles, find_roots, hamiltonian_g, linearize_ep,
+                    project_coupling, reduce_block, scan_roots)
 from epbeat.verification import random_instance, zero_coupling_instance
 
 
 def pipeline_upto_ep(spec):
     v = project_coupling(spec.modes, spec.coupling, spec.xi_grid)
-    trunc = solve_truncated(spec, v)
-    return v, trunc, assemble_ep(trunc, v, spec)
+    trunc, ep = reduce_block(block_operator(spec, v), spec.n_g,
+                             hamiltonian_g(spec).diagonal(), spec.modes.eps[0])
+    return v, trunc, ep
 
 
 def synthetic_full_rank_ep(n_e=2, n_g=3, seed=42):

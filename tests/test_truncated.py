@@ -1,28 +1,65 @@
-"""Truncated block operator and the Jacobi eigensolver."""
+"""The block operator, the LAPACK-backed eigensolver, and the reduction."""
 
 import numpy as np
 import pytest
 
-from epbeat import (ConfigError, CouplingSpec, Grid, NumericalError,
-                    ProblemSpec, build_truncated, diagonalize_sym,
-                    gaussian_bump_basis, given_mode_basis, hamiltonian_g,
-                    project_coupling, solve_truncated)
+from epbeat import (ConfigError, CouplingMatrices, CouplingSpec, Grid,
+                    NumericalError, ProblemSpec, block_operator,
+                    diagonalize_sym, gaussian_bump_basis, given_mode_basis,
+                    hamiltonian_g, project_coupling, reduce_block)
 
 
-def make_spec(n_tot=3, n_g=5, strength=1.0, seed=1, kind="gaussian_attractive"):
+def make_spec(n_tot=3, n_g=5, strength=1.0, seed=1, kind="gaussian_attractive",
+              boundary="dirichlet"):
     gen = np.random.default_rng(seed)
     return ProblemSpec(
-        xi_grid=Grid.uniform(n_g, (0.0, 1.0)),
+        xi_grid=Grid.uniform(n_g, (0.0, 1.0), boundary),
         modes=gaussian_bump_basis(n_tot, Grid.uniform(24, (0, 1)), 0.8),
         coupling=CouplingSpec(kind=kind, strength=strength, width=0.25),
         g_stiffness=0.3, g_potential=gen.uniform(-1, 1, n_g))
+
+
+def reduce_spec(spec, v):
+    """The pipeline's reduction of the full operator onto mode 0."""
+    return reduce_block(block_operator(spec, v), spec.n_g,
+                        hamiltonian_g(spec).diagonal(), spec.modes.eps[0])
+
+
+def without_cross(v):
+    """v' with V_nm = 0 for n != m >= 1: the per-block reading."""
+    pb = v.v.copy()
+    cross = ~np.eye(v.n_modes, dtype=bool)
+    cross[0, :] = cross[:, 0] = False
+    pb[cross] = 0.0
+    return CouplingMatrices(pb)
+
+
+class TestBlockOperator:
+    def test_matches_kronecker_formula(self):
+        # kron(I, h_g) + kron(diag(eps - eps_0), I) + sum kron(E_nm, diag(V_nm))
+        for boundary in ("dirichlet", "periodic"):
+            spec = make_spec(n_tot=4, n_g=6, boundary=boundary)
+            v = project_coupling(spec.modes, spec.coupling, spec.xi_grid)
+            op = block_operator(spec, v)
+            n_tot, n_g = spec.n_tot, spec.n_g
+            eps = spec.modes.eps
+            expected = (np.kron(np.eye(n_tot), hamiltonian_g(spec))
+                        + np.kron(np.diag(eps - eps[0]), np.eye(n_g)))
+            for n in range(n_tot):
+                for m in range(n_tot):
+                    e_nm = np.zeros((n_tot, n_tot))
+                    e_nm[n, m] = 1.0
+                    expected += np.kron(e_nm, np.diag(v.v[n, m]))
+            assert np.abs(op - expected).max() \
+                <= 1e-14 * np.abs(expected).max()
+            assert np.array_equal(op, op.T)
 
 
 class TestBuildTruncated:
     def test_single_block_reduction(self):
         spec = make_spec(n_tot=2, n_g=4)
         v = project_coupling(spec.modes, spec.coupling, spec.xi_grid)
-        mat = build_truncated(spec, v)
+        mat = block_operator(spec, v)[4:, 4:]
         expected = (hamiltonian_g(spec) + np.diag(v.v[1, 1])
                     + (spec.modes.eps[1] - spec.modes.eps[0]) * np.eye(4))
         assert np.allclose(mat, expected, atol=1e-14)
@@ -37,23 +74,26 @@ class TestBuildTruncated:
             coupling=CouplingSpec(kind="constant", strength=1.0),
             g_stiffness=0.3, g_potential=np.zeros(4))
         v = project_coupling(spec.modes, spec.coupling, spec.xi_grid)
-        mat = build_truncated(spec, v)
-        off = mat[:4, 4:]
+        trunc_op = block_operator(spec, v)[4:, 4:]
+        off = trunc_op[:4, 4:]
         assert np.abs(off).max() < 1e-8
 
     def test_exact_transpose_symmetry(self):
         spec = make_spec(n_tot=4, n_g=6)
         v = project_coupling(spec.modes, spec.coupling, spec.xi_grid)
-        mat = build_truncated(spec, v)
+        mat = block_operator(spec, v)[6:, 6:]
         assert np.array_equal(mat, mat.T)
 
     def test_cross_coupling_switch(self):
         spec = make_spec(n_tot=3, n_g=4)
         v = project_coupling(spec.modes, spec.coupling, spec.xi_grid)
-        full = build_truncated(spec, v, include_cross=True)
-        bare = build_truncated(spec, v, include_cross=False)
-        assert np.abs(full[:4, 4:]).max() > 1e-3
-        assert np.all(bare[:4, 4:] == 0.0)
+        full = block_operator(spec, v)
+        bare = block_operator(spec, without_cross(v))
+        assert np.abs(full[4:8, 8:]).max() > 1e-3
+        assert np.all(bare[4:8, 8:] == 0.0)
+        # mode-0 row and the diagonal blocks are untouched
+        assert np.array_equal(full[:4], bare[:4])
+        assert np.array_equal(full[4:8, 4:8], bare[4:8, 4:8])
 
 
 class TestDiagonalizeSym:
@@ -93,21 +133,22 @@ class TestTruncatedSolution:
     def test_contract_fields(self):
         spec = make_spec(n_tot=3, n_g=5)
         v = project_coupling(spec.modes, spec.coupling, spec.xi_grid)
-        trunc = solve_truncated(spec, v)
+        trunc, ep = reduce_spec(spec, v)
         assert trunc.dim == 2 * 5
         assert np.all(np.diff(trunc.eigvals) >= 0)
         gram = trunc.eigvecs.T @ trunc.eigvecs
         assert np.allclose(gram, np.eye(trunc.dim), atol=1e-9)
-        mat = build_truncated(spec, v)
+        mat = block_operator(spec, v)[5:, 5:]
         assert trunc.residual_bound <= 1e-9 * np.linalg.norm(mat)
-        assert np.allclose(trunc.shifts, spec.modes.eps[1:] - spec.modes.eps[0])
+        assert ep.raw_pole_count == trunc.dim
+        assert ep.n_channels == spec.n_tot - 1
 
     def test_requires_two_modes(self):
         spec = make_spec(n_tot=2, n_g=3)
         v = project_coupling(spec.modes, spec.coupling, spec.xi_grid)
         bad_v = type(v)(v.v[:1, :1])
         with pytest.raises(ConfigError):
-            build_truncated(spec, bad_v)
+            block_operator(spec, bad_v)
 
     def test_spectrum_invariant_under_mode_reordering(self):
         # degenerate pair n=1,2 swapped: same physics, same spectrum
@@ -131,13 +172,13 @@ class TestTruncatedSolution:
         spectra = []
         for s in specs:
             v = project_coupling(s.modes, s.coupling, s.xi_grid)
-            spectra.append(solve_truncated(s, v).eigvals)
+            spectra.append(reduce_spec(s, v)[0].eigvals)
         assert np.allclose(spectra[0], spectra[1], atol=1e-9)
 
     def test_block_diagonal_union_of_blocks(self):
         spec = make_spec(n_tot=4, n_g=4)
         v = project_coupling(spec.modes, spec.coupling, spec.xi_grid)
-        trunc = solve_truncated(spec, v, include_cross=False)
+        trunc, _ = reduce_spec(spec, without_cross(v))
         hg = hamiltonian_g(spec)
         expected = []
         for n in range(1, 4):

@@ -20,14 +20,13 @@ from .effective import (EffectivePotential, eval_ep, characteristic,
                         reduce_block)
 from .spectrum import (SpectrumResult, CountRecord, linearize_ep, find_roots,
                        count_accounting, scan_roots)
-from .assembly import (AssembledState, DensityField, reconstruct_state,
-                       reconstruct_all, density, participation_ratio,
-                       schmidt_rank, complexity_measure)
+from .assembly import (StateSet, reconstruct_all, participation_ratio,
+                       schmidt_ranks, complexity_measure)
 from .realizations import (RealizationSet, RealizationGroup, MixedDensity,
                            group_realizations, probabilities, born_match,
                            mix_density, realization_densities,
                            default_pr_threshold)
-from .beat import BeatEvent, BeatTrajectory, simulate_beat, empirical_freqs
+from .beat import BeatTrajectory, simulate_beat, empirical_freqs
 from .oracle import ComparisonReport, direct_spectrum, compare_spectra
 from .pipeline import PipelineResult, solve_problem, mean_intermediate_density
 from .errors import (ConfigError, NumericalError, PoleProximityError,
@@ -42,12 +41,12 @@ __all__ = [
     "ep_well_alignment", "recurse_ep", "ep_from_poles", "reduce_block",
     "SpectrumResult", "CountRecord", "linearize_ep", "find_roots",
     "count_accounting", "scan_roots",
-    "AssembledState", "DensityField", "reconstruct_state", "reconstruct_all",
-    "density", "participation_ratio", "schmidt_rank", "complexity_measure",
+    "StateSet", "reconstruct_all", "participation_ratio", "schmidt_ranks",
+    "complexity_measure",
     "RealizationSet", "RealizationGroup", "MixedDensity",
     "group_realizations", "probabilities", "born_match", "mix_density",
     "realization_densities", "default_pr_threshold",
-    "BeatEvent", "BeatTrajectory", "simulate_beat", "empirical_freqs",
+    "BeatTrajectory", "simulate_beat", "empirical_freqs",
     "ComparisonReport", "direct_spectrum", "compare_spectra",
     "PipelineResult", "solve_problem", "mean_intermediate_density",
     "ConfigError", "NumericalError", "PoleProximityError",

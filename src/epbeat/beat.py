@@ -20,28 +20,25 @@ from .realizations import RealizationSet
 
 
 @dataclass(frozen=True)
-class BeatEvent:
-    """One reduction event: which realization emerged, where, and when."""
-
-    tick: int
-    realization_id: int
-    center_index: int
-    center_coord: float
-
-
-@dataclass(frozen=True)
 class BeatTrajectory:
+    """T reduction events: ids[t] is the realization drawn at tick t.
+
+    centers[j] is the (center_index, center_coord) of realization j,
+    where every event of that realization is reduced.
+    """
+
     seed: int
     mode: str
-    events: tuple
-    empirical: tuple
+    ids: np.ndarray
+    centers: tuple
 
     @property
     def length(self) -> int:
-        return len(self.events)
+        return self.ids.size
 
-    def id_sequence(self) -> np.ndarray:
-        return np.array([e.realization_id for e in self.events], dtype=int)
+    @property
+    def empirical(self) -> tuple:
+        return empirical_freqs(self)
 
 
 def simulate_beat(rs: RealizationSet, t: int, seed: int,
@@ -60,25 +57,16 @@ def simulate_beat(rs: RealizationSet, t: int, seed: int,
     alpha = np.asarray(rs.alphas[mode], dtype=float)
     if alpha.size == 0:
         raise ConfigError("simulate_beat: empty realization set")
-    draws = rng.categorical_block(seed, 0, t, alpha)
-    if rs.groups:
-        centers = [(g.center_index, g.center_coord) for g in rs.groups]
-    else:
-        centers = [(-1, float("nan"))]
-    events = tuple(
-        BeatEvent(tick=i, realization_id=int(j),
-                  center_index=centers[j][0], center_coord=centers[j][1])
-        for i, j in enumerate(draws))
-    counts = np.bincount(draws, minlength=alpha.size)
-    empirical = tuple(counts.astype(float) / t)
-    return BeatTrajectory(seed=seed, mode=mode, events=events,
-                          empirical=empirical)
+    centers = tuple((g.center_index, g.center_coord) for g in rs.groups) \
+        or ((-1, float("nan")),)
+    return BeatTrajectory(seed=seed, mode=mode,
+                          ids=rng.categorical_block(seed, 0, t, alpha),
+                          centers=centers)
 
 
 def empirical_freqs(traj: BeatTrajectory) -> tuple:
     """Visit frequency per realization id, count_j / T."""
     if traj.length == 0:
         raise ConfigError("empirical_freqs: empty trajectory")
-    ids = traj.id_sequence()
-    counts = np.bincount(ids, minlength=len(traj.empirical))
+    counts = np.bincount(traj.ids, minlength=len(traj.centers))
     return tuple(counts.astype(float) / traj.length)

@@ -25,16 +25,17 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .assembly import complexity_measure, schmidt_rank
+from .assembly import complexity_measure, schmidt_ranks
 from .beat import simulate_beat
 from .effective import recurse_ep, reduce_block
 from .errors import ConfigError, NumericalError, VerificationError
-from .model import CouplingMatrices, block_operator, build_problem
+from .model import (CouplingMatrices, block_operator, build_problem,
+                    project_coupling)
 from .oracle import compare_spectra, direct_spectrum
 from .pipeline import mean_intermediate_density, solve_problem
 from .realizations import mix_density, realization_densities
 from .spectrum import count_accounting, find_roots
-from .verification import run_battery
+from .verification import EP_EXACTNESS_TOL, recovered_spectrum, run_battery
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -95,12 +96,16 @@ def write_density_csv(path: Path, rho: np.ndarray, q_points: np.ndarray,
 
 
 def write_events_csv(path: Path, traj) -> None:
-    lines = ["tick,realization_id,center_index,center_coord"]
-    for e in traj.events:
-        coord = "nan" if e.center_coord != e.center_coord \
-            else _fmt_float(e.center_coord)
-        lines.append(f"{e.tick},{e.realization_id},{e.center_index},{coord}")
-    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    """One row per tick: the tick, then the row suffix of the
+    realization drawn, formatted once per realization."""
+    suffixes = []
+    for j, (index, coord) in enumerate(traj.centers):
+        text = "nan" if coord != coord else _fmt_float(coord)
+        suffixes.append(f",{j},{index},{text}\n")
+    with path.open("w", encoding="utf-8") as fh:
+        fh.write("tick,realization_id,center_index,center_coord\n")
+        fh.writelines(map(str.__add__, map(str, range(traj.length)),
+                          map(suffixes.__getitem__, traj.ids.tolist())))
 
 
 # ---------------------------------------------------------------------------
@@ -131,20 +136,20 @@ def load_config(path: str) -> dict:
 
 
 def _run_settings(doc: dict, args) -> dict:
+    """Run keys: a command-line flag wins over the config's run block,
+    which wins over the default."""
     run = dict(doc.get("run", {}))
-    if args.seed is not None:
-        run["seed"] = args.seed
-    if args.cycles is not None:
-        run["cycles"] = args.cycles
-    if args.prob_mode is not None:
-        run["prob_mode"] = args.prob_mode
-    if args.depth is not None:
-        run["depth"] = args.depth
+    for key in ("seed", "cycles", "prob_mode", "depth", "out_dir"):
+        if getattr(args, key) is not None:
+            run[key] = getattr(args, key)
     run.setdefault("seed", 0)
     run.setdefault("cycles", 10_000)
     run.setdefault("prob_mode", "uniform")
-    run.setdefault("depth", 1)
+    run.setdefault("depth", 2)
+    run.setdefault("out_dir", os.environ.get("EPBEAT_OUT_DIR", "out"))
     run.setdefault("pr_threshold", None)
+    if not isinstance(run["out_dir"], str):
+        raise ConfigError("run.out_dir: must be a path string")
     return run
 
 
@@ -155,9 +160,9 @@ def _config_hash(path: str) -> str:
 class _Runner:
     """Collects outputs and writes the manifest last."""
 
-    def __init__(self, args):
-        self.args = args
-        self.out_dir = Path(args.out_dir)
+    def __init__(self, config: str, out_dir: str):
+        self.config = config
+        self.out_dir = Path(out_dir)
         self.outputs: list[str] = []
         self.checks: dict = {}
         self.t0 = time.time()
@@ -171,7 +176,7 @@ class _Runner:
         manifest = {
             "version": __version__,
             "subcommand": subcommand,
-            "config_sha256": _config_hash(self.args.config),
+            "config_sha256": _config_hash(self.config),
             "seed": seed,
             "outputs": self.outputs,
             "checks": self.checks,
@@ -216,14 +221,15 @@ def _solve_and_write(runner: _Runner, doc: dict, run: dict):
     write_json(runner.path("ep.json"), result.ep.to_dict())
     payload = rs.to_dict()
     payload["complexity"] = complexity_measure(rs.n_realizations)
-    payload["schmidt_ranks"] = [schmidt_rank(s) for s in result.states]
+    payload["schmidt_ranks"] = schmidt_ranks(result.states).tolist()
     write_json(runner.path("realizations.json"), payload)
     q_pts = spec.modes.q_grid.points
     xi_pts = spec.xi_grid.points
-    for j, rho in enumerate(realization_densities(rs, result.states)):
+    densities = realization_densities(rs, result.states)
+    for j, rho in enumerate(densities):
         write_density_csv(runner.path(f"density_realization_{j}.csv"),
                           rho, q_pts, xi_pts)
-    mixed = mix_density(rs, result.states, mode)
+    mixed = mix_density(rs, densities, mode)
     write_density_csv(runner.path(f"density_mixed_{mode}.csv"),
                       mixed.rho_ex, q_pts, xi_pts)
     return result
@@ -254,11 +260,14 @@ def cmd_beat(runner: _Runner, doc: dict, run: dict) -> int:
 
 
 def cmd_verify(runner: _Runner, doc: dict, run: dict, args) -> int:
-    from .verification import recovered_spectrum
+    if args.instances < 1:
+        raise ConfigError(
+            f"instances: need K >= 1 random instances, got {args.instances}")
     spec = build_problem(doc)
     result = solve_problem(spec, run.get("pr_threshold"))
     energies, _ = direct_spectrum(spec, result.v)
-    report = compare_spectra(recovered_spectrum(result), energies, 1e-7)
+    report = compare_spectra(recovered_spectrum(result), energies,
+                             EP_EXACTNESS_TOL)
     accounting = count_accounting(result.sr)
 
     # same reduction under the per-block reading of the truncated sector
@@ -308,17 +317,16 @@ def cmd_verify(runner: _Runner, doc: dict, run: dict, args) -> int:
     return EXIT_OK
 
 
-def cmd_hierarchy(runner: _Runner, doc: dict, run: dict, args) -> int:
-    from .model import project_coupling
+def cmd_hierarchy(runner: _Runner, doc: dict, run: dict) -> int:
     spec = build_problem(doc)
     v = project_coupling(spec.modes, spec.coupling, spec.xi_grid)
-    depth = args.depth if args.depth is not None else 2
-    levels = recurse_ep(spec, v, depth=depth)
+    levels = recurse_ep(spec, v, depth=run["depth"])
     payload = {"levels": []}
     for level in levels:
         sr = find_roots(level.ep)
         direct_sorted = np.sort(np.linalg.eigvalsh(level.operator))
-        report = compare_spectra(np.sort(sr.roots), direct_sorted, 1e-7)
+        report = compare_spectra(np.sort(sr.roots), direct_sorted,
+                                 EP_EXACTNESS_TOL)
         payload["levels"].append({
             "depth": level.depth,
             "roots": list(sr.roots),
@@ -336,8 +344,8 @@ def cmd_hierarchy(runner: _Runner, doc: dict, run: dict, args) -> int:
     return EXIT_OK
 
 
-def cmd_report(args) -> int:
-    out_dir = Path(args.out_dir)
+def cmd_report(out_dir: str) -> int:
+    out_dir = Path(out_dir)
     summary = {}
     for name in ("manifest.json", "spectrum.json", "realizations.json",
                  "beat_summary.json", "verify_report.json",
@@ -388,8 +396,8 @@ def build_parser() -> argparse.ArgumentParser:
         if name != "report":
             p.add_argument("--config", required=True, help="config JSON path")
         p.add_argument("--out-dir", default=None,
-                       help="output directory (default: $EPBEAT_OUT_DIR "
-                            "or ./out)")
+                       help="output directory (default: run.out_dir, "
+                            "$EPBEAT_OUT_DIR or ./out)")
         p.add_argument("--seed", type=int, default=None)
         p.add_argument("--cycles", type=int, default=None)
         p.add_argument("--prob-mode", dest="prob_mode", default=None,
@@ -403,14 +411,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    if args.out_dir is None:
-        args.out_dir = os.environ.get("EPBEAT_OUT_DIR", "out")
     try:
         if args.subcommand == "report":
-            return cmd_report(args)
+            return cmd_report(_run_settings({}, args)["out_dir"])
         doc = load_config(args.config)
         run = _run_settings(doc, args)
-        runner = _Runner(args)
+        runner = _Runner(args.config, run["out_dir"])
         if args.subcommand == "solve":
             return cmd_solve(runner, doc, run)
         if args.subcommand == "beat":
@@ -418,7 +424,7 @@ def main(argv=None) -> int:
         if args.subcommand == "verify":
             return cmd_verify(runner, doc, run, args)
         if args.subcommand == "hierarchy":
-            return cmd_hierarchy(runner, doc, run, args)
+            return cmd_hierarchy(runner, doc, run)
         raise ConfigError(f"unknown subcommand {args.subcommand!r}")
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)

@@ -15,6 +15,7 @@ construction.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -120,6 +121,18 @@ class ModeBasis:
     @property
     def n_modes(self) -> int:
         return self.eps.size
+
+    @cached_property
+    def overlap_factor(self) -> np.ndarray:
+        """R of the thin QR sqrt(W_q) phi^T = Q R.
+
+        R^T R = phi W_q phi^T is the mode overlap and Q has orthonormal
+        columns, so channel amplitudes c give |R c|^2 as the q-integral
+        of |sum_n phi_n c_n|^2 and R c the same singular values as the
+        weighted q-grid amplitude, without painting onto the q grid.
+        """
+        return np.linalg.qr(np.sqrt(self.q_grid.weights)[:, None] * self.phi.T,
+                            mode="r")
 
 
 @dataclass(frozen=True)

@@ -6,7 +6,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .assembly import density, reconstruct_all
+from .assembly import StateSet, reconstruct_all
 from .effective import EffectivePotential, reduce_block
 from .errors import NumericalError
 from .model import (CouplingMatrices, ProblemSpec, block_operator,
@@ -23,7 +23,7 @@ class PipelineResult:
     trunc: TruncatedSolution
     ep: EffectivePotential
     sr: SpectrumResult
-    states: tuple
+    states: StateSet
     rs: RealizationSet
 
 
@@ -55,9 +55,7 @@ def mean_intermediate_density(result: PipelineResult) -> np.ndarray:
             "probabilities: born mode needs a nonempty intermediate "
             "realization to average over")
     w = result.spec.xi_grid.weights
-    acc = np.zeros(result.spec.n_g)
-    for idx in members:
-        acc += density(result.states[idx]).marginal_xi / w
+    acc = np.sum(result.states.marginal_xi[list(members)] / w, axis=0)
     acc /= len(members)
     total = float(np.sum(w * acc))
     return acc / total

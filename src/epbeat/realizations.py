@@ -16,7 +16,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .assembly import density, participation_ratio
+from .assembly import StateSet, participation_ratio
 from .errors import ConfigError, NumericalError
 from .model import Grid
 
@@ -99,7 +99,8 @@ def default_pr_threshold(n_g: int) -> float:
     return min(max(n_g / 3.0, 1.0 + 1e-6), n_g - 1e-6)
 
 
-def group_realizations(states, pr_threshold: float | None = None):
+def group_realizations(states: StateSet,
+                       pr_threshold: float | None = None) -> RealizationSet:
     """Group states by center of reduction; delocalized ones go to the
     intermediate set.
 
@@ -107,36 +108,30 @@ def group_realizations(states, pr_threshold: float | None = None):
     marginal falls below the threshold. If nothing is localized the
     intermediate set is itself the single realization.
     """
-    states = tuple(states)
-    if not states:
+    if not len(states):
         raise ConfigError("group_realizations: empty state list")
-    xi_grid = states[0].xi_grid
+    xi_grid = states.xi_grid
     n_g = xi_grid.n
     tau = default_pr_threshold(n_g) if pr_threshold is None else float(pr_threshold)
     if not 1.0 < tau < n_g:
         raise ConfigError(
             f"pr_threshold: must lie strictly between 1 and N_g={n_g}, "
             f"got {tau!r}")
-    by_center: dict[int, list] = {}
-    intermediate = []
-    for idx, state in enumerate(states):
-        marginal = density(state).marginal_xi
-        # normalize so grouping depends only on the density's shape,
-        # invariant under any common rescaling of the amplitudes
-        marginal = marginal / marginal.sum()
-        pr = participation_ratio(marginal)
-        if pr >= tau:
-            intermediate.append(idx)
-        else:
-            center = int(np.argmax(marginal))
-            by_center.setdefault(center, []).append(idx)
+    # normalize so grouping depends only on the density's shape,
+    # invariant under any common rescaling of the amplitudes
+    marginal = states.marginal_xi / states.marginal_xi.sum(axis=1,
+                                                           keepdims=True)
+    localized = participation_ratio(marginal) < tau
+    centers = np.argmax(marginal, axis=1)
     groups = tuple(
-        RealizationGroup(center_index=c,
+        RealizationGroup(center_index=int(c),
                          center_coord=float(xi_grid.points[c]),
-                         members=tuple(by_center[c]))
-        for c in sorted(by_center))
+                         members=tuple(np.flatnonzero(
+                             localized & (centers == c)).tolist()))
+        for c in np.unique(centers[localized]))
     n_realizations = len(groups) if groups else 1
-    rs = RealizationSet(groups=groups, intermediate=tuple(intermediate),
+    intermediate = tuple(np.flatnonzero(~localized).tolist())
+    rs = RealizationSet(groups=groups, intermediate=intermediate,
                         n_realizations=n_realizations, xi_grid=xi_grid,
                         pr_threshold=tau, alphas={})
     alphas = {"uniform": probabilities(rs, "uniform"),
@@ -216,39 +211,38 @@ def born_match(rs: RealizationSet, psi0_intermediate: np.ndarray):
     return tuple(float(x) for x in c), tuple(float(a) for a in alpha)
 
 
-def mix_density(rs: RealizationSet, states, mode: str) -> MixedDensity:
+def mix_density(rs: RealizationSet, group_densities,
+                mode: str) -> MixedDensity:
     """Expectation density: alpha-weighted mean of group densities.
 
-    rho_j is the mean density over the members of group j; the
-    intermediate set never enters the regular mixture. Requires the
-    weights for the requested mode to be attached to the set.
+    group_densities are the painted per-realization means of
+    realization_densities; the intermediate set never enters the
+    regular mixture. Requires the weights for the requested mode to be
+    attached to the set.
     """
     if mode not in rs.alphas:
         raise ConfigError(
             f"mix_density: probabilities not computed for mode {mode!r}")
-    alpha = rs.alphas[mode]
-    states = tuple(states)
-    group_densities = realization_densities(rs, states)
     rho = np.zeros_like(group_densities[0])
-    for a, rho_j in zip(alpha, group_densities):
+    for a, rho_j in zip(rs.alphas[mode], group_densities):
         rho += a * rho_j
     return MixedDensity(rho_ex=rho, mode=mode)
 
 
-def realization_densities(rs: RealizationSet, states) -> tuple:
-    """Mean density per realization, in group order.
+def realization_densities(rs: RealizationSet, states: StateSet) -> tuple:
+    """Mean density rho(q, xi) = |Psi|^2 per realization, in group order.
 
-    Falls back to the intermediate members when no regular group
-    exists (the intermediate is then the single realization).
+    The only place states are painted onto the q grid. rho is a density
+    with respect to the quadrature measure. Falls back to the
+    intermediate members when no regular group exists (the
+    intermediate is then the single realization).
     """
-    states = tuple(states)
     member_sets = [g.members for g in rs.groups] if rs.groups \
         else [rs.intermediate]
+    phi_t = states.basis.phi.T
     out = []
     for members in member_sets:
-        acc = None
-        for idx in members:
-            rho = density(states[idx]).rho
-            acc = rho if acc is None else acc + rho
-        out.append(acc / len(members))
+        rho = phi_t @ states.channels[list(members)]
+        rho *= rho
+        out.append(rho.sum(axis=0) / len(members))
     return tuple(out)

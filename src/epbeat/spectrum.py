@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .effective import (EffectivePotential, RESIDUE_RANK_TOL, DECOUPLED_FACTOR,
-                        characteristic, eval_ep)
+                        characteristic)
 from .errors import NumericalError
 from .truncated import diagonalize_sym
 
@@ -109,38 +109,38 @@ def find_roots(ep: EffectivePotential) -> SpectrumResult:
     guard and its channel-0 block satisfies the effective eigenproblem
     to within ROOT_RESIDUAL_FACTOR times the spectral span; certification
     failure raises, pole-coincident values are excluded with a report
-    entry.
+    entry. All residuals ||V_eff(eta_j) x_j - eta_j x_j|| come from one
+    product with the stacked residue factors W_all,
+    h0 X + W_all ((W_all^T X) / (eta - p_all)) - X diag(eta).
     """
     lin = linearize_ep(ep)
     vals, vecs = diagonalize_sym(lin)
     n_g = ep.n_g
     ranks = effective_ranks(ep)
     span = ep.span
-    guard = ep.pole_guard
-    roots = []
-    vectors = []
-    excluded = []
-    residual_max = 0.0
-    for j, eta in enumerate(vals):
-        if ep.poles.size and np.min(np.abs(eta - ep.poles)) <= guard:
-            excluded.append((float(eta), "pole-coincident"))
-            continue
-        x = vecs[:n_g, j]
-        nx = np.linalg.norm(x)
-        if nx < 1e-12:
-            excluded.append((float(eta), "no channel-0 weight"))
-            continue
-        psi = x / nx
-        resid = float(np.linalg.norm(eval_ep(ep, eta) @ psi - eta * psi))
-        if resid > ROOT_RESIDUAL_FACTOR * span:
-            raise NumericalError(
-                f"find_roots: root {float(eta)!r} failed certification "
-                f"(residual {resid:.3e} > {ROOT_RESIDUAL_FACTOR * span:.3e})")
-        residual_max = max(residual_max, resid)
-        roots.append(float(eta))
-        vectors.append(psi)
-    roots = np.asarray(roots)
-    vectors = np.asarray(vectors) if vectors else np.zeros((0, n_g))
+    near_pole = np.any(np.abs(vals[:, None] - ep.poles[None, :])
+                       <= ep.pole_guard, axis=1)
+    x = vecs[:n_g]
+    nx = np.linalg.norm(x, axis=0)
+    keep = ~near_pole & (nx >= 1e-12)
+    excluded = tuple(
+        (float(vals[j]),
+         "pole-coincident" if near_pole[j] else "no channel-0 weight")
+        for j in np.flatnonzero(~keep))
+    roots = vals[keep]
+    psi = x[:, keep] / nx[keep]
+    w_all = np.hstack((np.zeros((n_g, 0)),) + ep.residue_factors)
+    p_all = np.repeat(ep.poles, ep.ranks())
+    resid = np.linalg.norm(
+        ep.h0 @ psi + w_all @ ((w_all.T @ psi) / (roots - p_all[:, None]))
+        - psi * roots, axis=0)
+    bound = ROOT_RESIDUAL_FACTOR * span
+    failed = np.flatnonzero(resid > bound)
+    if failed.size:
+        j = failed[0]
+        raise NumericalError(
+            f"find_roots: root {float(roots[j])!r} failed certification "
+            f"(residual {resid[j]:.3e} > {bound:.3e})")
     n_e = ep.n_channels
     counts = CountRecord(
         n_g=int(n_g),
@@ -152,11 +152,10 @@ def find_roots(ep: EffectivePotential) -> SpectrumResult:
         linear_count=int((n_e + 1) * n_g))
     decoupled = tuple(float(ep.poles[k]) for k in range(ep.poles.size)
                       if ranks[k] == 0)
-    return SpectrumResult(roots=roots, vectors=vectors,
+    return SpectrumResult(roots=roots, vectors=psi.T,
                           energies=roots + ep.eps0, counts=counts,
-                          excluded=tuple(excluded),
-                          decoupled_poles=decoupled,
-                          residual_max=residual_max)
+                          excluded=excluded, decoupled_poles=decoupled,
+                          residual_max=float(resid.max(initial=0.0)))
 
 
 def count_accounting(sr: SpectrumResult) -> dict:

@@ -3,30 +3,31 @@
 import numpy as np
 import pytest
 
-from epbeat import (AssembledState, CouplingSpec, Grid, ProblemSpec,
-                    block_operator, complexity_measure, density,
-                    gaussian_bump_basis, participation_ratio,
-                    schmidt_rank, solve_problem)
+from epbeat import (CouplingSpec, Grid, ProblemSpec, StateSet,
+                    block_operator, complexity_measure, gaussian_bump_basis,
+                    given_mode_basis, participation_ratio, schmidt_ranks,
+                    solve_problem)
 from epbeat.verification import random_instance, zero_coupling_instance
 
 
-def toy_state(full, q_grid, xi_grid):
-    """Hand-built state with a given (q, xi) amplitude matrix."""
-    full = np.asarray(full, dtype=float)
-    norm = np.sqrt(np.einsum("qx,q,x->", full ** 2, q_grid.weights,
-                             xi_grid.weights))
-    return AssembledState(root_index=0, psi0=np.zeros(xi_grid.n),
-                          tails=np.zeros((1, xi_grid.n)), full=full / norm,
-                          energy=0.0, norm=1.0, q_grid=q_grid,
-                          xi_grid=xi_grid)
+def toy_states(phi, channels, q_grid, xi_grid):
+    """One hand-built state: mode samples phi (n_modes, n_q) and channel
+    amplitudes (n_modes, n_xi), so Psi = phi^T channels."""
+    basis = given_mode_basis(np.arange(len(phi), dtype=float), phi, q_grid)
+    return StateSet(channels=np.asarray(channels, dtype=float)[None],
+                    energies=np.zeros(1), basis=basis, xi_grid=xi_grid)
+
+
+def painted(states, i):
+    """Two-field amplitude Psi_i(q, xi) of state i on the q grid."""
+    return states.basis.phi.T @ states.channels[i]
 
 
 class TestReconstruction:
     def test_zero_coupling_states_are_products(self):
         result = solve_problem(zero_coupling_instance())
-        for state in result.states:
-            assert np.all(state.tails == 0.0)
-            assert schmidt_rank(state) == 1
+        assert np.all(result.states.channels[:, 1:] == 0.0)
+        assert np.all(schmidt_ranks(result.states) == 1)
 
     def test_full_operator_residual(self):
         # direct operator-application oracle
@@ -36,24 +37,26 @@ class TestReconstruction:
         for seed in (3, 14, 27, 843):
             result = solve_problem(random_instance(seed))
             h = block_operator(result.spec, result.v)
-            for state in result.states:
-                c = state.channel_vector()
+            states = result.states
+            for i in range(len(states)):
+                c = states.channels[i].ravel()
                 c = c / np.linalg.norm(c)
-                eta = state.energy - result.ep.eps0
+                eta = states.energies[i] - result.ep.eps0
                 resid = np.linalg.norm(h @ c - eta * c)
                 assert resid <= 1e-6
 
     def test_unit_weighted_norm(self):
         result = solve_problem(random_instance(6))
-        for state in result.states:
-            wq = state.q_grid.weights
-            wx = state.xi_grid.weights
-            mass = np.einsum("qx,q,x->", state.full ** 2, wq, wx)
+        states = result.states
+        wq = states.basis.q_grid.weights
+        wx = states.xi_grid.weights
+        for i in range(len(states)):
+            mass = np.einsum("qx,q,x->", painted(states, i) ** 2, wq, wx)
             assert mass == pytest.approx(1.0, abs=1e-9)
 
     def test_resonant_root_rejected(self):
         import dataclasses
-        from epbeat import PoleProximityError, reconstruct_state
+        from epbeat import PoleProximityError, reconstruct_all
         from epbeat import hamiltonian_g, project_coupling, reduce_block
         from epbeat import find_roots
         spec = random_instance(3)
@@ -66,8 +69,8 @@ class TestReconstruction:
         rigged[0] = trunc.eigvals[0]  # park the root on a pole
         sr_bad = dataclasses.replace(sr, roots=rigged)
         with pytest.raises(PoleProximityError, match="resonance"):
-            reconstruct_state(sr_bad, 0, trunc, op[:spec.n_g, spec.n_g:],
-                              spec.modes, spec.xi_grid)
+            reconstruct_all(sr_bad, trunc, op[:spec.n_g, spec.n_g:],
+                            spec.modes, spec.xi_grid)
 
     def test_tail_weight_grows_with_coupling(self):
         gen = np.random.default_rng(2)
@@ -81,29 +84,36 @@ class TestReconstruction:
                                       width=0.25),
                 g_stiffness=0.3, g_potential=pot)
             result = solve_problem(spec)
-            ground = result.states[0]
-            # psi0 is unit-normalized, so this is the recovered tail mass
-            weights.append(float(np.sum(ground.tails ** 2)))
+            ground = result.states.channels[0]
+            # recovered tail mass per unit channel-0 profile
+            weights.append(float(np.sum(ground[1:] ** 2)
+                                 / np.sum(ground[0] ** 2)))
         assert weights[0] < weights[1] < weights[2]
 
 
 class TestDensity:
     def test_marginals_are_probabilities(self):
         result = solve_problem(random_instance(10))
-        for state in result.states:
-            d = density(state)
-            assert np.all(d.rho >= 0.0)
-            assert d.marginal_xi.sum() == pytest.approx(1.0, abs=1e-9)
-            assert d.marginal_q.sum() == pytest.approx(1.0, abs=1e-9)
+        states = result.states
+        wq = states.basis.q_grid.weights
+        wx = states.xi_grid.weights
+        for i in range(len(states)):
+            rho = painted(states, i) ** 2
+            assert np.all(rho >= 0.0)
+            assert states.marginal_xi[i].sum() == pytest.approx(1.0, abs=1e-9)
+            assert np.sum(wq * (rho @ wx)) == pytest.approx(1.0, abs=1e-9)
+            # the channel-space marginal is the painted density's
+            assert np.allclose(states.marginal_xi[i], wx * (wq @ rho),
+                               rtol=0.0, atol=1e-14)
 
     def test_uniform_product_state_flat_marginal(self):
         q = Grid.uniform(6, (0.0, 5.0))
         xi = Grid.uniform(4, (0.0, 3.0))
-        state = toy_state(np.ones((6, 4)), q, xi)
-        d = density(state)
+        states = toy_states([np.ones(6), q.points], [np.ones(4), np.zeros(4)],
+                            q, xi)
         # flat density: per-cell mass proportional to the cell weight
         expected = xi.weights / xi.weights.sum()
-        assert np.allclose(d.marginal_xi, expected, atol=1e-12)
+        assert np.allclose(states.marginal_xi[0], expected, atol=1e-12)
 
 
 class TestParticipationRatio:
@@ -130,37 +140,41 @@ class TestSchmidtRank:
         q = Grid.uniform(5, (0.0, 1.0))
         xi = Grid.uniform(7, (0.0, 1.0))
         gen = np.random.default_rng(1)
-        state = toy_state(np.outer(gen.uniform(1, 2, 5),
-                                   gen.uniform(1, 2, 7)), q, xi)
-        assert schmidt_rank(state) == 1
+        states = toy_states([gen.uniform(1, 2, 5), np.ones(5)],
+                            [gen.uniform(1, 2, 7), np.zeros(7)], q, xi)
+        assert schmidt_ranks(states)[0] == 1
 
     def test_bell_like_state(self):
         q = Grid.uniform(4, (0.0, 3.0))
         xi = Grid.uniform(4, (0.0, 3.0))
-        full = np.zeros((4, 4))
         # two equal product terms on disjoint supports
-        full[0, 1] = 1.0 / np.sqrt(q.weights[0] * xi.weights[1])
-        full[2, 3] = 1.0 / np.sqrt(q.weights[2] * xi.weights[3])
-        state = toy_state(full, q, xi)
-        assert schmidt_rank(state) == 2
+        phi = np.zeros((2, 4))
+        phi[0, 0] = phi[1, 2] = 1.0
+        channels = np.zeros((2, 4))
+        channels[0, 1] = 1.0 / np.sqrt(xi.weights[1])
+        channels[1, 3] = 1.0 / np.sqrt(xi.weights[3])
+        assert schmidt_ranks(toy_states(phi, channels, q, xi))[0] == 2
 
     def test_matches_gram_eigendecomposition_oracle(self):
-        # independent oracle: rank from eigenvalues of M M^T; tol kept
-        # above the Gram route's eps*sigma_max^2 resolution floor
+        # independent oracle: rank from eigenvalues of M M^T of the
+        # painted amplitude; tol kept above the Gram route's
+        # eps*sigma_max^2 resolution floor
         result = solve_problem(random_instance(17))
+        states = result.states
         tol = 1e-5
-        for state in result.states:
-            m = (np.sqrt(state.q_grid.weights)[:, None] * state.full
-                 * np.sqrt(state.xi_grid.weights)[None, :])
+        ranks = schmidt_ranks(states, tol)
+        for i in range(len(states)):
+            m = (np.sqrt(states.basis.q_grid.weights)[:, None]
+                 * painted(states, i)
+                 * np.sqrt(states.xi_grid.weights)[None, :])
             vals = np.linalg.eigvalsh(m @ m.T)
             vals = np.clip(vals, 0.0, None)
             oracle = int(np.sum(np.sqrt(vals) > tol * np.sqrt(vals.max())))
-            assert schmidt_rank(state, tol) == oracle
+            assert ranks[i] == oracle
 
     def test_coupled_states_entangled(self):
         result = solve_problem(random_instance(23))
-        ranks = [schmidt_rank(s) for s in result.states]
-        assert max(ranks) > 1
+        assert schmidt_ranks(result.states).max() > 1
 
 
 class TestComplexity:

@@ -6,7 +6,8 @@ from scipy import stats
 
 from epbeat import ConfigError, empirical_freqs, simulate_beat, solve_problem
 from epbeat import rng
-from epbeat.beat import BeatEvent, BeatTrajectory
+from epbeat.beat import BeatTrajectory
+from epbeat.cli import write_events_csv
 from epbeat.verification import two_well_instance, zero_coupling_instance
 
 # Published SplitMix64 reference outputs for seed 0
@@ -17,6 +18,13 @@ SPLITMIX64_SEED0 = (0xE220A8397B1DCDAF, 0x6E789E6AA1B965F4,
 @pytest.fixture(scope="module")
 def two_well_rs():
     return solve_problem(two_well_instance(), pr_threshold=2.0).rs
+
+
+def event_rows(traj, tmp_path):
+    """The data rows of the events.csv written for traj, split."""
+    path = tmp_path / "events.csv"
+    write_events_csv(path, traj)
+    return [line.split(",") for line in path.read_text().splitlines()[1:]]
 
 
 class TestGenerator:
@@ -50,28 +58,30 @@ class TestSimulateBeat:
     def test_single_realization_constant(self):
         rs = solve_problem(zero_coupling_instance()).rs
         traj = simulate_beat(rs, 200, seed=5, mode="uniform")
-        ids = {e.realization_id for e in traj.events}
-        assert ids == {0}
-        assert all(e.center_index == -1 for e in traj.events)
+        assert set(traj.ids.tolist()) == {0}
+        assert all(traj.centers[j][0] == -1 for j in traj.ids)
 
     def test_identical_seeds_identical_trajectories(self, two_well_rs):
         a = simulate_beat(two_well_rs, 1000, seed=42, mode="uniform")
         b = simulate_beat(two_well_rs, 1000, seed=42, mode="uniform")
-        assert a.events == b.events
+        assert np.array_equal(a.ids, b.ids)
         c = simulate_beat(two_well_rs, 1000, seed=43, mode="uniform")
-        assert a.events != c.events
+        assert not np.array_equal(a.ids, c.ids)
 
-    def test_ticks_count_up_from_zero(self, two_well_rs):
+    def test_ticks_count_up_from_zero(self, two_well_rs, tmp_path):
         traj = simulate_beat(two_well_rs, 50, seed=1, mode="uniform")
-        assert [e.tick for e in traj.events] == list(range(50))
+        rows = event_rows(traj, tmp_path)
+        assert [int(r[0]) for r in rows] == list(range(50))
 
-    def test_events_carry_group_centers(self, two_well_rs):
+    def test_events_carry_group_centers(self, two_well_rs, tmp_path):
         traj = simulate_beat(two_well_rs, 100, seed=2, mode="uniform")
         centers = {g.center_index: g.center_coord
                    for g in two_well_rs.groups}
-        for e in traj.events:
-            assert e.center_index in centers
-            assert e.center_coord == centers[e.center_index]
+        rows = event_rows(traj, tmp_path)
+        assert [int(r[1]) for r in rows] == traj.ids.tolist()
+        for _, _, index, coord in rows:
+            assert int(index) in centers
+            assert float(coord) == centers[int(index)]
 
     def test_binomial_convergence(self, two_well_rs):
         t = 100_000
@@ -90,18 +100,14 @@ class TestSimulateBeat:
 
 class TestEmpiricalFreqs:
     def test_counting(self):
-        events = tuple(BeatEvent(tick=i, realization_id=j, center_index=j,
-                                 center_coord=float(j))
-                       for i, j in enumerate((0, 1, 0, 1)))
-        traj = BeatTrajectory(seed=0, mode="uniform", events=events,
-                              empirical=(0.5, 0.5))
+        traj = BeatTrajectory(seed=0, mode="uniform",
+                              ids=np.array([0, 1, 0, 1]),
+                              centers=((0, 0.0), (1, 1.0)))
         assert empirical_freqs(traj) == (0.5, 0.5)
 
     def test_single_id(self):
-        events = (BeatEvent(tick=0, realization_id=0, center_index=3,
-                            center_coord=0.3),)
-        traj = BeatTrajectory(seed=0, mode="uniform", events=events,
-                              empirical=(1.0,))
+        traj = BeatTrajectory(seed=0, mode="uniform", ids=np.array([0]),
+                              centers=((3, 0.3),))
         assert empirical_freqs(traj) == (1.0,)
 
     def test_chi_square_over_seeds(self, two_well_rs):
@@ -120,10 +126,10 @@ class TestEmpiricalFreqs:
 
     def test_reversal_keeps_freqs_breaks_reproduction(self, two_well_rs):
         traj = simulate_beat(two_well_rs, 500, seed=13, mode="uniform")
-        ids = traj.id_sequence()
+        ids = traj.ids
         reversed_ids = ids[::-1]
         assert np.array_equal(np.bincount(ids), np.bincount(reversed_ids))
         regenerated = simulate_beat(two_well_rs, 500, seed=13,
-                                    mode="uniform").id_sequence()
+                                    mode="uniform").ids
         assert np.array_equal(ids, regenerated)
         assert not np.array_equal(reversed_ids, regenerated)

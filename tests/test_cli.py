@@ -1,5 +1,6 @@
 """End-to-end runner: artifacts, determinism, exit codes."""
 
+import hashlib
 import json
 
 import numpy as np
@@ -57,6 +58,61 @@ def test_beat_events_csv(config_path, tmp_path):
     summary = json.loads((out / "beat_summary.json").read_text())
     assert summary["cycles"] == 250
     assert summary["seed"] == 3
+
+
+# sha256 of events.csv for BASE_CONFIG --cycles 1000 --seed 11, taken
+# from the per-event formatter the array writer replaced
+EVENTS_SHA256 = \
+    "0cc99eea0e292eb938adfbbb0c85e3acbdf58d0af1f8ff79683eb55d604e35b0"
+
+
+def test_events_csv_bytes_pinned(config_path, tmp_path):
+    out = tmp_path / "out"
+    assert main(["beat", "--config", config_path, "--out-dir", str(out),
+                 "--cycles", "1000", "--seed", "11"]) == 0
+    digest = hashlib.sha256((out / "events.csv").read_bytes()).hexdigest()
+    assert digest == EVENTS_SHA256
+
+
+def test_events_csv_intermediate_only_sentinels(tmp_path):
+    doc = json.loads(json.dumps(BASE_CONFIG))
+    doc["coupling"]["g"] = 0.0
+    path = tmp_path / "zero.json"
+    path.write_text(json.dumps(doc))
+    out = tmp_path / "out"
+    assert main(["beat", "--config", str(path), "--out-dir", str(out),
+                 "--cycles", "30"]) == 0
+    lines = (out / "events.csv").read_text().splitlines()
+    assert lines[1:] == [f"{t},0,-1,nan" for t in range(30)]
+
+
+def test_run_depth_read_from_config(config_path, tmp_path):
+    doc = json.loads(json.dumps(BASE_CONFIG))
+    doc["run"]["depth"] = 1
+    path = tmp_path / "depth1.json"
+    path.write_text(json.dumps(doc))
+    for flag, depths in (([], [1]), (["--depth", "2"], [1, 2])):
+        out = tmp_path / f"out{len(flag)}"
+        assert main(["hierarchy", "--config", str(path),
+                     "--out-dir", str(out)] + flag) == 0
+        payload = json.loads((out / "hierarchy.json").read_text())
+        assert [lv["depth"] for lv in payload["levels"]] == depths
+
+
+def test_run_out_dir_read_from_config(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setenv("EPBEAT_OUT_DIR", str(tmp_path / "from_env"))
+    doc = json.loads(json.dumps(BASE_CONFIG))
+    doc["run"]["out_dir"] = str(tmp_path / "from_config")
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(doc))
+    assert main(["solve", "--config", str(path)]) == 0
+    assert (tmp_path / "from_config" / "spectrum.json").exists()
+    assert not (tmp_path / "from_env").exists()
+    # the flag still wins over the config
+    assert main(["solve", "--config", str(path),
+                 "--out-dir", str(tmp_path / "from_flag")]) == 0
+    assert (tmp_path / "from_flag" / "spectrum.json").exists()
 
 
 def test_byte_identical_reruns(config_path, tmp_path):
@@ -192,6 +248,13 @@ class TestExitCodes:
         path.write_text("{not json")
         assert main(["solve", "--config", str(path),
                      "--out-dir", str(tmp_path / "o")]) == 2
+
+    def test_verify_needs_an_instance(self, config_path, tmp_path, capsys):
+        for k in ("0", "-3"):
+            assert main(["verify", "--config", config_path,
+                         "--out-dir", str(tmp_path / "o"),
+                         "--instances", k]) == 2
+            assert "instances" in capsys.readouterr().err
 
     def test_report_empty_dir_numerical_failure(self, tmp_path):
         assert main(["report", "--out-dir", str(tmp_path / "empty")]) == 3

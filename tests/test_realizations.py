@@ -78,8 +78,8 @@ class TestGrouping:
         import dataclasses
         result = solve_problem(random_instance(11))
         rs1 = result.rs
-        scaled = [dataclasses.replace(s, full=3.7 * s.full)
-                  for s in result.states]
+        scaled = dataclasses.replace(result.states,
+                                     channels=3.7 * result.states.channels)
         rs2 = group_realizations(scaled, rs1.pr_threshold)
         assert [g.members for g in rs1.groups] \
             == [g.members for g in rs2.groups]
@@ -174,22 +174,23 @@ class TestBornMatch:
 class TestMixDensity:
     def test_single_realization_identity(self):
         result = solve_problem(zero_coupling_instance())
-        mixed = mix_density(result.rs, result.states, "uniform")
         rho_1 = realization_densities(result.rs, result.states)[0]
+        mixed = mix_density(result.rs, (rho_1,), "uniform")
         assert np.array_equal(mixed.rho_ex, rho_1)
 
     def test_two_groups_pointwise_average(self):
         result = solve_problem(two_well_instance(), pr_threshold=2.0)
         rs = result.rs
         assert rs.alphas["uniform"] == (0.5, 0.5)
-        mixed = mix_density(rs, result.states, "uniform")
         rho = realization_densities(rs, result.states)
+        mixed = mix_density(rs, rho, "uniform")
         assert np.allclose(mixed.rho_ex, 0.5 * rho[0] + 0.5 * rho[1],
                            atol=1e-14)
 
     def test_unit_total_mass(self):
         result = solve_problem(two_well_instance(), pr_threshold=2.0)
-        mixed = mix_density(result.rs, result.states, "grouped")
+        mixed = mix_density(result.rs, realization_densities(
+            result.rs, result.states), "grouped")
         spec = result.spec
         mass = np.einsum("qx,q,x->", mixed.rho_ex,
                          spec.modes.q_grid.weights, spec.xi_grid.weights)
@@ -198,7 +199,8 @@ class TestMixDensity:
     def test_mode_mismatch_rejected(self):
         result = solve_problem(two_well_instance(), pr_threshold=2.0)
         with pytest.raises(ConfigError, match="born"):
-            mix_density(result.rs, result.states, "born")
+            mix_density(result.rs, realization_densities(
+                result.rs, result.states), "born")
 
     def test_matches_monte_carlo_histogram(self):
         # Monte Carlo oracle at T = 1e5 within 3-sigma multinomial bounds

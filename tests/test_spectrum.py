@@ -1,11 +1,13 @@
 """Root enumeration, certification, and count accounting."""
 
 import numpy as np
+import pytest
 
 from epbeat import (block_operator, count_accounting, direct_spectrum,
                     ep_from_poles, find_roots, hamiltonian_g, linearize_ep,
                     project_coupling, reduce_block, scan_roots)
-from epbeat.verification import random_instance, zero_coupling_instance
+from epbeat.verification import (random_instance, two_well_instance,
+                                 zero_coupling_instance)
 
 
 def pipeline_upto_ep(spec):
@@ -94,6 +96,35 @@ class TestFindRoots:
             psi = sr.vectors[i]
             resid = np.linalg.norm(eval_ep(ep, eta) @ psi - eta * psi)
             assert resid <= 1e-7 * ep.span
+
+
+    def test_certification_failure_raises(self, monkeypatch):
+        from epbeat import NumericalError, spectrum
+        _, _, ep = pipeline_upto_ep(random_instance(8))
+        monkeypatch.setattr(spectrum, "ROOT_RESIDUAL_FACTOR", 1e-30)
+        with pytest.raises(NumericalError, match="failed certification"):
+            find_roots(ep)
+
+    def test_residual_max_matches_per_root_oracle(self):
+        from epbeat import eval_ep
+        for spec in (random_instance(8), random_instance(843),
+                     two_well_instance()):
+            _, _, ep = pipeline_upto_ep(spec)
+            sr = find_roots(ep)
+            oracle = max(
+                np.linalg.norm(eval_ep(ep, eta) @ psi - eta * psi)
+                for eta, psi in zip(sr.roots, sr.vectors))
+            assert abs(sr.residual_max - oracle) <= 1e-12 * ep.span
+
+    def test_weakly_coupled_poles_excluded_in_order(self):
+        # residues of 1e-12 keep poles 5 and 8 in the linearization, but
+        # their eigenvalues stay inside the pole guard
+        ep = ep_from_poles(np.array([[0.0]]), [2.0, 5.0, 8.0],
+                           np.array([[1.0, 1e-6, 1e-6]]), n_channels=1)
+        sr = find_roots(ep)
+        assert np.allclose(sr.roots, [1.0 - np.sqrt(2.0), 1.0 + np.sqrt(2.0)])
+        assert [r for _, r in sr.excluded] == ["pole-coincident"] * 2
+        assert np.allclose([v for v, _ in sr.excluded], [5.0, 8.0])
 
 
 class TestAccounting:

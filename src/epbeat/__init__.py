@@ -16,10 +16,10 @@ from .model import (Grid, ModeBasis, CouplingSpec, ProblemSpec,
                     project_coupling)
 from .truncated import TruncatedSolution, diagonalize_sym
 from .effective import (EffectivePotential, eval_ep, characteristic,
-                        ep_well_alignment, recurse_ep, ep_from_poles,
-                        reduce_block)
+                        root_count_below, ep_well_alignment, recurse_ep,
+                        ep_from_poles, reduce_block)
 from .spectrum import (SpectrumResult, CountRecord, linearize_ep, find_roots,
-                       count_accounting, scan_roots)
+                       count_accounting)
 from .assembly import (StateSet, reconstruct_all, participation_ratio,
                        schmidt_ranks, complexity_measure)
 from .realizations import (RealizationSet, RealizationGroup, MixedDensity,
@@ -37,10 +37,10 @@ __all__ = [
     "block_operator", "build_problem", "hamiltonian_g", "gaussian_bump_basis",
     "given_mode_basis", "project_coupling",
     "TruncatedSolution", "diagonalize_sym",
-    "EffectivePotential", "eval_ep", "characteristic",
+    "EffectivePotential", "eval_ep", "characteristic", "root_count_below",
     "ep_well_alignment", "recurse_ep", "ep_from_poles", "reduce_block",
     "SpectrumResult", "CountRecord", "linearize_ep", "find_roots",
-    "count_accounting", "scan_roots",
+    "count_accounting",
     "StateSet", "reconstruct_all", "participation_ratio", "schmidt_ranks",
     "complexity_measure",
     "RealizationSet", "RealizationGroup", "MixedDensity",

@@ -19,12 +19,12 @@ from math import log
 
 import numpy as np
 
-from .errors import NumericalError, PoleProximityError
+from .effective import check_pole_gap
+from .errors import NumericalError
 from .model import Grid, ModeBasis
 from .spectrum import SpectrumResult
 from .truncated import TruncatedSolution
 
-RESONANCE_GUARD = 1e-9
 SCHMIDT_TOL = 1e-8
 
 
@@ -105,17 +105,10 @@ def reconstruct_all(sr: SpectrumResult, trunc: TruncatedSolution,
 
     b is the coupling B = op[:N_g, N_g:] of mode 0 to the eliminated
     sector that trunc diagonalizes; all tails come from one resolvent
-    product.
+    product. A root at resonance with a pole raises PoleProximityError.
     """
     eta = sr.roots
-    span = max(float(trunc.eigvals[-1] - trunc.eigvals[0]), 1.0) \
-        if trunc.eigvals.size else 1.0
-    resonant = np.any(np.abs(eta[:, None] - trunc.eigvals[None, :])
-                      <= RESONANCE_GUARD * span, axis=1)
-    if np.any(resonant):
-        raise PoleProximityError(
-            f"state at root {float(eta[np.argmax(resonant)])!r} is "
-            f"undefined at resonance with a pole")
+    check_pole_gap(eta, trunc.eigvals, sr.span)
     w = b @ trunc.eigvecs                     # residue vector per pole
     amps = (sr.vectors @ w) / (eta[:, None] - trunc.eigvals[None, :])
     tails = (amps @ trunc.eigvecs.T).reshape(eta.size, basis.n_modes - 1,

@@ -33,7 +33,8 @@ from .model import (CouplingMatrices, block_operator, build_problem,
                     project_coupling)
 from .oracle import compare_spectra, direct_spectrum
 from .pipeline import mean_intermediate_density, solve_problem
-from .realizations import mix_density, realization_densities
+from .realizations import (PROBABILITY_MODES, mix_density,
+                           realization_densities)
 from .spectrum import count_accounting, find_roots
 from .verification import EP_EXACTNESS_TOL, recovered_spectrum, run_battery
 
@@ -112,7 +113,22 @@ def write_events_csv(path: Path, traj) -> None:
 # Config and run plumbing
 
 
-RUN_KEYS = ("seed", "cycles", "prob_mode", "pr_threshold", "depth", "out_dir")
+def _is_int(x) -> bool:
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
+# run key -> (accepts the value, what it must be)
+RUN_CHECKS = {
+    "seed": (lambda x: _is_int(x) and x >= 0, "a non-negative integer"),
+    "cycles": (lambda x: _is_int(x) and x >= 1, "an integer >= 1"),
+    "prob_mode": (lambda x: x in PROBABILITY_MODES,
+                  "one of " + ", ".join(PROBABILITY_MODES)),
+    "depth": (lambda x: _is_int(x) and x in (1, 2), "1 or 2"),
+    "pr_threshold": (lambda x: x is None or (isinstance(x, (int, float))
+                                             and not isinstance(x, bool)),
+                     "a number or null"),
+    "out_dir": (lambda x: isinstance(x, str), "a path string"),
+}
 
 
 def load_config(path: str) -> dict:
@@ -130,14 +146,15 @@ def load_config(path: str) -> dict:
     if not isinstance(run, dict):
         raise ConfigError("run: must be an object")
     for key in run:
-        if key not in RUN_KEYS:
+        if key not in RUN_CHECKS:
             raise ConfigError(f"run.{key}: unknown key")
     return doc
 
 
 def _run_settings(doc: dict, args) -> dict:
     """Run keys: a command-line flag wins over the config's run block,
-    which wins over the default."""
+    which wins over the default. Every value is checked here, before
+    any artifact is written."""
     run = dict(doc.get("run", {}))
     for key in ("seed", "cycles", "prob_mode", "depth", "out_dir"):
         if getattr(args, key) is not None:
@@ -148,8 +165,9 @@ def _run_settings(doc: dict, args) -> dict:
     run.setdefault("depth", 2)
     run.setdefault("out_dir", os.environ.get("EPBEAT_OUT_DIR", "out"))
     run.setdefault("pr_threshold", None)
-    if not isinstance(run["out_dir"], str):
-        raise ConfigError("run.out_dir: must be a path string")
+    for key, (accepts, what) in RUN_CHECKS.items():
+        if not accepts(run[key]):
+            raise ConfigError(f"run.{key}: must be {what}, got {run[key]!r}")
     return run
 
 
@@ -244,7 +262,7 @@ def cmd_solve(runner: _Runner, doc: dict, run: dict) -> int:
 
 def cmd_beat(runner: _Runner, doc: dict, run: dict) -> int:
     result = _solve_and_write(runner, doc, run)
-    traj = simulate_beat(result.rs, int(run["cycles"]), int(run["seed"]),
+    traj = simulate_beat(result.rs, run["cycles"], run["seed"],
                          run["prob_mode"])
     write_events_csv(runner.path("events.csv"), traj)
     write_json(runner.path("beat_summary.json"), {
@@ -288,7 +306,7 @@ def cmd_verify(runner: _Runner, doc: dict, run: dict, args) -> int:
             np.abs(np.sort(sr_pb.energies) - energies).max() / scale)
         if sr_pb.energies.size == energies.size else None,
     }
-    battery = run_battery(n_instances=args.instances, seed0=int(run["seed"]))
+    battery = run_battery(n_instances=args.instances, seed0=run["seed"])
     del battery["instances"]  # keep the report small; flags carry the verdict
     zero_kernel = bool(np.all(result.v.v == 0.0))
     payload = {
@@ -401,7 +419,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--seed", type=int, default=None)
         p.add_argument("--cycles", type=int, default=None)
         p.add_argument("--prob-mode", dest="prob_mode", default=None,
-                       choices=("uniform", "grouped", "born"))
+                       choices=PROBABILITY_MODES)
         p.add_argument("--depth", type=int, default=None, choices=(1, 2))
         if name == "verify":
             p.add_argument("--instances", type=int, default=100,

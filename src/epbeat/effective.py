@@ -1,4 +1,4 @@
-"""The block reduction and evaluation of the effective potential.
+"""The block reduction, and the one tolerance policy of the roots.
 
 Eliminating the truncated sector from the block operator
 
@@ -13,10 +13,14 @@ plus rank-1 pole terms,
 so the compound eigenvalues are the roots of the characteristic
 function F(eta) = det[V_eff(eta) - eta I]. reduce_block performs this
 elimination on slices of one operator, and ep_from_poles is the one
-constructor of the potential: poles closer than a merge tolerance are
-combined, their residues summed into a single block of rank >= 1. The
-hierarchy applies the same reduction again to L, whose lowest block
-plays the mode-0 role at level 2.
+constructor of the potential. It computes the potential's span once
+and is the only code that decides a residue's rank: poles closer than
+POLE_MERGE_FACTOR x span are combined, their residues summed into one
+block truncated at RESIDUE_RANK_TOL, and a pole whose residue is below
+DECOUPLED_FACTOR against the strongest keeps rank 0. The factors it
+stores are exactly the columns of the linearization, so the ranks are
+the rank accounting. The hierarchy applies the same reduction again
+to L, whose lowest block plays the mode-0 role at level 2.
 """
 
 from __future__ import annotations
@@ -31,29 +35,26 @@ from .model import (CouplingMatrices, ProblemSpec, block_operator,
                     hamiltonian_g)
 from .truncated import TruncatedSolution, diagonalize_sym
 
-POLE_MERGE_FACTOR = 1e-8
-POLE_GUARD_FACTOR = 1e-9
-RESIDUE_RANK_TOL = 1e-10
-DECOUPLED_FACTOR = 1e-13
+POLE_MERGE_FACTOR = 1e-8   # poles within this x span are one pole
+RESIDUE_RANK_TOL = 1e-10   # merged-residue eigenvalues kept, vs the largest
+DECOUPLED_FACTOR = 1e-13   # residue leads below this x the strongest: rank 0
+# Within rounding of a pole, eta - p_k has no significant digits.
+POLE_GUARD_FACTOR = float(np.finfo(float).eps)
 WELL_RESIDUAL_TOL = 1e-7
-
-
-def _gershgorin_bounds(m: np.ndarray) -> tuple[float, float]:
-    radius = np.sum(np.abs(m), axis=1) - np.abs(np.diagonal(m))
-    return (float(np.min(np.diagonal(m) - radius)),
-            float(np.max(np.diagonal(m) + radius)))
 
 
 @dataclass(frozen=True)
 class EffectivePotential:
     """Static part plus pole/residue-factor terms of V_eff(eta).
 
-    residue_factors[k] is an (N_g, r_k) matrix W_k with
-    R_k = W_k W_k^T; r_k = 1 for simple poles, larger after merging.
-    raw_pole_count is the pole count before merging and n_channels the
-    number of eliminated channels, both kept for count accounting.
-    hg_diag is the bare grid-operator diagonal, needed to isolate the
-    interaction well profile; eps0 converts roots to total energies.
+    residue_factors[k] is an (N_g, r_k) matrix W_k with R_k = W_k W_k^T
+    and r_k its numerical rank: 1 for a simple pole, larger after
+    merging, 0 for a decoupled pole. raw_pole_count is the pole count
+    before merging and n_channels the number of eliminated channels,
+    both kept for count accounting. span bounds the spectrum of h0 and
+    the poles; every root tolerance scales with it. hg_diag is the bare
+    grid-operator diagonal, needed to isolate the interaction well
+    profile; eps0 converts roots to total energies.
     """
 
     h0: np.ndarray
@@ -61,6 +62,7 @@ class EffectivePotential:
     residue_factors: tuple
     raw_pole_count: int
     n_channels: int
+    span: float
     hg_diag: np.ndarray
     eps0: float = 0.0
 
@@ -68,21 +70,14 @@ class EffectivePotential:
     def n_g(self) -> int:
         return self.h0.shape[0]
 
-    @property
-    def span(self) -> float:
-        """Spectral span estimate used to scale pole guards."""
-        lo, hi = _gershgorin_bounds(self.h0)
-        if self.poles.size:
-            lo = min(lo, float(self.poles[0]))
-            hi = max(hi, float(self.poles[-1]))
-        return max(hi - lo, 1.0)
-
-    @property
-    def pole_guard(self) -> float:
-        return POLE_GUARD_FACTOR * self.span
-
     def ranks(self) -> np.ndarray:
         return np.array([w.shape[1] for w in self.residue_factors], dtype=int)
+
+    def columns(self) -> tuple[np.ndarray, np.ndarray]:
+        """Every residue-factor column side by side, W (N_g, sum r_k),
+        and the pole of each column."""
+        w_all = np.hstack((np.zeros((self.n_g, 0)),) + self.residue_factors)
+        return w_all, np.repeat(self.poles, self.ranks())
 
     def residue_matrix(self, k: int) -> np.ndarray:
         w = self.residue_factors[k]
@@ -101,8 +96,8 @@ class EffectivePotential:
         }
 
 
-def _merge_poles(poles: np.ndarray, vectors: np.ndarray, tol: float,
-                 n_g: int) -> tuple[np.ndarray, tuple]:
+def _merge_poles(poles: np.ndarray, vectors: np.ndarray,
+                 tol: float) -> tuple[np.ndarray, tuple]:
     """Cluster poles within tol and sum their rank-1 residues.
 
     Returns sorted distinct pole values and per-pole residue factors;
@@ -123,13 +118,9 @@ def _merge_poles(poles: np.ndarray, vectors: np.ndarray, tol: float,
         if stop - start == 1:
             factor = cluster
         else:
-            r = cluster @ cluster.T
-            vals, vecs = np.linalg.eigh(r)
+            vals, vecs = np.linalg.eigh(cluster @ cluster.T)
             keep = vals > RESIDUE_RANK_TOL * max(vals[-1], 0.0)
-            if not np.any(keep):
-                factor = np.zeros((n_g, 1))
-            else:
-                factor = vecs[:, keep] * np.sqrt(vals[keep])
+            factor = vecs[:, keep] * np.sqrt(vals[keep])
         merged_poles.append(float(np.mean(poles[start:stop])))
         factors.append(factor)
         start = stop
@@ -143,23 +134,28 @@ def ep_from_poles(h0: np.ndarray, poles, residue_vectors, n_channels: int,
     The one constructor: reduce_block feeds it the eliminated block's
     eigenvalues and B q_k, tests feed it hand-built poles. Replicated
     pole values merge into higher-rank residues, which is the route to
-    synthetic full-degree instances.
+    synthetic full-degree instances; decoupled poles keep no column.
     """
     h0 = np.array(h0, dtype=float, ndmin=2)
     poles = np.asarray(poles, dtype=float)
     vectors = np.asarray(residue_vectors, dtype=float)
     if vectors.ndim != 2 or vectors.shape != (h0.shape[0], poles.size):
         raise ConfigError("residue_vectors: shape must be (n_g, n_poles)")
-    lo, hi = _gershgorin_bounds(h0)
-    if poles.size:
-        lo, hi = min(lo, poles.min()), max(hi, poles.max())
-    merge_tol = POLE_MERGE_FACTOR * max(hi - lo, 1.0)
-    merged, factors = _merge_poles(poles, vectors, merge_tol, h0.shape[0])
+    diag = np.diagonal(h0)
+    radius = np.sum(np.abs(h0), axis=1) - np.abs(diag)
+    ends = np.concatenate([diag - radius, diag + radius, poles])
+    span = max(float(ends.max() - ends.min()), 1.0)
+    merged, factors = _merge_poles(poles, vectors, POLE_MERGE_FACTOR * span)
+    leads = [float(np.max(np.sum(w * w, axis=0), initial=0.0))
+             for w in factors]
+    floor = DECOUPLED_FACTOR * max(leads, default=0.0)
+    factors = tuple(w if lead > floor else w[:, :0]
+                    for w, lead in zip(factors, leads))
     if hg_diag is None:
         hg_diag = np.zeros(h0.shape[0])
     return EffectivePotential(
         h0=h0, poles=merged, residue_factors=factors,
-        raw_pole_count=int(poles.size), n_channels=n_channels,
+        raw_pole_count=int(poles.size), n_channels=n_channels, span=span,
         hg_diag=np.asarray(hg_diag, dtype=float), eps0=float(eps0))
 
 
@@ -182,43 +178,66 @@ def reduce_block(op: np.ndarray, n_g: int, hg_diag: np.ndarray,
     return trunc, ep
 
 
+def check_pole_gap(eta, poles: np.ndarray, span: float) -> None:
+    """Raise PoleProximityError if an eta lies within rounding of a pole.
+
+    Within POLE_GUARD_FACTOR x span of a pole, 1 / (eta - p_k) carries
+    no significant digits, so neither V_eff nor a state's resolvent
+    tail is defined there. eval_ep and reconstruct_all share this guard.
+    """
+    eta = np.atleast_1d(np.asarray(eta, dtype=float))
+    guard = POLE_GUARD_FACTOR * span
+    near = np.any(np.abs(eta[:, None] - poles[None, :]) <= guard, axis=1)
+    if np.any(near):
+        raise PoleProximityError(
+            f"eta={float(eta[np.argmax(near)])!r} is at resonance with a "
+            f"pole (within {guard:.3e})")
+
+
 def eval_ep(ep: EffectivePotential, eta: float) -> np.ndarray:
     """V_eff at a given eta: h0 + sum_k W_k W_k^T / (eta - p_k).
 
-    Raises PoleProximityError within the pole guard of any pole.
+    Raises PoleProximityError within rounding of a pole.
     """
-    if ep.poles.size:
-        gap = np.min(np.abs(eta - ep.poles))
-        if gap <= ep.pole_guard:
-            raise PoleProximityError(
-                f"eta={eta!r} is within {ep.pole_guard:.3e} of a pole")
-    out = ep.h0.copy()
-    for p, w in zip(ep.poles, ep.residue_factors):
-        out += (w @ w.T) / (eta - p)
+    check_pole_gap(eta, ep.poles, ep.span)
+    w_all, p_all = ep.columns()
+    out = ep.h0 + (w_all / (eta - p_all)) @ w_all.T
     return 0.5 * (out + out.T)
+
+
+def _pivot_eigenvalues(ep: EffectivePotential, eta: float) -> np.ndarray:
+    """Eigenvalues of the block-diagonal factor D of the symmetric
+    LDL^T factorization of V_eff(eta) - eta I.
+
+    By Sylvester's law D has the inertia of V_eff(eta) - eta I, and the
+    product of its eigenvalues is the determinant.
+    """
+    _, d, _ = ldl(eval_ep(ep, eta) - eta * np.eye(ep.n_g))
+    return np.linalg.eigvalsh(d)
 
 
 def characteristic(ep: EffectivePotential, eta: float) -> float:
     """F(eta) = det[V_eff(eta) - eta I] via symmetric LDL^T factorization.
 
-    The determinant is the product of the 1x1 and 2x2 pivot blocks, so
-    its sign survives even when the magnitude is extreme.
+    The determinant is the product of the eigenvalues of the 1x1 and
+    2x2 pivot blocks, so its sign survives even when the magnitude is
+    extreme.
     """
-    m = eval_ep(ep, eta) - eta * np.eye(ep.n_g)
-    if ep.n_g == 1:
-        return float(m[0, 0])
-    _, d, _ = ldl(m)
-    det = 1.0
-    i = 0
-    n = d.shape[0]
-    while i < n:
-        if i + 1 < n and d[i + 1, i] != 0.0:
-            det *= d[i, i] * d[i + 1, i + 1] - d[i, i + 1] * d[i + 1, i]
-            i += 2
-        else:
-            det *= d[i, i]
-            i += 1
-    return float(det)
+    return float(np.prod(_pivot_eigenvalues(ep, eta)))
+
+
+def root_count_below(ep: EffectivePotential, eta: float) -> int:
+    """Exact number of roots below eta, multiplicities included.
+
+    The roots are the eigenvalues of the linearization
+    [[h0, W], [W^T, D]], D = diag(poles repeated by rank), whose Schur
+    complement on D - eta is V_eff(eta) - eta I. Haynsworth inertia
+    additivity then counts the roots below eta as the ranks of the
+    poles below eta plus the negative pivots of V_eff(eta) - eta I.
+    eta must not be a root or sit within rounding of a pole.
+    """
+    below = int(ep.ranks()[ep.poles < eta].sum())
+    return below + int(np.sum(_pivot_eigenvalues(ep, eta) < 0.0))
 
 
 @dataclass(frozen=True)

@@ -5,10 +5,14 @@ eigenvalues of the symmetric bordered matrix
 
     [[h0, W], [W^T, diag(p_k, repeated rank_k times)]]
 
-whose off-diagonal border collects the residue factor columns, so one
-dense symmetric eigensolve enumerates every root at once. A
-pole-bracketed bisection scan of F serves as an independent
-verification harness, never as the source of truth.
+whose off-diagonal border W collects the residue-factor columns that
+ep_from_poles kept, so one dense symmetric eigensolve enumerates every
+root at once, multiplicities included. Each eigenpair (x, y) is
+certified by the residual ||h0 x + W y - eta x|| / ||x||, which never
+divides by eta - p_k, so a root next to a weakly coupled pole is
+certified like any other; no root is excluded, and one that fails
+certification raises. The independent check is the exact inertia
+count effective.root_count_below, never the source of truth.
 """
 
 from __future__ import annotations
@@ -17,63 +21,22 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .effective import (EffectivePotential, RESIDUE_RANK_TOL, DECOUPLED_FACTOR,
-                        characteristic)
+from .effective import EffectivePotential
 from .errors import NumericalError
 from .truncated import diagonalize_sym
 
 ROOT_RESIDUAL_FACTOR = 1e-7
-SCAN_SAMPLES_PER_INTERVAL = 2000
-BISECTION_TOL = 1e-12
-
-
-def effective_ranks(ep: EffectivePotential) -> np.ndarray:
-    """Numerical rank of each residue block.
-
-    A block whose leading residue eigenvalue is negligible against the
-    strongest block counts as decoupled (rank 0): its pole never
-    enters the characteristic function.
-    """
-    leads = np.array([float(np.sum(w * w, axis=0).max()) if w.size else 0.0
-                      for w in ep.residue_factors])
-    scale = leads.max() if leads.size else 0.0
-    ranks = np.zeros(leads.size, dtype=int)
-    for k, w in enumerate(ep.residue_factors):
-        if leads[k] <= DECOUPLED_FACTOR * scale or leads[k] == 0.0:
-            continue
-        col_norms2 = np.sum(w * w, axis=0)
-        ranks[k] = int(np.sum(col_norms2 > RESIDUE_RANK_TOL * leads[k]))
-    return ranks
 
 
 def linearize_ep(ep: EffectivePotential) -> np.ndarray:
     """Bordered symmetric linearization whose eigenvalues are the roots.
 
-    Only residue directions of nonzero numerical rank enter; decoupled
-    poles contribute nothing to F and are reported separately by
-    find_roots.
+    The border is every residue-factor column of the potential, with
+    its pole on the diagonal; decoupled poles have no column and are
+    reported separately by find_roots.
     """
-    ranks = effective_ranks(ep)
-    cols = []
-    diag = []
-    for k, w in enumerate(ep.residue_factors):
-        r = ranks[k]
-        if r == 0:
-            continue
-        col_norms2 = np.sum(w * w, axis=0)
-        keep = np.argsort(col_norms2, kind="stable")[::-1][:r]
-        cols.append(w[:, np.sort(keep)])
-        diag.extend([ep.poles[k]] * r)
-    n_g = ep.n_g
-    m = len(diag)
-    out = np.zeros((n_g + m, n_g + m))
-    out[:n_g, :n_g] = ep.h0
-    if m:
-        w_all = np.hstack(cols)
-        out[:n_g, n_g:] = w_all
-        out[n_g:, :n_g] = w_all.T
-        out[n_g:, n_g:] = np.diag(diag)
-    return out
+    w_all, p_all = ep.columns()
+    return np.block([[ep.h0, w_all], [w_all.T, np.diag(p_all)]])
 
 
 @dataclass(frozen=True)
@@ -91,71 +54,62 @@ class CountRecord:
 
 @dataclass(frozen=True)
 class SpectrumResult:
-    """All certified roots with channel-0 eigenvectors and accounting."""
+    """All certified roots with channel-0 eigenvectors and accounting.
+
+    excluded keeps the (value, reason) format of spectrum.json; since
+    certification excludes nothing, it is empty. span is the
+    potential's span, the scale of the certification bound and of the
+    pole guard.
+    """
 
     roots: np.ndarray
     vectors: np.ndarray  # rows are unit channel-0 profiles per root
     energies: np.ndarray
     counts: CountRecord
-    excluded: tuple  # (value, reason) pairs dropped during certification
+    excluded: tuple
     decoupled_poles: tuple
     residual_max: float
+    span: float
 
 
 def find_roots(ep: EffectivePotential) -> SpectrumResult:
     """Enumerate and certify every root of the characteristic function.
 
-    Each linearization eigenvalue is kept only if it clears the pole
-    guard and its channel-0 block satisfies the effective eigenproblem
-    to within ROOT_RESIDUAL_FACTOR times the spectral span; certification
-    failure raises, pole-coincident values are excluded with a report
-    entry. All residuals ||V_eff(eta_j) x_j - eta_j x_j|| come from one
-    product with the stacked residue factors W_all,
-    h0 X + W_all ((W_all^T X) / (eta - p_all)) - X diag(eta).
+    Every eigenpair (x_j, y_j) of the linearization is a root. Its
+    division-free residual R_j = ||h0 x_j + W y_j - eta_j x_j|| / ||x_j||,
+    from one product for all roots, must clear ROOT_RESIDUAL_FACTOR
+    times the span, or NumericalError is raised. residual_max is the
+    largest R_j.
     """
-    lin = linearize_ep(ep)
-    vals, vecs = diagonalize_sym(lin)
+    vals, vecs = diagonalize_sym(linearize_ep(ep))
     n_g = ep.n_g
-    ranks = effective_ranks(ep)
-    span = ep.span
-    near_pole = np.any(np.abs(vals[:, None] - ep.poles[None, :])
-                       <= ep.pole_guard, axis=1)
     x = vecs[:n_g]
+    w_all, _ = ep.columns()
+    resid = np.linalg.norm(ep.h0 @ x + w_all @ vecs[n_g:] - x * vals, axis=0)
     nx = np.linalg.norm(x, axis=0)
-    keep = ~near_pole & (nx >= 1e-12)
-    excluded = tuple(
-        (float(vals[j]),
-         "pole-coincident" if near_pole[j] else "no channel-0 weight")
-        for j in np.flatnonzero(~keep))
-    roots = vals[keep]
-    psi = x[:, keep] / nx[keep]
-    w_all = np.hstack((np.zeros((n_g, 0)),) + ep.residue_factors)
-    p_all = np.repeat(ep.poles, ep.ranks())
-    resid = np.linalg.norm(
-        ep.h0 @ psi + w_all @ ((w_all.T @ psi) / (roots - p_all[:, None]))
-        - psi * roots, axis=0)
-    bound = ROOT_RESIDUAL_FACTOR * span
-    failed = np.flatnonzero(resid > bound)
+    bound = ROOT_RESIDUAL_FACTOR * ep.span
+    failed = np.flatnonzero(resid > bound * nx)
     if failed.size:
         j = failed[0]
         raise NumericalError(
-            f"find_roots: root {float(roots[j])!r} failed certification "
-            f"(residual {resid[j]:.3e} > {bound:.3e})")
+            f"find_roots: root {float(vals[j])!r} failed certification "
+            f"(residual {resid[j]:.3e} > {bound:.3e} x channel-0 weight "
+            f"{nx[j]:.3e})")
+    ranks = ep.ranks()
     n_e = ep.n_channels
     counts = CountRecord(
         n_g=int(n_g),
-        n_roots=int(roots.size),
+        n_roots=int(vals.size),
         n_poles=int(ep.poles.size),
         rank_sum=int(ranks.sum()),
         degree_bound=int(n_g * (ep.poles.size + 1)),
         full_degree_count=int(n_g * (n_e * n_g + 1)),
         linear_count=int((n_e + 1) * n_g))
-    decoupled = tuple(float(ep.poles[k]) for k in range(ep.poles.size)
-                      if ranks[k] == 0)
-    return SpectrumResult(roots=roots, vectors=psi.T,
-                          energies=roots + ep.eps0, counts=counts,
-                          excluded=excluded, decoupled_poles=decoupled,
-                          residual_max=float(resid.max(initial=0.0)))
+    return SpectrumResult(
+        roots=vals, vectors=(x / nx).T, energies=vals + ep.eps0,
+        counts=counts, excluded=(),
+        decoupled_poles=tuple(float(p) for p in ep.poles[ranks == 0]),
+        residual_max=float((resid / nx).max(initial=0.0)), span=ep.span)
 
 
 def count_accounting(sr: SpectrumResult) -> dict:
@@ -191,44 +145,3 @@ def count_accounting(sr: SpectrumResult) -> dict:
                else "INCONSISTENT"),
         ],
     }
-
-
-def scan_roots(ep: EffectivePotential) -> np.ndarray:
-    """Independent sign-change scan of F between adjacent poles.
-
-    Samples every inter-pole interval (outer intervals bounded by the
-    Gershgorin range of the linearization), bisects each bracket to
-    absolute tolerance. Verification harness only; even roots or
-    near-pole roots inside the guard are invisible to it by design.
-    """
-    lin = linearize_ep(ep)
-    radius = np.sum(np.abs(lin), axis=1) - np.abs(np.diagonal(lin))
-    lo = float(np.min(np.diagonal(lin) - radius)) - 1.0
-    hi = float(np.max(np.diagonal(lin) + radius)) + 1.0
-    guard = max(ep.pole_guard, 1e-12)
-    edges = [lo] + [float(p) for p in np.sort(ep.poles)] + [hi]
-    roots = []
-    for a, b in zip(edges[:-1], edges[1:]):
-        a_in, b_in = a + guard * 2, b - guard * 2
-        if b_in <= a_in:
-            continue
-        xs = np.linspace(a_in, b_in, SCAN_SAMPLES_PER_INTERVAL)
-        fs = np.array([characteristic(ep, x) for x in xs])
-        signs = np.sign(fs)
-        for i in np.nonzero(signs[:-1] * signs[1:] < 0)[0]:
-            x0, x1 = xs[i], xs[i + 1]
-            f0 = fs[i]
-            while x1 - x0 > BISECTION_TOL:
-                mid = 0.5 * (x0 + x1)
-                fm = characteristic(ep, mid)
-                if fm == 0.0:
-                    x0 = x1 = mid
-                    break
-                if np.sign(fm) == np.sign(f0):
-                    x0, f0 = mid, fm
-                else:
-                    x1 = mid
-            roots.append(0.5 * (x0 + x1))
-        for i in np.nonzero(fs == 0.0)[0]:
-            roots.append(float(xs[i]))
-    return np.sort(np.asarray(roots))

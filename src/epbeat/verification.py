@@ -153,17 +153,14 @@ class InstanceCheck:
 def recovered_spectrum(result: PipelineResult) -> np.ndarray:
     """Every eigenvalue the EP route accounts for, as total energies.
 
-    Certified roots, plus decoupled poles (zero-residue eigenvalues
-    that carry no channel-0 weight and so never appear as roots of
-    the characteristic function), plus any pole-coincident values the
-    certification excluded.
+    Certified roots plus decoupled poles: zero-residue eigenvalues that
+    carry no channel-0 weight and so never appear as roots of the
+    characteristic function.
     """
     sr = result.sr
-    eps0 = result.ep.eps0
-    parts = [sr.energies,
-             np.asarray(sr.decoupled_poles, dtype=float) + eps0,
-             np.asarray([v for v, _ in sr.excluded], dtype=float) + eps0]
-    return np.sort(np.concatenate(parts))
+    return np.sort(np.concatenate(
+        [sr.energies,
+         np.asarray(sr.decoupled_poles, dtype=float) + result.ep.eps0]))
 
 
 def max_state_residual(result: PipelineResult) -> float:

@@ -256,6 +256,20 @@ class TestExitCodes:
                          "--instances", k]) == 2
             assert "instances" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("key,value", [
+        ("seed", "x"), ("seed", -1), ("cycles", "abc"), ("cycles", 2.5),
+        ("cycles", True), ("prob_mode", "foo"), ("depth", "2"),
+        ("pr_threshold", "a")])
+    def test_bad_run_value(self, tmp_path, capsys, key, value):
+        doc = dict(BASE_CONFIG, run={**BASE_CONFIG["run"], key: value})
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(doc))
+        out = tmp_path / "o"
+        assert main(["beat", "--config", str(path),
+                     "--out-dir", str(out)]) == 2
+        assert f"run.{key}" in capsys.readouterr().err
+        assert not out.exists()  # rejected before any artifact
+
     def test_report_empty_dir_numerical_failure(self, tmp_path):
         assert main(["report", "--out-dir", str(tmp_path / "empty")]) == 3
 

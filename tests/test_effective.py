@@ -10,6 +10,7 @@ from epbeat import (ConfigError, CouplingSpec, Grid, PoleProximityError,
                     recurse_ep, reduce_block)
 from epbeat.verification import (random_instance, single_well_instance,
                                  two_well_instance, zero_coupling_instance)
+from epbeat.effective import POLE_GUARD_FACTOR
 
 
 def pipeline_upto_ep(spec):
@@ -72,11 +73,14 @@ class TestEvalEP:
         assert dev <= 2.0 * total_residue / (eta - ep.poles.max())
 
     def test_pole_guard(self):
+        # the guard is at rounding level: a billionth off the pole, V_eff
+        # is well defined
         ep = scalar_ep()
-        with pytest.raises(PoleProximityError):
+        with pytest.raises(PoleProximityError, match="resonance"):
             eval_ep(ep, 2.0)
         with pytest.raises(PoleProximityError):
-            eval_ep(ep, 2.0 + 0.1 * ep.pole_guard)
+            eval_ep(ep, 2.0 + 0.1 * POLE_GUARD_FACTOR * ep.span)
+        assert eval_ep(ep, 2.0 + 1e-9)[0, 0] == pytest.approx(1e9)
 
     def test_scalar_value(self):
         ep = scalar_ep(a=0.5, poles=(2.0,), weights=(1.5,))

@@ -3,9 +3,10 @@
 import numpy as np
 import pytest
 
-from epbeat import (block_operator, count_accounting, direct_spectrum,
-                    ep_from_poles, find_roots, hamiltonian_g, linearize_ep,
-                    project_coupling, reduce_block, scan_roots)
+from epbeat import (block_operator, characteristic, count_accounting,
+                    direct_spectrum, ep_from_poles, find_roots, hamiltonian_g,
+                    linearize_ep, project_coupling, reduce_block,
+                    root_count_below)
 from epbeat.verification import (random_instance, two_well_instance,
                                  zero_coupling_instance)
 
@@ -36,6 +37,21 @@ def synthetic_full_rank_ep(n_e=2, n_g=3, seed=42):
     return ep_from_poles(h0, poles, np.array(vecs).T, n_channels=n_e)
 
 
+def count_mismatches(ep, roots, poles=()):
+    """(probe, count, roots below) wherever the inertia count disagrees
+    with the number of roots below a probe. The probes lie between
+    consecutive distinct roots (and poles, if given) and beyond each end."""
+    marks = np.unique(np.concatenate([roots, poles]))
+    probes = np.concatenate([[marks[0] - 1.0], 0.5 * (marks[:-1] + marks[1:]),
+                             [marks[-1] + 1.0]])
+    mismatches = []
+    for eta in probes:
+        got, want = root_count_below(ep, eta), int(np.sum(roots < eta))
+        if got != want:
+            mismatches.append((float(eta), got, want))
+    return mismatches
+
+
 class TestLinearize:
     def test_zero_coupling_reduces_to_h0(self):
         spec = zero_coupling_instance()
@@ -52,13 +68,12 @@ class TestLinearize:
         vals = np.linalg.eigvalsh(lin)
         assert np.allclose(vals, [1.0 - np.sqrt(2.0), 1.0 + np.sqrt(2.0)])
 
-    def test_eigenvalues_equal_scan_roots(self):
+    def test_eigenvalues_equal_inertia_counts(self):
         spec = random_instance(301)
         _, _, ep = pipeline_upto_ep(spec)
         sr = find_roots(ep)
-        scanned = scan_roots(ep)
-        assert scanned.size == sr.roots.size
-        assert np.abs(np.sort(sr.roots) - scanned).max() < 1e-7
+        assert sr.roots.size == spec.n_tot * spec.n_g
+        assert count_mismatches(ep, sr.roots) == []
 
 
 class TestFindRoots:
@@ -106,25 +121,37 @@ class TestFindRoots:
             find_roots(ep)
 
     def test_residual_max_matches_per_root_oracle(self):
-        from epbeat import eval_ep
+        # one root at a time, over the linearization's eigenpairs:
+        # R_j = ||h0 x_j + W y_j - eta_j x_j|| / ||x_j||
         for spec in (random_instance(8), random_instance(843),
                      two_well_instance()):
             _, _, ep = pipeline_upto_ep(spec)
             sr = find_roots(ep)
-            oracle = max(
-                np.linalg.norm(eval_ep(ep, eta) @ psi - eta * psi)
-                for eta, psi in zip(sr.roots, sr.vectors))
+            vals, vecs = np.linalg.eigh(linearize_ep(ep))
+            w_all = np.hstack(ep.residue_factors)
+            oracle = 0.0
+            for eta, v in zip(vals, vecs.T):
+                x, y = v[:ep.n_g], v[ep.n_g:]
+                r = np.linalg.norm(ep.h0 @ x + w_all @ y - eta * x)
+                oracle = max(oracle, r / np.linalg.norm(x))
             assert abs(sr.residual_max - oracle) <= 1e-12 * ep.span
 
-    def test_weakly_coupled_poles_excluded_in_order(self):
-        # residues of 1e-12 keep poles 5 and 8 in the linearization, but
-        # their eigenvalues stay inside the pole guard
+    def test_weakly_coupled_poles_certified_in_order(self):
+        # residues of 1e-12 leave roots 2e-13 above poles 5 and 8, far
+        # inside the former guard of 1e-9 x span; they are certified,
+        # not excluded
         ep = ep_from_poles(np.array([[0.0]]), [2.0, 5.0, 8.0],
                            np.array([[1.0, 1e-6, 1e-6]]), n_channels=1)
         sr = find_roots(ep)
-        assert np.allclose(sr.roots, [1.0 - np.sqrt(2.0), 1.0 + np.sqrt(2.0)])
-        assert [r for _, r in sr.excluded] == ["pole-coincident"] * 2
-        assert np.allclose([v for v, _ in sr.excluded], [5.0, 8.0])
+        acc = count_accounting(sr)
+        assert acc["measured_roots"] == acc["rank_accounting"] == 4
+        assert sr.excluded == ()
+        assert np.all(np.diff(sr.roots) > 0.0)
+        assert np.allclose(sr.roots[[0, 1]],
+                           [1.0 - np.sqrt(2.0), 1.0 + np.sqrt(2.0)])
+        gaps = sr.roots[[2, 3]] - np.array([5.0, 8.0])
+        assert np.all((gaps > 0.0) & (gaps < 1e-12))
+        assert count_mismatches(ep, sr.roots, ep.poles) == []
 
 
 class TestAccounting:
@@ -156,10 +183,9 @@ class TestAccounting:
         assert acc["degree_bound"] == 21
         assert acc["degree_bound_attained"]
         assert acc["all_residues_full_rank"]
-        # independent scan sees the same 21 roots
-        scanned = scan_roots(ep)
-        assert scanned.size == 21
-        assert np.abs(np.sort(sr.roots) - scanned).max() < 1e-6
+        # the independent inertia count sees the same 21 roots
+        assert count_mismatches(ep, sr.roots) == []
+        assert root_count_below(ep, sr.roots.max() + 1.0) == 21
 
     def test_rank_accounting_on_random_batch(self):
         for seed in range(40, 60):
@@ -178,14 +204,25 @@ class TestAccounting:
         assert "consistent" in acc["verdicts"][1]
 
 
-class TestScanAgreement:
+class TestInertiaCount:
     def test_each_interpole_interval_accounts_for_its_roots(self):
         spec = random_instance(348)
         _, _, ep = pipeline_upto_ep(spec)
         sr = find_roots(ep)
-        scanned = scan_roots(ep)
-        edges = np.concatenate([[-np.inf], np.sort(ep.poles), [np.inf]])
-        for lo, hi in zip(edges[:-1], edges[1:]):
-            n_lin = np.sum((sr.roots > lo) & (sr.roots < hi))
-            n_scan = np.sum((scanned > lo) & (scanned < hi))
-            assert n_lin == n_scan
+        assert count_mismatches(ep, sr.roots, ep.poles) == []
+
+    def test_even_multiplicity_root(self):
+        # F = (a - eta)^2: no sign change for a scan to see, yet a double
+        # root that the count reports as 2
+        a = 0.75
+        ep = ep_from_poles(a * np.eye(2), [], np.zeros((2, 0)), n_channels=0)
+        assert characteristic(ep, a - 0.5) > 0.0
+        assert characteristic(ep, a + 0.5) > 0.0
+        assert root_count_below(ep, a - 0.5) == 0
+        assert root_count_below(ep, a + 0.5) == 2
+        assert np.allclose(find_roots(ep).roots, [a, a])
+
+    def test_counts_every_random_instance(self):
+        for seed in range(100):
+            _, _, ep = pipeline_upto_ep(random_instance(seed))
+            assert count_mismatches(ep, find_roots(ep).roots) == [], seed

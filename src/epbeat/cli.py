@@ -343,7 +343,7 @@ def cmd_hierarchy(runner: _Runner, doc: dict, run: dict) -> int:
     for level in levels:
         sr = find_roots(level.ep)
         direct_sorted = np.sort(np.linalg.eigvalsh(level.operator))
-        report = compare_spectra(np.sort(sr.roots), direct_sorted,
+        report = compare_spectra(sr.eigenvalues(), direct_sorted,
                                  EP_EXACTNESS_TOL)
         payload["levels"].append({
             "depth": level.depth,

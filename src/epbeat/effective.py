@@ -28,7 +28,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import ldl
 
 from .errors import ConfigError, NumericalError, PoleProximityError
 from .model import (CouplingMatrices, ProblemSpec, block_operator,
@@ -205,39 +204,53 @@ def eval_ep(ep: EffectivePotential, eta: float) -> np.ndarray:
     return 0.5 * (out + out.T)
 
 
-def _pivot_eigenvalues(ep: EffectivePotential, eta: float) -> np.ndarray:
-    """Eigenvalues of the block-diagonal factor D of the symmetric
-    LDL^T factorization of V_eff(eta) - eta I.
+def _pivot_eigenvalues(ep: EffectivePotential, eta) -> np.ndarray:
+    """Eigenvalues of V_eff(eta) - eta I, one row per eta of a 1-D batch.
 
-    By Sylvester's law D has the inertia of V_eff(eta) - eta I, and the
-    product of its eigenvalues is the determinant.
+    By Sylvester's law they have the inertia of the pivots of a
+    symmetric LDL^T factorization, and their product is the
+    determinant. The batch is checked against the poles once, built
+    with one product of the pole weights 1 / (eta - p) and the
+    column outer products w w^T, and solved with one stacked eigvalsh.
     """
-    _, d, _ = ldl(eval_ep(ep, eta) - eta * np.eye(ep.n_g))
-    return np.linalg.eigvalsh(d)
+    eta = np.atleast_1d(np.asarray(eta, dtype=float))
+    check_pole_gap(eta, ep.poles, ep.span)
+    w_all, p_all = ep.columns()
+    n_g = ep.n_g
+    outer = (w_all[:, None, :] * w_all[None, :, :]).reshape(n_g * n_g, -1)
+    terms = ((1.0 / (eta[:, None] - p_all)) @ outer.T).reshape(-1, n_g, n_g)
+    return np.linalg.eigvalsh(
+        terms + (ep.h0 - eta[:, None, None] * np.eye(n_g)))
 
 
-def characteristic(ep: EffectivePotential, eta: float) -> float:
-    """F(eta) = det[V_eff(eta) - eta I] via symmetric LDL^T factorization.
+def characteristic(ep: EffectivePotential, eta):
+    """F(eta) = det[V_eff(eta) - eta I] via the eigenvalues of
+    V_eff(eta) - eta I.
 
-    The determinant is the product of the eigenvalues of the 1x1 and
-    2x2 pivot blocks, so its sign survives even when the magnitude is
-    extreme.
+    The determinant is the product of those eigenvalues, so its sign
+    survives even when the magnitude is extreme. eta is a scalar (a
+    float is returned) or a 1-D array (an array is returned).
     """
-    return float(np.prod(_pivot_eigenvalues(ep, eta)))
+    values = np.prod(_pivot_eigenvalues(ep, eta), axis=1)
+    return float(values[0]) if np.ndim(eta) == 0 else values
 
 
-def root_count_below(ep: EffectivePotential, eta: float) -> int:
+def root_count_below(ep: EffectivePotential, eta):
     """Exact number of roots below eta, multiplicities included.
 
     The roots are the eigenvalues of the linearization
     [[h0, W], [W^T, D]], D = diag(poles repeated by rank), whose Schur
     complement on D - eta is V_eff(eta) - eta I. Haynsworth inertia
     additivity then counts the roots below eta as the ranks of the
-    poles below eta plus the negative pivots of V_eff(eta) - eta I.
-    eta must not be a root or sit within rounding of a pole.
+    poles below eta plus the negative eigenvalues of V_eff(eta) - eta I.
+    eta must not be a root or sit within rounding of a pole. eta is a
+    scalar (an int is returned) or a 1-D array (an int array is
+    returned); both go through one batched evaluation.
     """
-    below = int(ep.ranks()[ep.poles < eta].sum())
-    return below + int(np.sum(_pivot_eigenvalues(ep, eta) < 0.0))
+    etas = np.atleast_1d(np.asarray(eta, dtype=float))
+    below = (ep.poles < etas[:, None]) @ ep.ranks()
+    counts = below + np.sum(_pivot_eigenvalues(ep, etas) < 0.0, axis=1)
+    return int(counts[0]) if np.ndim(eta) == 0 else counts
 
 
 @dataclass(frozen=True)

@@ -128,7 +128,7 @@ def group_realizations(states: StateSet,
                          center_coord=float(xi_grid.points[c]),
                          members=tuple(np.flatnonzero(
                              localized & (centers == c)).tolist()))
-        for c in np.unique(centers[localized]))
+        for c in sorted(set(centers[localized].tolist())))
     n_realizations = len(groups) if groups else 1
     intermediate = tuple(np.flatnonzero(~localized).tolist())
     rs = RealizationSet(groups=groups, intermediate=intermediate,

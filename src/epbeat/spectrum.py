@@ -71,6 +71,16 @@ class SpectrumResult:
     residual_max: float
     span: float
 
+    def eigenvalues(self) -> np.ndarray:
+        """Sorted spectrum of the reduced operator, in the eta scale.
+
+        The roots plus the decoupled poles: zero-residue eigenvalues
+        that carry no channel-0 weight and so never appear as roots of
+        the characteristic function.
+        """
+        return np.sort(np.concatenate(
+            [self.roots, np.asarray(self.decoupled_poles, dtype=float)]))
+
 
 def find_roots(ep: EffectivePotential) -> SpectrumResult:
     """Enumerate and certify every root of the characteristic function.

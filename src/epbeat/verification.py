@@ -12,6 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.random import default_rng
 
 from .model import (CouplingSpec, Grid, ProblemSpec, block_operator,
                     gaussian_bump_basis, given_mode_basis)
@@ -29,7 +30,7 @@ def random_instance(seed: int) -> ProblemSpec:
     boundary, sizes, stiffness, and potential samples all drawn from
     one seeded generator.
     """
-    gen = np.random.default_rng(seed)
+    gen = default_rng(seed)
     n_tot = int(gen.integers(2, 6))
     n_g = int(gen.integers(2, 9))
     boundary = "periodic" if gen.random() < 0.3 else "dirichlet"
@@ -106,7 +107,7 @@ def single_well_instance(n_g: int = 9) -> ProblemSpec:
 def zero_coupling_instance(seed: int = 0, n_tot: int = 3,
                            n_g: int = 6) -> ProblemSpec:
     """Instance with an identically zero kernel (free fields)."""
-    gen = np.random.default_rng(seed)
+    gen = default_rng(seed)
     xi_grid = Grid.uniform(n_g, (0.0, 1.0))
     q_grid = Grid.uniform(24, (0.0, 1.0))
     basis = gaussian_bump_basis(n_tot, q_grid, delta_eps=1.0)
@@ -151,16 +152,9 @@ class InstanceCheck:
 
 
 def recovered_spectrum(result: PipelineResult) -> np.ndarray:
-    """Every eigenvalue the EP route accounts for, as total energies.
-
-    Certified roots plus decoupled poles: zero-residue eigenvalues that
-    carry no channel-0 weight and so never appear as roots of the
-    characteristic function.
-    """
-    sr = result.sr
-    return np.sort(np.concatenate(
-        [sr.energies,
-         np.asarray(sr.decoupled_poles, dtype=float) + result.ep.eps0]))
+    """Every eigenvalue the EP route accounts for, as total energies:
+    the certified roots plus the decoupled poles."""
+    return result.sr.eigenvalues() + result.ep.eps0
 
 
 def max_state_residual(result: PipelineResult) -> float:

@@ -2,10 +2,15 @@
 
 import hashlib
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import epbeat
 from epbeat.cli import main
 
 BASE_CONFIG = {
@@ -184,6 +189,46 @@ def test_hierarchy_subcommand(config_path, tmp_path):
     assert [lv["depth"] for lv in payload["levels"]] == [1, 2]
     for lv in payload["levels"]:
         assert lv["operator_spectrum_match"]["passed"]
+
+
+def test_hierarchy_adds_back_decoupled_poles(tmp_path):
+    # with no coupling every pole at both levels is decoupled: it is an
+    # eigenvalue of the level operator but never a root
+    doc = json.loads(json.dumps(BASE_CONFIG))
+    doc["coupling"]["g"] = 0.0
+    path = tmp_path / "zero.json"
+    path.write_text(json.dumps(doc))
+    out = tmp_path / "out"
+    assert main(["hierarchy", "--config", str(path), "--out-dir", str(out),
+                 "--depth", "2"]) == 0
+    levels = json.loads((out / "hierarchy.json").read_text())["levels"]
+    assert [lv["operator_spectrum_match"]["passed"] for lv in levels] \
+        == [True, True]
+
+
+# prints the heavy modules loaded by the import, the exit code of a
+# solve, and the heavy modules loaded after it
+STARTUP_PROBE = """
+import sys
+import epbeat.cli
+heavy = ("scipy", "numpy.ma")
+print([m for m in heavy if m in sys.modules])
+print(epbeat.cli.main(["solve", "--config", sys.argv[1],
+                       "--out-dir", sys.argv[2]]))
+print([m for m in heavy if m in sys.modules])
+"""
+
+
+def test_startup_loads_neither_scipy_nor_numpy_ma(config_path, tmp_path):
+    src = str(Path(epbeat.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [src] + [p for p in [env.get("PYTHONPATH")] if p])
+    done = subprocess.run(
+        [sys.executable, "-c", STARTUP_PROBE, config_path,
+         str(tmp_path / "out")],
+        env=env, capture_output=True, text=True, check=True)
+    assert done.stdout.splitlines() == ["[]", "0", "[]"]
 
 
 def test_beat_born_mode_end_to_end(tmp_path):

@@ -121,7 +121,7 @@ class TestCharacteristic:
                        weights=(0.6, 0.8, 0.4, 0.9))
         for lo, hi in zip(ep.poles[:-1], ep.poles[1:]):
             xs = np.linspace(lo + 1e-6, hi - 1e-6, 2000)
-            fs = np.array([characteristic(ep, x) for x in xs])
+            fs = characteristic(ep, xs)
             flips = np.sum(np.sign(fs[:-1]) != np.sign(fs[1:]))
             assert flips == 1
 

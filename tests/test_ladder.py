@@ -65,8 +65,8 @@ def test_inertia_count_between_roots(ladder):
     _, result = ladder
     roots = np.sort(result.sr.roots)
     mids = 0.5 * (roots[:-1] + roots[1:])
-    counts = [root_count_below(result.ep, eta) for eta in mids]
-    assert counts == list(range(1, roots.size))
+    counts = root_count_below(result.ep, mids)
+    assert counts.tolist() == list(range(1, roots.size))
 
 
 def test_hierarchy_matches_both_levels(ladder, tmp_path):

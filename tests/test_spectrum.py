@@ -44,12 +44,10 @@ def count_mismatches(ep, roots, poles=()):
     marks = np.unique(np.concatenate([roots, poles]))
     probes = np.concatenate([[marks[0] - 1.0], 0.5 * (marks[:-1] + marks[1:]),
                              [marks[-1] + 1.0]])
-    mismatches = []
-    for eta in probes:
-        got, want = root_count_below(ep, eta), int(np.sum(roots < eta))
-        if got != want:
-            mismatches.append((float(eta), got, want))
-    return mismatches
+    got = root_count_below(ep, probes)
+    want = np.sum(roots[None, :] < probes[:, None], axis=1)
+    return [(float(eta), int(g), int(w))
+            for eta, g, w in zip(probes, got, want) if g != w]
 
 
 class TestLinearize:

@@ -43,6 +43,9 @@ EXIT_CONFIG = 2
 EXIT_NUMERICAL = 3
 EXIT_VERIFICATION = 4
 
+# ticks per block of events.csv rows built in memory
+EVENTS_CHUNK = 1 << 16
+
 
 # ---------------------------------------------------------------------------
 # Deterministic serialization (17 significant digits)
@@ -98,15 +101,34 @@ def write_density_csv(path: Path, rho: np.ndarray, q_points: np.ndarray,
 
 def write_events_csv(path: Path, traj) -> None:
     """One row per tick: the tick, then the row suffix of the
-    realization drawn, formatted once per realization."""
-    suffixes = []
-    for j, (index, coord) in enumerate(traj.centers):
-        text = "nan" if coord != coord else _fmt_float(coord)
-        suffixes.append(f",{j},{index},{text}\n")
-    with path.open("w", encoding="utf-8") as fh:
-        fh.write("tick,realization_id,center_index,center_coord\n")
-        fh.writelines(map(str.__add__, map(str, range(traj.length)),
-                          map(suffixes.__getitem__, traj.ids.tolist())))
+    realization drawn.
+
+    Each suffix is encoded once into a NUL-padded byte table. The rows
+    are built as uint8 arrays, EVENTS_CHUNK ticks at a time, in pieces
+    whose ticks share one digit count; the padding is then dropped
+    (the output is ASCII, so a NUL is never data). Binary mode keeps
+    the newlines exact on every platform.
+    """
+    suffixes = [(f",{j},{index},"
+                 f"{'nan' if coord != coord else _fmt_float(coord)}\n"
+                 ).encode("ascii")
+                for j, (index, coord) in enumerate(traj.centers)]
+    table = np.array(suffixes).view(np.uint8).reshape(len(suffixes), -1)
+    with path.open("wb") as fh:
+        fh.write(b"tick,realization_id,center_index,center_coord\n")
+        a = 0
+        while a < traj.length:
+            d = len(str(a))
+            b = min(traj.length, a + EVENTS_CHUNK, 10 ** d)
+            rows = np.empty((b - a, d + table.shape[1]), dtype=np.uint8)
+            ticks = np.arange(a, b)
+            for k in range(d - 1, -1, -1):
+                ticks, digit = np.divmod(ticks, 10)
+                rows[:, k] = digit + 48
+            rows[:, d:] = table.take(traj.ids[a:b], axis=0)
+            flat = rows.ravel()
+            fh.write(flat[flat != 0].tobytes())
+            a = b
 
 
 # ---------------------------------------------------------------------------

@@ -168,9 +168,7 @@ def reduce_block(op: np.ndarray, n_g: int, hg_diag: np.ndarray,
     """
     sub = op[n_g:, n_g:]
     vals, vecs = diagonalize_sym(sub)
-    resid = float(np.max(np.linalg.norm(sub @ vecs - vecs * vals, axis=0)))
-    trunc = TruncatedSolution(dim=sub.shape[0], eigvals=vals, eigvecs=vecs,
-                              residual_bound=resid)
+    trunc = TruncatedSolution(eigvals=vals, eigvecs=vecs)
     ep = ep_from_poles(op[:n_g, :n_g], vals, op[:n_g, n_g:] @ vecs,
                        n_channels=op.shape[0] // n_g - 1,
                        hg_diag=hg_diag, eps0=eps0)

@@ -63,16 +63,20 @@ def uniform_at(seed: int, index: int) -> float:
 def uniform_block(seed: int, start: int, count: int) -> np.ndarray:
     """Vectorized uniform doubles for indices start..start+count-1.
 
-    Bit-identical to calling uniform_at per index.
+    Bit-identical to calling uniform_at per index; computed in place.
     """
     if count < 0:
         raise ValueError("count must be nonnegative")
-    idx = np.arange(start + 1, start + count + 1, dtype=np.uint64)
-    z = (np.uint64(seed & MASK64) + idx * _U64_GAMMA).astype(np.uint64)
-    z = (z ^ (z >> _S30)) * _U64_C1
-    z = (z ^ (z >> _S27)) * _U64_C2
-    z = z ^ (z >> _S31)
-    return (z >> _S11).astype(np.float64) * _INV53
+    z = np.arange(start + 1, start + count + 1, dtype=np.uint64)
+    z *= _U64_GAMMA
+    z += np.uint64(seed & MASK64)
+    z ^= z >> _S30
+    z *= _U64_C1
+    z ^= z >> _S27
+    z *= _U64_C2
+    z ^= z >> _S31
+    z >>= _S11
+    return z * _INV53
 
 
 def categorical_block(seed: int, start: int, count: int,
@@ -91,6 +95,6 @@ def categorical_block(seed: int, start: int, count: int,
     if not np.isfinite(total) or total <= 0:
         raise ValueError("alpha must have positive total mass")
     cum = np.cumsum(alpha / total)
-    u = uniform_block(seed, start, count)
-    return np.minimum(np.searchsorted(cum, u, side="right"),
-                      alpha.size - 1).astype(np.int64)
+    ids = np.searchsorted(cum, uniform_block(seed, start, count),
+                          side="right")
+    return np.minimum(ids, alpha.size - 1, out=ids)

@@ -29,10 +29,8 @@ class TruncatedSolution:
     (block n, xi) index, orthonormal; eigvals are sorted ascending.
     """
 
-    dim: int
     eigvals: np.ndarray
     eigvecs: np.ndarray
-    residual_bound: float
 
 
 def diagonalize_sym(m: np.ndarray):

@@ -7,7 +7,7 @@ from scipy import stats
 from epbeat import ConfigError, empirical_freqs, simulate_beat, solve_problem
 from epbeat import rng
 from epbeat.beat import BeatTrajectory
-from epbeat.cli import write_events_csv
+from epbeat.cli import EVENTS_CHUNK, _fmt_float, write_events_csv
 from epbeat.verification import two_well_instance, zero_coupling_instance
 
 # Published SplitMix64 reference outputs for seed 0
@@ -25,6 +25,16 @@ def event_rows(traj, tmp_path):
     path = tmp_path / "events.csv"
     write_events_csv(path, traj)
     return [line.split(",") for line in path.read_text().splitlines()[1:]]
+
+
+def reference_events_csv(traj):
+    """events.csv formatted one line at a time."""
+    lines = ["tick,realization_id,center_index,center_coord\n"]
+    for t, j in enumerate(traj.ids.tolist()):
+        index, coord = traj.centers[j]
+        text = "nan" if coord != coord else _fmt_float(coord)
+        lines.append(f"{t},{j},{index},{text}\n")
+    return "".join(lines).encode("ascii")
 
 
 class TestGenerator:
@@ -82,6 +92,21 @@ class TestSimulateBeat:
         for _, _, index, coord in rows:
             assert int(index) in centers
             assert float(coord) == centers[int(index)]
+
+    @pytest.mark.parametrize("t", [1, 10, 100, 101, EVENTS_CHUNK + 1,
+                                   100_003])
+    @pytest.mark.parametrize("kind", ["groups", "intermediate"])
+    def test_writer_matches_per_line_reference(self, two_well_rs, tmp_path,
+                                               t, kind):
+        # tick digit counts change at powers of ten, blocks at the chunk
+        rs = (two_well_rs if kind == "groups"
+              else solve_problem(zero_coupling_instance()).rs)
+        traj = simulate_beat(rs, t, seed=t, mode="uniform")
+        assert len(traj.centers) == (len(two_well_rs.groups)
+                                     if kind == "groups" else 1)
+        path = tmp_path / "events.csv"
+        write_events_csv(path, traj)
+        assert path.read_bytes() == reference_events_csv(traj)
 
     def test_binomial_convergence(self, two_well_rs):
         t = 100_000

@@ -9,6 +9,12 @@ error, 3 numerical/I-O failure, 4 verification failure.
 Every floating-point value is written with 17 significant digits so
 outputs round-trip exactly; identical config and seed reproduce
 byte-identical CSV/JSON files (timestamps live only in the manifest).
+
+JSON layout: two-space indent, one scalar per line; floats as .17g,
+non-finite floats as null; Python and numpy bools as true/false. A
+numpy array is written as nested lists, the same bytes as its
+tolist(), but all its elements are formatted in one pass and each row
+is joined once.
 """
 
 from __future__ import annotations
@@ -17,6 +23,7 @@ import argparse
 import dataclasses
 import hashlib
 import json
+import math
 import os
 import sys
 import time
@@ -57,6 +64,39 @@ def _fmt_float(x: float) -> str:
     return format(float(x), ".17g")
 
 
+def _fmt_floats(a: np.ndarray) -> list:
+    """_fmt_float of every element of a, in one pass (row-major)."""
+    flat = np.ravel(a)
+    text = list(map("{:.17g}".format, flat.tolist()))
+    for i in np.flatnonzero(~np.isfinite(flat)).tolist():
+        text[i] = "null"
+    return text
+
+
+def _array_json(a: np.ndarray, indent: int) -> str:
+    """_to_json(a.tolist(), indent), built from the innermost axis
+    outward: one formatting pass, then one join per row."""
+    kind = a.dtype.kind
+    if kind == "f":
+        items = _fmt_floats(a)
+    elif kind == "b":
+        items = ["true" if x else "false" for x in a.ravel().tolist()]
+    elif kind in "iu":
+        items = list(map(str, a.ravel().tolist()))
+    else:
+        return _to_json(a.tolist(), indent)
+    for axis in range(a.ndim - 1, -1, -1):
+        n = a.shape[axis]
+        if n == 0:
+            items = ["[]"] * math.prod(a.shape[:axis])
+            continue
+        pad = "  " * (indent + axis)
+        head, sep, tail = f"[\n{pad}  ", f",\n{pad}  ", f"\n{pad}]"
+        items = [head + sep.join(items[i:i + n]) + tail
+                 for i in range(0, len(items), n)]
+    return items[0]
+
+
 def _to_json(obj, indent: int = 0) -> str:
     pad = "  " * indent
     inner = "  " * (indent + 1)
@@ -71,7 +111,9 @@ def _to_json(obj, indent: int = 0) -> str:
             return "[]"
         items = [f"{inner}{_to_json(v, indent + 1)}" for v in obj]
         return "[\n" + ",\n".join(items) + f"\n{pad}]"
-    if isinstance(obj, bool):
+    if isinstance(obj, np.ndarray):
+        return _array_json(obj, indent)
+    if isinstance(obj, (bool, np.bool_)):
         return "true" if obj else "false"
     if obj is None:
         return "null"
@@ -92,10 +134,11 @@ def write_density_csv(path: Path, rho: np.ndarray, q_points: np.ndarray,
 
     Header carries the q coordinates; the first column carries xi.
     """
-    lines = ["xi," + ",".join(_fmt_float(q) for q in q_points)]
-    for j, xi in enumerate(xi_points):
-        lines.append(_fmt_float(xi) + ","
-                     + ",".join(_fmt_float(x) for x in rho[:, j]))
+    rows = np.column_stack([xi_points, rho.T])
+    text = _fmt_floats(rows)
+    width = rows.shape[1]
+    lines = ["xi," + ",".join(_fmt_floats(q_points))]
+    lines += [",".join(text[i:i + width]) for i in range(0, len(text), width)]
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
@@ -230,8 +273,8 @@ class _Runner:
 def _spectrum_payload(result) -> dict:
     sr = result.sr
     return {
-        "roots": list(sr.roots),
-        "energies": list(sr.energies),
+        "roots": sr.roots,
+        "energies": sr.energies,
         "counts": {
             "n_g": sr.counts.n_g,
             "n_roots": sr.counts.n_roots,
@@ -242,9 +285,9 @@ def _spectrum_payload(result) -> dict:
             "linear_count": sr.counts.linear_count,
         },
         "excluded": [{"value": v, "reason": r} for v, r in sr.excluded],
-        "decoupled_poles": list(sr.decoupled_poles),
+        "decoupled_poles": sr.decoupled_poles,
         "residual_max": sr.residual_max,
-        "poles": list(result.ep.poles),
+        "poles": result.ep.poles,
         "accounting": count_accounting(sr),
     }
 
@@ -261,7 +304,7 @@ def _solve_and_write(runner: _Runner, doc: dict, run: dict):
     write_json(runner.path("ep.json"), result.ep.to_dict())
     payload = rs.to_dict()
     payload["complexity"] = complexity_measure(rs.n_realizations)
-    payload["schmidt_ranks"] = schmidt_ranks(result.states).tolist()
+    payload["schmidt_ranks"] = schmidt_ranks(result.states)
     write_json(runner.path("realizations.json"), payload)
     q_pts = spec.modes.q_grid.points
     xi_pts = spec.xi_grid.points
@@ -291,8 +334,8 @@ def cmd_beat(runner: _Runner, doc: dict, run: dict) -> int:
         "seed": traj.seed,
         "mode": traj.mode,
         "cycles": traj.length,
-        "alpha": list(result.rs.alphas[traj.mode]),
-        "empirical": list(traj.empirical),
+        "alpha": np.asarray(result.rs.alphas[traj.mode]),
+        "empirical": np.asarray(traj.empirical),
     })
     runner.checks["beat"] = "run"
     runner.finish("beat", run["seed"])
@@ -369,7 +412,7 @@ def cmd_hierarchy(runner: _Runner, doc: dict, run: dict) -> int:
                                  EP_EXACTNESS_TOL)
         payload["levels"].append({
             "depth": level.depth,
-            "roots": list(sr.roots),
+            "roots": sr.roots,
             "n_poles": int(level.ep.poles.size),
             "operator_spectrum_match": report.to_dict(),
         })

@@ -83,12 +83,11 @@ class EffectivePotential:
         return w @ w.T
 
     def to_dict(self) -> dict:
-        """JSON-ready dump of poles and residue factors."""
+        """Poles and residue factors, as arrays, for cli.write_json."""
         return {
-            "poles": [float(p) for p in self.poles],
-            "ranks": [int(r) for r in self.ranks()],
-            "residue_factors": [[[float(x) for x in row] for row in w]
-                                for w in self.residue_factors],
+            "poles": self.poles,
+            "ranks": self.ranks(),
+            "residue_factors": list(self.residue_factors),
             "raw_pole_count": self.raw_pole_count,
             "n_channels": self.n_channels,
             "eps0": float(self.eps0),

@@ -81,7 +81,7 @@ class RealizationSet:
                  "center_coord": float(g.center_coord),
                  "members": list(g.members)} for g in self.groups],
             "intermediate": list(self.intermediate),
-            "alphas": {mode: [float(a) for a in alpha]
+            "alphas": {mode: np.asarray(alpha)
                        for mode, alpha in sorted(self.alphas.items())},
         }
 

@@ -67,7 +67,7 @@ class SpectrumResult:
     energies: np.ndarray
     counts: CountRecord
     excluded: tuple
-    decoupled_poles: tuple
+    decoupled_poles: np.ndarray
     residual_max: float
     span: float
 
@@ -78,8 +78,7 @@ class SpectrumResult:
         that carry no channel-0 weight and so never appear as roots of
         the characteristic function.
         """
-        return np.sort(np.concatenate(
-            [self.roots, np.asarray(self.decoupled_poles, dtype=float)]))
+        return np.sort(np.concatenate([self.roots, self.decoupled_poles]))
 
 
 def find_roots(ep: EffectivePotential) -> SpectrumResult:
@@ -118,7 +117,7 @@ def find_roots(ep: EffectivePotential) -> SpectrumResult:
     return SpectrumResult(
         roots=vals, vectors=(x / nx).T, energies=vals + ep.eps0,
         counts=counts, excluded=(),
-        decoupled_poles=tuple(float(p) for p in ep.poles[ranks == 0]),
+        decoupled_poles=ep.poles[ranks == 0],
         residual_max=float((resid / nx).max(initial=0.0)), span=ep.span)
 
 

@@ -131,6 +131,11 @@ def test_byte_identical_reruns(config_path, tmp_path):
         == (out_b / "spectrum.json").read_bytes()
     assert (out_a / "realizations.json").read_bytes() \
         == (out_b / "realizations.json").read_bytes()
+    outputs = json.loads((out_a / "manifest.json").read_text())["outputs"]
+    assert {"ep.json", "beat_summary.json",
+            "density_mixed_uniform.csv"} <= set(outputs)
+    for name in outputs:
+        assert (out_a / name).read_bytes() == (out_b / name).read_bytes(), name
 
 
 def test_verify_subcommand(config_path, tmp_path):

@@ -1,0 +1,199 @@
+"""The array-aware JSON and density-CSV writers against the per-element
+writers they replaced.
+
+ref_to_json and ref_density_csv are the per-element originals, kept as
+the oracle: they format one Python scalar at a time and never see an
+array. The writers must give the same bytes for an array as the oracle
+gives for its tolist().
+"""
+
+import json
+
+import numpy as np
+import pytest
+
+import epbeat.cli as cli
+from epbeat.cli import _to_json, main, write_density_csv, write_json
+from epbeat.verification import two_well_instance
+
+
+def ref_fmt_float(x: float) -> str:
+    if x != x or x in (float("inf"), float("-inf")):
+        return "null"
+    return format(float(x), ".17g")
+
+
+def ref_to_json(obj, indent: int = 0) -> str:
+    pad = "  " * indent
+    inner = "  " * (indent + 1)
+    if isinstance(obj, dict):
+        if not obj:
+            return "{}"
+        items = [f'{inner}{json.dumps(str(k))}: {ref_to_json(v, indent + 1)}'
+                 for k, v in obj.items()]
+        return "{\n" + ",\n".join(items) + f"\n{pad}}}"
+    if isinstance(obj, (list, tuple)):
+        if len(obj) == 0:
+            return "[]"
+        items = [f"{inner}{ref_to_json(v, indent + 1)}" for v in obj]
+        return "[\n" + ",\n".join(items) + f"\n{pad}]"
+    if isinstance(obj, bool):
+        return "true" if obj else "false"
+    if obj is None:
+        return "null"
+    if isinstance(obj, (int, np.integer)):
+        return str(int(obj))
+    if isinstance(obj, (float, np.floating)):
+        return ref_fmt_float(float(obj))
+    return json.dumps(str(obj))
+
+
+def ref_density_csv(rho, q_points, xi_points) -> str:
+    lines = ["xi," + ",".join(ref_fmt_float(q) for q in q_points)]
+    for j, xi in enumerate(xi_points):
+        lines.append(ref_fmt_float(xi) + ","
+                     + ",".join(ref_fmt_float(x) for x in rho[:, j]))
+    return "\n".join(lines) + "\n"
+
+
+def as_scalars(obj):
+    """obj with every numpy array and scalar turned into Python lists
+    and scalars, the only input the oracle formats correctly."""
+    if isinstance(obj, dict):
+        return {k: as_scalars(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [as_scalars(v) for v in obj]
+    if isinstance(obj, (np.ndarray, np.generic)):
+        return obj.tolist()
+    return obj
+
+
+NONFINITE = np.array([1.5, np.nan, np.inf, -np.inf, -0.0, 0.0])
+EDGE_CASES = {
+    "nonfinite": NONFINITE,
+    "nonfinite_2d": np.array([[np.nan, 1e-300], [-np.inf, 1 / 3]]),
+    "python_nonfinite": [float("nan"), float("inf"), float("-inf"), -0.0],
+    "numpy_scalars": [np.float64(0.1), np.float32(0.1), np.int64(-7),
+                      np.int32(3), np.uint8(255), np.float64(np.nan)],
+    "zero_d": [np.array(2.0 / 3.0), np.array(-4), np.array(np.inf),
+               np.array(True)],
+    "empty": np.zeros(0),
+    "decoupled_factor": np.zeros((5, 0)),
+    "empty_rows": np.zeros((0, 3)),
+    "int_array": np.arange(-3, 9).reshape(3, 4),
+    "uint_array": np.arange(4, dtype=np.uint64),
+    "bool_array": np.array([[True, False], [False, True]]),
+    "float32": np.linspace(0, 1, 7, dtype=np.float32),
+    "three_d": np.random.default_rng(3).standard_normal((2, 3, 4)),
+    "column": np.random.default_rng(4).standard_normal((4, 1)),
+    "nested": {
+        "factors": [np.ones((3, 2)), np.zeros((3, 0)),
+                    np.random.default_rng(5).standard_normal((3, 1))],
+        "mixed": [1, np.array([2.5, np.nan]), {"deep": np.eye(2)},
+                  (np.arange(2), None, "text", True), [], {}],
+        "scalar": np.float64(1e17),
+    },
+}
+
+
+@pytest.mark.parametrize("name", sorted(EDGE_CASES))
+def test_edge_cases_match_reference(name):
+    obj = EDGE_CASES[name]
+    assert _to_json(obj) == ref_to_json(as_scalars(obj))
+    assert _to_json({"a": [obj]}) == ref_to_json(as_scalars({"a": [obj]}))
+
+
+def test_decoupled_factor_prints_one_empty_list_per_row():
+    assert _to_json(np.zeros((3, 0))) == "[\n  [],\n  [],\n  []\n]"
+
+
+def test_numpy_bools_and_arrays_are_written_as_json():
+    # the per-element writer gave "True" and "[1. 2.]" (strings)
+    assert _to_json({"b": np.bool_(True), "f": np.bool_(False)}) \
+        == '{\n  "b": true,\n  "f": false\n}'
+    assert _to_json({"c": np.array([1.0, 2.0])}) \
+        == '{\n  "c": [\n    1,\n    2\n  ]\n}'
+    values = np.array([0.1, 1 / 3, np.pi * 1e-300, -2.0 ** 0.5])
+    loaded = json.loads(_to_json({"c": values, "m": np.eye(2) / 3}))
+    assert loaded["c"] == values.tolist()
+    assert loaded["m"] == (np.eye(2) / 3).tolist()
+
+
+@pytest.mark.parametrize("shape", [(1, 1), (4, 3), (3, 5)])
+def test_density_csv_matches_reference(tmp_path, shape):
+    rng = np.random.default_rng(sum(shape))
+    n_q, n_xi = shape
+    rho = rng.standard_normal((n_q, n_xi))
+    rho.flat[::3] = [np.nan, np.inf, -np.inf, -0.0][:rho.flat[::3].size]
+    q = np.linspace(-1.0, 1.0, n_q)
+    xi = np.linspace(0.0, 1.0, n_xi)
+    write_density_csv(tmp_path / "d.csv", rho, q, xi)
+    assert (tmp_path / "d.csv").read_text(encoding="utf-8") \
+        == ref_density_csv(rho, q, xi)
+
+
+def ladder_config(n_tot, n_g):
+    return {"grid": {"n": n_g},
+            "modes": {"count": n_tot, "delta_eps": 0.7},
+            "coupling": {"kind": "gaussian_attractive", "g": 1.0,
+                         "sigma": 0.2},
+            "hg": {"stiffness": 0.1,
+                   "potential": {"kind": "double_well", "depth": 1,
+                                 "width": 0.08, "centers": [0.3, 0.7]}}}
+
+
+def two_well_config():
+    spec = two_well_instance()
+    xi, q = spec.xi_grid, spec.modes.q_grid
+    return {"grid": {"n": xi.n,
+                     "span": [float(xi.points[0]), float(xi.points[-1])],
+                     "boundary": xi.boundary},
+            "modes": {"count": spec.n_tot, "kind": "given", "q_n": q.n,
+                      "q_span": [float(q.points[0]), float(q.points[-1])],
+                      "eps": spec.modes.eps.tolist(),
+                      "phi": spec.modes.phi.tolist()},
+            "coupling": {"kind": "custom_sampled",
+                         "samples": spec.coupling.samples.tolist()},
+            "hg": {"stiffness": float(spec.g_stiffness),
+                   "potential": spec.g_potential.tolist()}}
+
+
+RUNS = {
+    "solve_4x32": (ladder_config(4, 32), ["solve"]),
+    "beat_two_well_born": (two_well_config(),
+                           ["beat", "--prob-mode", "born", "--cycles", "500"]),
+    "verify_3": (ladder_config(3, 8), ["verify", "--instances", "3"]),
+    "hierarchy_4x32": (ladder_config(4, 32), ["hierarchy", "--depth", "2"]),
+}
+
+
+@pytest.mark.parametrize("run", sorted(RUNS))
+def test_real_payloads_match_reference(run, tmp_path, monkeypatch):
+    doc, argv = RUNS[run]
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(doc))
+    jsons, csvs = [], []
+
+    def record_json(path, obj):
+        jsons.append((path, obj))
+        write_json(path, obj)
+
+    def record_csv(path, rho, q_points, xi_points):
+        csvs.append((path, rho, q_points, xi_points))
+        write_density_csv(path, rho, q_points, xi_points)
+
+    monkeypatch.setattr(cli, "write_json", record_json)
+    monkeypatch.setattr(cli, "write_density_csv", record_csv)
+    out = tmp_path / "out"
+    assert main([argv[0], "--config", str(config), "--out-dir", str(out)]
+                + argv[1:]) == 0
+    manifest = json.loads((out / "manifest.json").read_text())
+    written = {p.name for p, *_ in jsons + csvs}
+    assert written == (set(manifest["outputs"]) - {"events.csv"}
+                       | {"manifest.json"})
+    for path, obj in jsons:
+        assert path.read_text(encoding="utf-8") \
+            == ref_to_json(as_scalars(obj)) + "\n", path.name
+    for path, rho, q_points, xi_points in csvs:
+        assert path.read_text(encoding="utf-8") \
+            == ref_density_csv(rho, q_points, xi_points), path.name

@@ -27,7 +27,8 @@ from .realizations import (RealizationSet, RealizationGroup, MixedDensity,
                            mix_density, realization_densities,
                            default_pr_threshold)
 from .beat import BeatTrajectory, simulate_beat, empirical_freqs
-from .oracle import ComparisonReport, direct_spectrum, compare_spectra
+from .oracle import (ComparisonReport, compare_spectra, direct_energies,
+                     direct_spectrum)
 from .pipeline import PipelineResult, solve_problem, mean_intermediate_density
 from .errors import (ConfigError, NumericalError, PoleProximityError,
                      VerificationError)
@@ -47,7 +48,8 @@ __all__ = [
     "group_realizations", "probabilities", "born_match", "mix_density",
     "realization_densities", "default_pr_threshold",
     "BeatTrajectory", "simulate_beat", "empirical_freqs",
-    "ComparisonReport", "direct_spectrum", "compare_spectra",
+    "ComparisonReport", "direct_spectrum", "direct_energies",
+    "compare_spectra",
     "PipelineResult", "solve_problem", "mean_intermediate_density",
     "ConfigError", "NumericalError", "PoleProximityError",
     "VerificationError",

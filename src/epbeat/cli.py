@@ -38,7 +38,7 @@ from .effective import recurse_ep, reduce_block
 from .errors import ConfigError, NumericalError, VerificationError
 from .model import (CouplingMatrices, block_operator, build_problem,
                     project_coupling)
-from .oracle import compare_spectra, direct_spectrum
+from .oracle import compare_spectra, direct_energies
 from .pipeline import mean_intermediate_density, solve_problem
 from .realizations import (PROBABILITY_MODES, mix_density,
                            realization_densities)
@@ -196,13 +196,22 @@ RUN_CHECKS = {
 }
 
 
+def _finite_float(text: str) -> float:
+    """JSON number parser that rejects NaN, Infinity and overflow."""
+    value = float(text)
+    if not math.isfinite(value):
+        raise ConfigError(f"config: non-finite number {text} is not allowed")
+    return value
+
+
 def load_config(path: str) -> dict:
     try:
         raw = Path(path).read_text(encoding="utf-8")
     except OSError as exc:
         raise ConfigError(f"config: cannot read {path}: {exc}") from exc
     try:
-        doc = json.loads(raw)
+        doc = json.loads(raw, parse_float=_finite_float,
+                         parse_constant=_finite_float)
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config: invalid JSON in {path}: {exc}") from exc
     if not isinstance(doc, dict):
@@ -348,7 +357,7 @@ def cmd_verify(runner: _Runner, doc: dict, run: dict, args) -> int:
             f"instances: need K >= 1 random instances, got {args.instances}")
     spec = build_problem(doc)
     result = solve_problem(spec, run.get("pr_threshold"))
-    energies, _ = direct_spectrum(spec, result.v)
+    energies = direct_energies(spec, result.operator)
     report = compare_spectra(recovered_spectrum(result), energies,
                              EP_EXACTNESS_TOL)
     accounting = count_accounting(result.sr)

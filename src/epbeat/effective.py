@@ -95,34 +95,33 @@ class EffectivePotential:
 
 
 def _merge_poles(poles: np.ndarray, vectors: np.ndarray,
-                 tol: float) -> tuple[np.ndarray, tuple]:
+                 tol: float) -> tuple[np.ndarray, tuple, np.ndarray]:
     """Cluster poles within tol and sum their rank-1 residues.
 
-    Returns sorted distinct pole values and per-pole residue factors;
-    a merged cluster's factor comes from the eigendecomposition of the
-    summed residue matrix, truncated at the numerical rank.
+    Returns sorted distinct pole values, per-pole residue factors and
+    each factor's lead (its largest squared column norm). One mask
+    splits the sorted poles into clusters; a lone pole keeps its
+    vector as a column view, and only a merged cluster's factor comes
+    from the eigendecomposition of its summed residue matrix,
+    truncated at the numerical rank.
     """
     order = np.argsort(poles, kind="stable")
     poles = poles[order]
     vectors = vectors[:, order]
-    merged_poles = []
-    factors = []
-    start = 0
-    while start < poles.size:
-        stop = start + 1
-        while stop < poles.size and poles[stop] - poles[stop - 1] <= tol:
-            stop += 1
-        cluster = vectors[:, start:stop]
-        if stop - start == 1:
-            factor = cluster
-        else:
-            vals, vecs = np.linalg.eigh(cluster @ cluster.T)
-            keep = vals > RESIDUE_RANK_TOL * max(vals[-1], 0.0)
-            factor = vecs[:, keep] * np.sqrt(vals[keep])
-        merged_poles.append(float(np.mean(poles[start:stop])))
-        factors.append(factor)
-        start = stop
-    return np.asarray(merged_poles), tuple(factors)
+    starts = np.flatnonzero(~(np.diff(poles, prepend=-np.inf) <= tol))
+    stops = np.append(starts[1:], poles.size)
+    merged = poles[starts]
+    leads = np.sum(vectors * vectors, axis=0)[starts]
+    factors = [vectors[:, k:k + 1] for k in starts.tolist()]
+    for k in np.flatnonzero(stops - starts > 1).tolist():
+        cluster = vectors[:, starts[k]:stops[k]]
+        vals, vecs = np.linalg.eigh(cluster @ cluster.T)
+        keep = vals > RESIDUE_RANK_TOL * max(vals[-1], 0.0)
+        factors[k] = vecs[:, keep] * np.sqrt(vals[keep])
+        merged[k] = np.mean(poles[starts[k]:stops[k]])
+        leads[k] = np.max(np.sum(factors[k] * factors[k], axis=0),
+                          initial=0.0)
+    return merged, tuple(factors), leads
 
 
 def ep_from_poles(h0: np.ndarray, poles, residue_vectors, n_channels: int,
@@ -143,12 +142,11 @@ def ep_from_poles(h0: np.ndarray, poles, residue_vectors, n_channels: int,
     radius = np.sum(np.abs(h0), axis=1) - np.abs(diag)
     ends = np.concatenate([diag - radius, diag + radius, poles])
     span = max(float(ends.max() - ends.min()), 1.0)
-    merged, factors = _merge_poles(poles, vectors, POLE_MERGE_FACTOR * span)
-    leads = [float(np.max(np.sum(w * w, axis=0), initial=0.0))
-             for w in factors]
-    floor = DECOUPLED_FACTOR * max(leads, default=0.0)
-    factors = tuple(w if lead > floor else w[:, :0]
-                    for w, lead in zip(factors, leads))
+    merged, factors, leads = _merge_poles(poles, vectors,
+                                          POLE_MERGE_FACTOR * span)
+    coupled = leads > DECOUPLED_FACTOR * np.max(leads, initial=0.0)
+    factors = tuple(w if keep else w[:, :0]
+                    for w, keep in zip(factors, coupled.tolist()))
     if hg_diag is None:
         hg_diag = np.zeros(h0.shape[0])
     return EffectivePotential(

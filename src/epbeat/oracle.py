@@ -18,18 +18,33 @@ from .model import CouplingMatrices, ProblemSpec, block_operator
 DIMENSION_CAP = 2000
 
 
+def _check_dimension(caller: str, spec: ProblemSpec,
+                     dimension_cap: int | None) -> None:
+    """Refuse a dense solve above the cap; None reads DIMENSION_CAP now,
+    so both oracles follow a cap set on the module."""
+    cap = DIMENSION_CAP if dimension_cap is None else dimension_cap
+    dim = spec.n_tot * spec.n_g
+    if dim > cap:
+        raise NumericalError(
+            f"{caller}: dimension {dim} exceeds cap {cap}")
+
+
 def direct_spectrum(spec: ProblemSpec, v: CouplingMatrices,
-                    dimension_cap: int = DIMENSION_CAP):
+                    dimension_cap: int | None = None):
     """All eigenpairs of the full operator, total energies ascending.
 
     The eigenvalues of block_operator (eta scale) shifted by eps_0.
     """
-    dim = spec.n_tot * spec.n_g
-    if dim > dimension_cap:
-        raise NumericalError(
-            f"direct_spectrum: dimension {dim} exceeds cap {dimension_cap}")
+    _check_dimension("direct_spectrum", spec, dimension_cap)
     etas, vectors = np.linalg.eigh(block_operator(spec, v))
     return etas + spec.modes.eps[0], vectors
+
+
+def direct_energies(spec: ProblemSpec, op: np.ndarray) -> np.ndarray:
+    """Eigenvalues only of op = block_operator(spec, v), total energies
+    ascending; the same DIMENSION_CAP as direct_spectrum."""
+    _check_dimension("direct_energies", spec, None)
+    return np.linalg.eigvalsh(op) + spec.modes.eps[0]
 
 
 @dataclass(frozen=True)
@@ -52,13 +67,14 @@ class ComparisonReport:
         }
 
 
+@np.errstate(invalid="ignore")  # inf - inf: a NaN deviation, which fails
 def compare_spectra(a, b, tol: float) -> ComparisonReport:
     """Greedy nearest matching of two sorted spectra.
 
     Relative deviation is measured against the overall spectral scale
     max(|a|, |b|) (the natural scale for eigenvalue perturbations);
-    passes iff the worst matched deviation clears tol and nothing is
-    left unmatched.
+    passes iff both spectra are finite, the worst matched deviation
+    clears tol and nothing is left unmatched.
     """
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
@@ -84,9 +100,11 @@ def compare_spectra(a, b, tol: float) -> ComparisonReport:
         j += 1
     unmatched_a.extend(a[i:])
     unmatched_b.extend(b[j:])
-    max_abs = float(max(devs)) if devs else 0.0
+    max_abs = float(np.max(devs, initial=0.0))
     max_rel = max_abs / scale
-    passed = (max_rel <= tol and not unmatched_a and not unmatched_b)
+    finite = bool(np.isfinite(a).all() and np.isfinite(b).all())
+    passed = (finite and max_rel <= tol
+              and not unmatched_a and not unmatched_b)
     return ComparisonReport(max_abs_dev=max_abs, max_rel_dev=max_rel,
                             matched_pairs=len(devs),
                             unmatched_a=tuple(unmatched_a),

@@ -18,8 +18,13 @@ from .truncated import TruncatedSolution
 
 @dataclass(frozen=True)
 class PipelineResult:
+    """Every stage of one solve. operator is the block operator the
+    solve reduced (model.block_operator, eta scale), read-only so the
+    checks can share it."""
+
     spec: ProblemSpec
     v: CouplingMatrices
+    operator: np.ndarray
     trunc: TruncatedSolution
     ep: EffectivePotential
     sr: SpectrumResult
@@ -32,6 +37,7 @@ def solve_problem(spec: ProblemSpec,
     """Run the full chain from a problem spec to grouped realizations."""
     v = project_coupling(spec.modes, spec.coupling, spec.xi_grid)
     op = block_operator(spec, v)
+    op.setflags(write=False)
     n_g = spec.n_g
     trunc, ep = reduce_block(op, n_g, hamiltonian_g(spec).diagonal().copy(),
                              float(spec.modes.eps[0]))
@@ -39,8 +45,8 @@ def solve_problem(spec: ProblemSpec,
     states = reconstruct_all(sr, trunc, op[:n_g, n_g:], spec.modes,
                              spec.xi_grid)
     rs = group_realizations(states, pr_threshold)
-    return PipelineResult(spec=spec, v=v, trunc=trunc, ep=ep, sr=sr,
-                          states=states, rs=rs)
+    return PipelineResult(spec=spec, v=v, operator=op, trunc=trunc, ep=ep,
+                          sr=sr, states=states, rs=rs)
 
 
 def mean_intermediate_density(result: PipelineResult) -> np.ndarray:

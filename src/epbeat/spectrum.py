@@ -90,10 +90,11 @@ def find_roots(ep: EffectivePotential) -> SpectrumResult:
     times the span, or NumericalError is raised. residual_max is the
     largest R_j.
     """
-    vals, vecs = diagonalize_sym(linearize_ep(ep))
+    lin = linearize_ep(ep)
+    vals, vecs = diagonalize_sym(lin)
     n_g = ep.n_g
     x = vecs[:n_g]
-    w_all, _ = ep.columns()
+    w_all = lin[:n_g, n_g:]
     resid = np.linalg.norm(ep.h0 @ x + w_all @ vecs[n_g:] - x * vals, axis=0)
     nx = np.linalg.norm(x, axis=0)
     bound = ROOT_RESIDUAL_FACTOR * ep.span

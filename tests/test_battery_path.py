@@ -1,0 +1,205 @@
+"""The per-instance path of the verify battery against the code it
+replaced.
+
+ref_merge_poles and ref_leads are the per-pole originals, kept as the
+oracle: the batched pole merge must give bitwise the same merged poles
+and residue factors and the same ranks. The shared block operator and
+the eigenvalue-only oracle are checked against operators rebuilt from
+scratch, and the battery's worst deviation must keep a NaN.
+"""
+
+import dataclasses
+import json
+import math
+
+import numpy as np
+import pytest
+
+import epbeat.oracle as oracle
+import epbeat.verification as verification
+from epbeat import (NumericalError, block_operator, direct_energies,
+                    direct_spectrum, ep_from_poles, hamiltonian_g,
+                    project_coupling, reduce_block, solve_problem)
+from epbeat.cli import main
+from epbeat.effective import (DECOUPLED_FACTOR, POLE_MERGE_FACTOR,
+                              RESIDUE_RANK_TOL)
+from epbeat.verification import (max_state_residual, random_instance,
+                                 zero_coupling_instance)
+
+
+def ref_merge_poles(poles, vectors, tol):
+    order = np.argsort(poles, kind="stable")
+    poles = poles[order]
+    vectors = vectors[:, order]
+    merged_poles = []
+    factors = []
+    start = 0
+    while start < poles.size:
+        stop = start + 1
+        while stop < poles.size and poles[stop] - poles[stop - 1] <= tol:
+            stop += 1
+        cluster = vectors[:, start:stop]
+        if stop - start == 1:
+            factor = cluster
+        else:
+            vals, vecs = np.linalg.eigh(cluster @ cluster.T)
+            keep = vals > RESIDUE_RANK_TOL * max(vals[-1], 0.0)
+            factor = vecs[:, keep] * np.sqrt(vals[keep])
+        merged_poles.append(float(np.mean(poles[start:stop])))
+        factors.append(factor)
+        start = stop
+    return np.asarray(merged_poles), tuple(factors)
+
+
+def ref_leads(factors):
+    leads = [float(np.max(np.sum(w * w, axis=0), initial=0.0))
+             for w in factors]
+    floor = DECOUPLED_FACTOR * max(leads, default=0.0)
+    return tuple(w if lead > floor else w[:, :0]
+                 for w, lead in zip(factors, leads))
+
+
+def assert_merge_matches_loop(h0, poles, vectors, n_channels=1):
+    poles = np.asarray(poles, dtype=float)
+    vectors = np.asarray(vectors, dtype=float)
+    ep = ep_from_poles(h0, poles, vectors, n_channels=n_channels)
+    merged, factors = ref_merge_poles(poles, vectors,
+                                      POLE_MERGE_FACTOR * ep.span)
+    factors = ref_leads(factors)
+    assert ep.poles.dtype == merged.dtype and ep.poles.shape == merged.shape
+    assert np.array_equal(ep.poles, merged)
+    assert len(ep.residue_factors) == len(factors)
+    for got, want in zip(ep.residue_factors, factors):
+        assert got.shape == want.shape
+        assert np.array_equal(got, want)
+    assert np.array_equal(ep.ranks(),
+                          np.array([w.shape[1] for w in factors], dtype=int))
+    return ep
+
+
+def reduction_inputs(spec):
+    """h0, poles and residue vectors as reduce_block hands them to
+    ep_from_poles."""
+    v = project_coupling(spec.modes, spec.coupling, spec.xi_grid)
+    op = block_operator(spec, v)
+    n_g = spec.n_g
+    trunc, _ = reduce_block(op, n_g, hamiltonian_g(spec).diagonal(), 0.0)
+    return op[:n_g, :n_g], trunc.eigvals, op[:n_g, n_g:] @ trunc.eigvecs
+
+
+class TestBatchedMerge:
+    def test_random_instances_0_to_999(self):
+        for seed in range(1000):
+            h0, poles, vectors = reduction_inputs(random_instance(seed))
+            assert_merge_matches_loop(h0, poles, vectors)
+
+    def test_synthetic_full_degree_potential(self):
+        n_e, n_g = 2, 3
+        gen = np.random.default_rng(42)
+        h0 = np.diag(gen.uniform(-1.0, 1.0, n_g))
+        poles = np.repeat(np.linspace(2.0, 12.0, n_e * n_g), n_g)
+        vectors = np.tile(np.diag(0.7 + 0.1 * np.arange(n_g)), n_e * n_g)
+        ep = assert_merge_matches_loop(h0, poles, vectors, n_channels=n_e)
+        assert ep.ranks().tolist() == [n_g] * (n_e * n_g)
+
+    def test_zero_coupling_every_rank_zero(self):
+        h0, poles, vectors = reduction_inputs(zero_coupling_instance())
+        ep = assert_merge_matches_loop(h0, poles, vectors, n_channels=2)
+        assert ep.poles.size > 0 and not ep.ranks().any()
+
+    def test_weakly_coupled_poles(self):
+        ep = assert_merge_matches_loop(np.array([[0.0]]), [2.0, 5.0, 8.0],
+                                       np.array([[1.0, 1e-6, 1e-6]]))
+        assert ep.ranks().tolist() == [1, 1, 1]
+
+    def test_rank_two_cluster_of_three(self):
+        e1, e2 = np.eye(3)[0], np.eye(3)[1]
+        vectors = np.column_stack([e1, e2, e1 + e2, np.ones(3)])
+        poles = [4.0, 4.0 + 1e-12, 4.0 + 2e-12, 6.0]
+        ep = assert_merge_matches_loop(np.eye(3), poles, vectors)
+        assert ep.poles.size == 2
+        assert ep.ranks().tolist() == [2, 1]
+
+    def test_empty_pole_list(self):
+        ep = assert_merge_matches_loop(np.eye(2), [], np.zeros((2, 0)))
+        assert ep.residue_factors == () and ep.ranks().size == 0
+
+
+class TestSharedOperator:
+    def test_operator_is_read_only_and_the_block_operator(self):
+        result = solve_problem(random_instance(4))
+        op = result.operator
+        assert not op.flags.writeable
+        with pytest.raises(ValueError):
+            op[0, 0] = 1.0
+        assert np.array_equal(op, block_operator(result.spec, result.v))
+
+    def test_state_residual_against_rebuilt_operator(self):
+        for seed in range(20):
+            result = solve_problem(random_instance(seed))
+            rebuilt = dataclasses.replace(
+                result, operator=block_operator(result.spec, result.v))
+            assert max_state_residual(result) == max_state_residual(rebuilt)
+
+    def test_eigenvalue_only_oracle(self):
+        spec = random_instance(7)
+        result = solve_problem(spec)
+        pair = direct_spectrum(spec, result.v)
+        assert isinstance(pair, tuple) and len(pair) == 2
+        energies, vectors = pair
+        dim = spec.n_tot * spec.n_g
+        assert energies.shape == (dim,) and vectors.shape == (dim, dim)
+        only = direct_energies(spec, result.operator)
+        assert np.allclose(only, energies, rtol=0.0,
+                           atol=1e-12 * np.abs(energies).max())
+
+    def test_verify_keeps_the_dimension_cap(self, tmp_path, capsys,
+                                            monkeypatch):
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps({"grid": {"n": 6},
+                                    "modes": {"count": 3}}))
+        monkeypatch.setattr(oracle, "DIMENSION_CAP", 10)
+        assert main(["verify", "--config", str(path),
+                     "--out-dir", str(tmp_path / "o")]) == 3
+        assert "exceeds cap 10" in capsys.readouterr().err
+
+    def test_both_oracles_read_the_cap_at_call_time(self, monkeypatch):
+        spec = random_instance(13)
+        result = solve_problem(spec)
+        monkeypatch.setattr(oracle, "DIMENSION_CAP", 3)
+        with pytest.raises(NumericalError,
+                           match=r"^direct_spectrum: .* exceeds cap 3$"):
+            direct_spectrum(spec, result.v)
+        with pytest.raises(NumericalError,
+                           match=r"^direct_energies: .* exceeds cap 3$"):
+            direct_energies(spec, result.operator)
+
+
+def test_battery_worst_values_keep_a_nan(monkeypatch):
+    """A NaN in one instance's recovered spectrum and state residual
+    (not the first instance) fails that instance and shows as a NaN
+    worst value, not a finite one."""
+    calls = []
+    spectrum = verification.recovered_spectrum
+    residual = verification.max_state_residual
+
+    def recovered(result):
+        calls.append(None)
+        energies = spectrum(result)
+        if len(calls) == 2:
+            energies = energies.copy()
+            energies[-1] = math.nan
+        return energies
+
+    def state_residual(result):
+        return math.nan if len(calls) == 2 else residual(result)
+
+    monkeypatch.setattr(verification, "recovered_spectrum", recovered)
+    monkeypatch.setattr(verification, "max_state_residual", state_residual)
+    battery = verification.run_battery(3)
+    assert battery["exactness_failures"] == [1]
+    assert battery["residual_failures"] == [1]
+    assert not battery["all_passed"]
+    assert math.isnan(battery["worst_rel_dev"])
+    assert math.isnan(battery["worst_state_residual"])
+    assert math.isnan(battery["instances"][1]["max_rel_dev"])

@@ -320,6 +320,19 @@ class TestExitCodes:
         assert f"run.{key}" in capsys.readouterr().err
         assert not out.exists()  # rejected before any artifact
 
+    @pytest.mark.parametrize("literal",
+                             ["NaN", "Infinity", "-Infinity", "1e400"])
+    @pytest.mark.parametrize("command", ["solve", "verify"])
+    def test_non_finite_number(self, tmp_path, capsys, command, literal):
+        path = tmp_path / "bad.json"
+        path.write_text('{"grid": {"n": 6}, "modes": {"count": 3}, '
+                        f'"hg": {{"potential": [0, 0, 0, {literal}, 0, 0]}}}}')
+        out = tmp_path / "o"
+        assert main([command, "--config", str(path),
+                     "--out-dir", str(out)]) == 2
+        assert literal in capsys.readouterr().err
+        assert not out.exists()  # rejected before any artifact
+
     def test_report_empty_dir_numerical_failure(self, tmp_path):
         assert main(["report", "--out-dir", str(tmp_path / "empty")]) == 3
 

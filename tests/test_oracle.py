@@ -70,3 +70,18 @@ class TestCompareSpectra:
     def test_exceeding_tolerance_fails(self):
         r = compare_spectra([1.0, 2.0], [1.0, 2.1], 1e-7)
         assert not r.passed
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+    def test_non_finite_fails_equal_length(self, bad):
+        for a, b in [([1.0, 2.0], [1.0, bad]), ([1.0, bad], [1.0, 2.0]),
+                     ([bad, 2.0], [bad, 2.0])]:
+            r = compare_spectra(a, b, 1e-7)
+            assert not r.passed
+            assert r.max_abs_dev != 0.0  # a NaN deviation is not dropped
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+    def test_non_finite_fails_greedy(self, bad):
+        for a, b in [([1.0, bad, 3.0], [1.0, 3.0]),
+                     ([1.0, 3.0], [1.0, 2.0, bad])]:
+            r = compare_spectra(a, b, 1e-7)
+            assert not r.passed

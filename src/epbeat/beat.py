@@ -23,6 +23,9 @@ from .realizations import RealizationSet
 class BeatTrajectory:
     """T reduction events: ids[t] is the realization drawn at tick t.
 
+    ids has the smallest unsigned integer dtype that holds the largest
+    realization id (uint8 for up to 256 realizations).
+
     centers[j] is the (center_index, center_coord) of realization j,
     where every event of that realization is reduced.
     """

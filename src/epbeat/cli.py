@@ -148,15 +148,18 @@ def write_events_csv(path: Path, traj) -> None:
 
     Each suffix is encoded once into a NUL-padded byte table. The rows
     are built as uint8 arrays, EVENTS_CHUNK ticks at a time, in pieces
-    whose ticks share one digit count; the padding is then dropped
-    (the output is ASCII, so a NUL is never data). Binary mode keeps
-    the newlines exact on every platform.
+    whose ticks share one digit count d. The tick's digits are stored
+    two at a time from a table of the 100 ASCII digit pairs, viewed as
+    uint16, with an odd leading digit stored alone; the padding is then
+    dropped (the output is ASCII, so a NUL is never data). Binary mode
+    keeps the newlines exact on every platform.
     """
     suffixes = [(f",{j},{index},"
                  f"{'nan' if coord != coord else _fmt_float(coord)}\n"
                  ).encode("ascii")
                 for j, (index, coord) in enumerate(traj.centers)]
     table = np.array(suffixes).view(np.uint8).reshape(len(suffixes), -1)
+    pairs = np.array([b"%02d" % i for i in range(100)]).view(np.uint16)
     with path.open("wb") as fh:
         fh.write(b"tick,realization_id,center_index,center_coord\n")
         a = 0
@@ -164,10 +167,15 @@ def write_events_csv(path: Path, traj) -> None:
             d = len(str(a))
             b = min(traj.length, a + EVENTS_CHUNK, 10 ** d)
             rows = np.empty((b - a, d + table.shape[1]), dtype=np.uint8)
+            odd = d % 2
+            digit_pairs = rows[:, odd:d].view(np.uint16)
             ticks = np.arange(a, b)
-            for k in range(d - 1, -1, -1):
-                ticks, digit = np.divmod(ticks, 10)
-                rows[:, k] = digit + 48
+            for k in range(d // 2 - 1, -1, -1):
+                high = ticks // 100
+                digit_pairs[:, k] = pairs[ticks - high * 100]
+                ticks = high
+            if odd:
+                rows[:, 0] = ticks + 48
             rows[:, d:] = table.take(traj.ids[a:b], axis=0)
             flat = rows.ravel()
             fh.write(flat[flat != 0].tobytes())

@@ -15,7 +15,7 @@ construction.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -291,6 +291,18 @@ def given_mode_basis(eps: Sequence[float], phi: Sequence[Sequence[float]],
     return ModeBasis(eps, phi / norms[:, None], q_grid)
 
 
+# v[n, n', xi] = sum_q weighted[n, q] kern[q, xi] phi[n', q]
+_PROJECTION = "aq,qx,bq->abx"
+
+
+@lru_cache(maxsize=64)
+def _projection_path(n_modes: int, n_q: int, n_xi: int) -> tuple:
+    """np.einsum's contraction path for the projection, once per shape."""
+    phi, kern = np.empty((n_modes, n_q)), np.empty((n_q, n_xi))
+    return tuple(np.einsum_path(_PROJECTION, phi, kern, phi,
+                                optimize=True)[0])
+
+
 def project_coupling(basis: ModeBasis, coupling: CouplingSpec,
                      xi_grid: Grid) -> CouplingMatrices:
     """Project the kernel onto the mode basis by q-quadrature.
@@ -300,8 +312,8 @@ def project_coupling(basis: ModeBasis, coupling: CouplingSpec,
     """
     kern = coupling.kernel(basis.q_grid.points, xi_grid.points)
     weighted = basis.phi * basis.q_grid.weights[None, :]
-    # v[n, n', xi] = sum_q weighted[n, q] kern[q, xi] phi[n', q]
-    v = np.einsum("aq,qx,bq->abx", weighted, kern, basis.phi, optimize=True)
+    v = np.einsum(_PROJECTION, weighted, kern, basis.phi,
+                  optimize=_projection_path(*weighted.shape, kern.shape[1]))
     v = 0.5 * (v + v.transpose(1, 0, 2))  # kill roundoff asymmetry
     return CouplingMatrices(v)
 

@@ -20,7 +20,16 @@ which are frozen as test vectors in the suite and in the README.
 
 Uniform doubles take the top 53 bits: u = (value >> 11) * 2^-53, so
 u is in [0, 1). A categorical draw over weights alpha picks the
-smallest j with u < alpha_0 + ... + alpha_j.
+smallest j with u < cum_j = alpha_0 + ... + alpha_j.
+
+The draw inverts the cumulative weights through a guide table (Chen &
+Asau 1974; Devroye 1986, III.2.4) of M = 2^GUIDE_BITS buckets, with
+g[b] the number of cum_j <= b / M. A draw u starts at j = g[floor(u M)].
+This is exact: u M is exact for M a power of two, so b / M <= u and
+g[b] never exceeds the answer; and if u < cum_j, every later cum is
+above u too, so j is the answer. Only draws with u >= cum_j take the
+binary search: those in a bucket that holds a boundary (about K / M
+of all draws) and any past a cum[-1] < 1.
 """
 
 from __future__ import annotations
@@ -38,6 +47,11 @@ _S27 = np.uint64(27)
 _S31 = np.uint64(31)
 _S11 = np.uint64(11)
 _INV53 = 2.0 ** -53
+
+GUIDE_BITS = 12
+# uniforms per chunk of a categorical draw: 512 KiB of uint64 per
+# SplitMix64 temporary, so the chain stays in cache
+DRAW_CHUNK = 1 << 16
 
 
 def mix64(z: int) -> int:
@@ -60,13 +74,19 @@ def uniform_at(seed: int, index: int) -> float:
     return (value_at(seed, index) >> 11) * _INV53
 
 
+def _check_window(start: int, count: int) -> None:
+    if start < 0:
+        raise ValueError("index must be nonnegative")
+    if count < 0:
+        raise ValueError("count must be nonnegative")
+
+
 def uniform_block(seed: int, start: int, count: int) -> np.ndarray:
     """Vectorized uniform doubles for indices start..start+count-1.
 
     Bit-identical to calling uniform_at per index; computed in place.
     """
-    if count < 0:
-        raise ValueError("count must be nonnegative")
+    _check_window(start, count)
     z = np.arange(start + 1, start + count + 1, dtype=np.uint64)
     z *= _U64_GAMMA
     z += np.uint64(seed & MASK64)
@@ -84,8 +104,11 @@ def categorical_block(seed: int, start: int, count: int,
     """Draw count categorical outcomes j ~ alpha, one per counter index.
 
     Outcome j is the smallest index with u < cumsum(alpha)[j]; a final
-    clip guards against cumulative rounding at u ~ 1.
+    clip to K - 1 guards against cumulative rounding at u ~ 1. The ids
+    have the smallest unsigned dtype that holds K - 1 (uint8 up to
+    K = 256).
     """
+    _check_window(start, count)
     alpha = np.asarray(alpha, dtype=float)
     if alpha.ndim != 1 or alpha.size == 0:
         raise ValueError("alpha must be a nonempty 1-D weight vector")
@@ -94,7 +117,22 @@ def categorical_block(seed: int, start: int, count: int,
     total = float(alpha.sum())
     if not np.isfinite(total) or total <= 0:
         raise ValueError("alpha must have positive total mass")
+    last = alpha.size - 1
     cum = np.cumsum(alpha / total)
-    ids = np.searchsorted(cum, uniform_block(seed, start, count),
-                          side="right")
-    return np.minimum(ids, alpha.size - 1, out=ids)
+    m = 1 << GUIDE_BITS
+    guide = np.searchsorted(cum, np.arange(m) / m, side="right")
+    # a draw below its bucket's bound ends at the guide's id
+    bound = np.append(cum, np.inf)[guide]
+    dtype = np.min_scalar_type(last)
+    guide = np.minimum(guide, last).astype(dtype)
+    ids = np.empty(count, dtype=dtype)
+    for a in range(0, count, DRAW_CHUNK):
+        u = uniform_block(seed, start + a, min(DRAW_CHUNK, count - a))
+        bucket = (u * m).astype(np.intp)
+        out = ids[a:a + u.size]
+        np.take(guide, bucket, out=out)
+        hit = u >= bound[bucket]
+        if hit.any():
+            out[hit] = np.minimum(np.searchsorted(cum, u[hit], side="right"),
+                                  last)
+    return ids

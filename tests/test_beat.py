@@ -1,10 +1,13 @@
 """Counter-based generator and the stochastic beat process."""
 
+import hashlib
+
 import numpy as np
 import pytest
 from scipy import stats
 
-from epbeat import ConfigError, empirical_freqs, simulate_beat, solve_problem
+from epbeat import (ConfigError, empirical_freqs, mean_intermediate_density,
+                    simulate_beat, solve_problem)
 from epbeat import rng
 from epbeat.beat import BeatTrajectory
 from epbeat.cli import EVENTS_CHUNK, _fmt_float, write_events_csv
@@ -13,6 +16,29 @@ from epbeat.verification import two_well_instance, zero_coupling_instance
 # Published SplitMix64 reference outputs for seed 0
 SPLITMIX64_SEED0 = (0xE220A8397B1DCDAF, 0x6E789E6AA1B965F4,
                     0x06C45D188009454F)
+
+# sha256 of events.csv for the two-well Born beat, 100_001 cycles, seed 1,
+# as the binary-search draw and the one-digit tick writer wrote it; the
+# same bytes `epbeat beat` writes for the serialized two-well config
+TWO_WELL_BORN_SHA256 = \
+    "3f9364c89427baf0592182115ccd4e8b70e94832833bae21b5cf353ca2130075"
+
+WEIGHTS = {
+    "zeros": [0.0, 0.3, 0.0, 0.0, 0.5, 0.2, 0.0],
+    "single": [2.5],
+    "random300": np.random.default_rng(300).random(300),
+    # 100 boundaries inside one guide bucket
+    "packed": np.r_[0.5, np.full(100, 1e-6), 0.5],
+    "tiny": [0.4, 1e-300, 0.6],
+    # cumulative sums that end below 1: 1 - 9e-16 and, at K = 256,
+    # 1 - 7e-16, so the clip runs before a uint8 store
+    "short_total": np.ones(37),
+    "short_total_256": np.random.default_rng(1).random(256),
+}
+
+# (seed, start, count): one draw, whole chunks, and ragged windows
+WINDOWS = [(7, 0, 1), (7, 0, rng.DRAW_CHUNK),
+           (2 ** 63, 5, 3 * rng.DRAW_CHUNK + 17), (123, 1000, 200_003)]
 
 
 @pytest.fixture(scope="module")
@@ -27,13 +53,22 @@ def event_rows(traj, tmp_path):
     return [line.split(",") for line in path.read_text().splitlines()[1:]]
 
 
+def ref_categorical(seed, start, count, alpha):
+    """The binary-search draw the guide table replaced."""
+    alpha = np.asarray(alpha, dtype=float)
+    cum = np.cumsum(alpha / alpha.sum())
+    ids = np.searchsorted(cum, rng.uniform_block(seed, start, count),
+                          side="right")
+    return np.minimum(ids, alpha.size - 1)
+
+
 def reference_events_csv(traj):
     """events.csv formatted one line at a time."""
+    texts = ["nan" if coord != coord else _fmt_float(coord)
+             for _, coord in traj.centers]
     lines = ["tick,realization_id,center_index,center_coord\n"]
     for t, j in enumerate(traj.ids.tolist()):
-        index, coord = traj.centers[j]
-        text = "nan" if coord != coord else _fmt_float(coord)
-        lines.append(f"{t},{j},{index},{text}\n")
+        lines.append(f"{t},{j},{traj.centers[j][0]},{texts[j]}\n")
     return "".join(lines).encode("ascii")
 
 
@@ -62,6 +97,42 @@ class TestGenerator:
         expected = np.minimum(np.searchsorted(np.cumsum(alpha), u,
                                               side="right"), 2)
         assert np.array_equal(draws, expected)
+
+    @pytest.mark.parametrize("window", WINDOWS)
+    @pytest.mark.parametrize("name", sorted(WEIGHTS))
+    def test_categorical_matches_binary_search(self, name, window):
+        alpha = WEIGHTS[name]
+        ids = rng.categorical_block(*window, alpha)
+        assert np.array_equal(ids, ref_categorical(*window, alpha))
+        assert ids.dtype == np.min_scalar_type(len(alpha) - 1)
+
+    @pytest.mark.parametrize("name", sorted(WEIGHTS))
+    def test_categorical_exact_at_boundaries(self, name, monkeypatch):
+        # uniforms at, just below and just above every bucket edge and
+        # every cumulative boundary, and the largest uniform
+        alpha = np.asarray(WEIGHTS[name], dtype=float)
+        cum = np.cumsum(alpha / alpha.sum())
+        m = 1 << rng.GUIDE_BITS
+        edges = np.r_[np.arange(m) / m, cum, 1.0 - 2.0 ** -53]
+        u = np.unique(np.r_[edges, np.nextafter(edges, 0.0),
+                            np.nextafter(edges, 1.0)])
+        u = u[u < 1.0]
+        monkeypatch.setattr(rng, "uniform_block",
+                            lambda seed, start, count: u[start:start + count])
+        expected = np.minimum(np.searchsorted(cum, u, side="right"),
+                              alpha.size - 1)
+        assert np.array_equal(rng.categorical_block(0, 0, u.size, alpha),
+                              expected)
+
+    @pytest.mark.parametrize("start, count", [(-1, 2), (-3, 5), (-1, 0)])
+    def test_uniform_rejects_negative_start(self, start, count):
+        with pytest.raises(ValueError, match="index must be nonnegative"):
+            rng.uniform_block(1, start, count)
+
+    @pytest.mark.parametrize("start, count", [(-1, 2), (-3, 5), (-1, 0)])
+    def test_categorical_rejects_negative_start(self, start, count):
+        with pytest.raises(ValueError, match="index must be nonnegative"):
+            rng.categorical_block(1, start, count, [0.5, 0.5])
 
 
 class TestSimulateBeat:
@@ -93,8 +164,8 @@ class TestSimulateBeat:
             assert int(index) in centers
             assert float(coord) == centers[int(index)]
 
-    @pytest.mark.parametrize("t", [1, 10, 100, 101, EVENTS_CHUNK + 1,
-                                   100_003])
+    @pytest.mark.parametrize("t", [1, 10, 100, 101, 9_999, 10_000, 10_001,
+                                   EVENTS_CHUNK + 1, 100_003, 1_000_001])
     @pytest.mark.parametrize("kind", ["groups", "intermediate"])
     def test_writer_matches_per_line_reference(self, two_well_rs, tmp_path,
                                                t, kind):
@@ -107,6 +178,15 @@ class TestSimulateBeat:
         path = tmp_path / "events.csv"
         write_events_csv(path, traj)
         assert path.read_bytes() == reference_events_csv(traj)
+
+    def test_two_well_born_events_pinned(self, tmp_path):
+        result = solve_problem(two_well_instance())
+        rs = result.rs.with_born(mean_intermediate_density(result))
+        path = tmp_path / "events.csv"
+        write_events_csv(path, simulate_beat(rs, 100_001, seed=1,
+                                             mode="born"))
+        digest = hashlib.sha256(path.read_bytes()).hexdigest()
+        assert digest == TWO_WELL_BORN_SHA256
 
     def test_binomial_convergence(self, two_well_rs):
         t = 100_000

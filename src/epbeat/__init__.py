@@ -14,7 +14,7 @@ from .model import (Grid, ModeBasis, CouplingSpec, ProblemSpec,
                     CouplingMatrices, block_operator, build_problem,
                     hamiltonian_g, gaussian_bump_basis, given_mode_basis,
                     project_coupling)
-from .truncated import TruncatedSolution, diagonalize_sym
+from .truncated import diagonalize_sym
 from .effective import (EffectivePotential, eval_ep, characteristic,
                         root_count_below, ep_well_alignment, recurse_ep,
                         ep_from_poles, reduce_block)
@@ -37,7 +37,7 @@ __all__ = [
     "Grid", "ModeBasis", "CouplingSpec", "ProblemSpec", "CouplingMatrices",
     "block_operator", "build_problem", "hamiltonian_g", "gaussian_bump_basis",
     "given_mode_basis", "project_coupling",
-    "TruncatedSolution", "diagonalize_sym",
+    "diagonalize_sym",
     "EffectivePotential", "eval_ep", "characteristic", "root_count_below",
     "ep_well_alignment", "recurse_ep", "ep_from_poles", "reduce_block",
     "SpectrumResult", "CountRecord", "linearize_ep", "find_roots",

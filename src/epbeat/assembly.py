@@ -1,12 +1,14 @@
 """Reconstruction of full two-field states and their diagnostics.
 
-A root eta_i of the effective equation carries only the channel-0
-profile psi_0i(xi). The eliminated channels are recovered exactly,
+A root eta_i is a linearization eigenvalue whose eigenvector (x, y)
+holds the channel-0 profile psi_0i = x and, lifted to the raw poles
+of L = Q diag(p) Q^T, the eliminated channels
 
-    psi_ni(xi) = sum_k psi0_k(n, xi) <w_k, psi_0i> / (eta_i - p_k),
+    psi_ni(xi) = sum_k a_ik q_k(n, xi),   a_i = ep.raw_amplitudes(y).
 
-which is the resolvent of the truncated operator applied to the
-back-coupling. States stay in channel space: the two-field amplitude
+For a simple pole a_ik = <w_k, x> / (eta_i - p_k), read off without
+dividing, so a root on a pole is rebuilt like any other. States stay
+in channel space: the two-field amplitude
 Psi_i(q, xi) = sum_n phi_n(q) psi_ni(xi) is painted onto the q grid
 only for density CSVs. Norms, xi marginals and Schmidt ranks go
 through the mode-overlap factor R of ModeBasis.overlap_factor.
@@ -19,11 +21,10 @@ from math import log
 
 import numpy as np
 
-from .effective import check_pole_gap
+from .effective import EffectivePotential
 from .errors import NumericalError
 from .model import Grid, ModeBasis
 from .spectrum import SpectrumResult
-from .truncated import TruncatedSolution
 
 SCHMIDT_TOL = 1e-8
 
@@ -98,21 +99,16 @@ def complexity_measure(n_realizations: int) -> float:
     return log(n_realizations)
 
 
-def reconstruct_all(sr: SpectrumResult, trunc: TruncatedSolution,
-                    b: np.ndarray, basis: ModeBasis,
+def reconstruct_all(sr: SpectrumResult, ep: EffectivePotential,
+                    q: np.ndarray, basis: ModeBasis,
                     xi_grid: Grid) -> StateSet:
     """Recover the full state behind every certified root, in root order.
 
-    b is the coupling B = op[:N_g, N_g:] of mode 0 to the eliminated
-    sector that trunc diagonalizes; all tails come from one resolvent
-    product. A root at resonance with a pole raises PoleProximityError.
+    q holds the eigenvectors of L, a column per raw pole of ep in
+    ascending order (reduce_block); all tails come from one product.
     """
-    eta = sr.roots
-    check_pole_gap(eta, trunc.eigvals, sr.span)
-    w = b @ trunc.eigvecs                     # residue vector per pole
-    amps = (sr.vectors @ w) / (eta[:, None] - trunc.eigvals[None, :])
-    tails = (amps @ trunc.eigvecs.T).reshape(eta.size, basis.n_modes - 1,
-                                             xi_grid.n)
+    tails = (ep.raw_amplitudes(sr.border) @ q.T).reshape(
+        sr.roots.size, basis.n_modes - 1, xi_grid.n)
     channels = np.concatenate([sr.vectors[:, None, :], tails], axis=1)
     return StateSet(channels=channels, energies=sr.energies, basis=basis,
                     xi_grid=xi_grid)

@@ -192,7 +192,7 @@ def _is_int(x) -> bool:
 
 # run key -> (accepts the value, what it must be)
 RUN_CHECKS = {
-    "seed": (lambda x: _is_int(x) and x >= 0, "a non-negative integer"),
+    "seed": (lambda x: _is_int(x) and 0 <= x < 1 << 64, "in [0, 2^64)"),
     "cycles": (lambda x: _is_int(x) and x >= 1, "an integer >= 1"),
     "prob_mode": (lambda x: x in PROBABILITY_MODES,
                   "one of " + ", ".join(PROBABILITY_MODES)),

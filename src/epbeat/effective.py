@@ -32,7 +32,7 @@ import numpy as np
 from .errors import ConfigError, NumericalError, PoleProximityError
 from .model import (CouplingMatrices, ProblemSpec, block_operator,
                     hamiltonian_g)
-from .truncated import TruncatedSolution, diagonalize_sym
+from .truncated import diagonalize_sym
 
 POLE_MERGE_FACTOR = 1e-8   # poles within this x span are one pole
 RESIDUE_RANK_TOL = 1e-10   # merged-residue eigenvalues kept, vs the largest
@@ -53,7 +53,8 @@ class EffectivePotential:
     both kept for count accounting. span bounds the spectrum of h0 and
     the poles; every root tolerance scales with it. hg_diag is the bare
     grid-operator diagonal, needed to isolate the interaction well
-    profile; eps0 converts roots to total energies.
+    profile; eps0 converts roots to total energies. lifts[k] maps pole
+    k's r_k border amplitudes to its m_k raw poles (raw_amplitudes).
     """
 
     h0: np.ndarray
@@ -64,6 +65,7 @@ class EffectivePotential:
     span: float
     hg_diag: np.ndarray
     eps0: float = 0.0
+    lifts: tuple = ()
 
     @property
     def n_g(self) -> int:
@@ -77,6 +79,20 @@ class EffectivePotential:
         and the pole of each column."""
         w_all = np.hstack((np.zeros((self.n_g, 0)),) + self.residue_factors)
         return w_all, np.repeat(self.poles, self.ranks())
+
+    def raw_amplitudes(self, y: np.ndarray) -> np.ndarray:
+        """Border amplitudes y (a column per column of columns()) on the
+        raw poles in ascending order: y_k M_k per pole, 0 if decoupled."""
+        ranks = self.ranks()
+        sizes = np.array([m.shape[1] for m in self.lifts], dtype=int)
+        cols, first = np.cumsum(ranks) - ranks, np.cumsum(sizes) - sizes
+        out = np.zeros((y.shape[0], self.raw_pole_count))
+        lone = (sizes == 1) & (ranks == 1)
+        out[:, first[lone]] = y[:, cols[lone]]
+        for k in np.flatnonzero((sizes > 1) & (ranks > 0)).tolist():
+            out[:, first[k]:first[k] + sizes[k]] = (
+                y[:, cols[k]:cols[k] + ranks[k]] @ self.lifts[k])
+        return out
 
     def residue_matrix(self, k: int) -> np.ndarray:
         w = self.residue_factors[k]
@@ -94,16 +110,16 @@ class EffectivePotential:
         }
 
 
-def _merge_poles(poles: np.ndarray, vectors: np.ndarray,
-                 tol: float) -> tuple[np.ndarray, tuple, np.ndarray]:
+def _merge_poles(poles: np.ndarray, vectors: np.ndarray, tol: float):
     """Cluster poles within tol and sum their rank-1 residues.
 
-    Returns sorted distinct pole values, per-pole residue factors and
-    each factor's lead (its largest squared column norm). One mask
+    Returns sorted distinct pole values, per-pole residue factors, each
+    factor's lead (its largest squared column norm) and lift. One mask
     splits the sorted poles into clusters; a lone pole keeps its
-    vector as a column view, and only a merged cluster's factor comes
-    from the eigendecomposition of its summed residue matrix,
-    truncated at the numerical rank.
+    vector as a column view and the lift [[1]]. Only a merged cluster's
+    factor W = V Lambda^{1/2} and lift M = Lambda^{-1/2} V^T C (C = W M)
+    come from the eigendecomposition V Lambda V^T of its summed residue
+    matrix C C^T, truncated at the numerical rank.
     """
     order = np.argsort(poles, kind="stable")
     poles = poles[order]
@@ -113,15 +129,17 @@ def _merge_poles(poles: np.ndarray, vectors: np.ndarray,
     merged = poles[starts]
     leads = np.sum(vectors * vectors, axis=0)[starts]
     factors = [vectors[:, k:k + 1] for k in starts.tolist()]
+    lifts = [np.ones((1, 1))] * starts.size
     for k in np.flatnonzero(stops - starts > 1).tolist():
         cluster = vectors[:, starts[k]:stops[k]]
         vals, vecs = np.linalg.eigh(cluster @ cluster.T)
         keep = vals > RESIDUE_RANK_TOL * max(vals[-1], 0.0)
         factors[k] = vecs[:, keep] * np.sqrt(vals[keep])
+        lifts[k] = (factors[k].T @ cluster) / vals[keep, None]
         merged[k] = np.mean(poles[starts[k]:stops[k]])
         leads[k] = np.max(np.sum(factors[k] * factors[k], axis=0),
                           initial=0.0)
-    return merged, tuple(factors), leads
+    return merged, tuple(factors), leads, lifts
 
 
 def ep_from_poles(h0: np.ndarray, poles, residue_vectors, n_channels: int,
@@ -142,42 +160,43 @@ def ep_from_poles(h0: np.ndarray, poles, residue_vectors, n_channels: int,
     radius = np.sum(np.abs(h0), axis=1) - np.abs(diag)
     ends = np.concatenate([diag - radius, diag + radius, poles])
     span = max(float(ends.max() - ends.min()), 1.0)
-    merged, factors, leads = _merge_poles(poles, vectors,
-                                          POLE_MERGE_FACTOR * span)
-    coupled = leads > DECOUPLED_FACTOR * np.max(leads, initial=0.0)
+    merged, factors, leads, lifts = _merge_poles(poles, vectors,
+                                                 POLE_MERGE_FACTOR * span)
+    coupled = (leads > DECOUPLED_FACTOR * np.max(leads, initial=0.0)).tolist()
     factors = tuple(w if keep else w[:, :0]
-                    for w, keep in zip(factors, coupled.tolist()))
+                    for w, keep in zip(factors, coupled))
+    lifts = tuple(m if keep else m[:0] for m, keep in zip(lifts, coupled))
     if hg_diag is None:
         hg_diag = np.zeros(h0.shape[0])
     return EffectivePotential(
         h0=h0, poles=merged, residue_factors=factors,
         raw_pole_count=int(poles.size), n_channels=n_channels, span=span,
-        hg_diag=np.asarray(hg_diag, dtype=float), eps0=float(eps0))
+        hg_diag=np.asarray(hg_diag, dtype=float), eps0=float(eps0),
+        lifts=lifts)
 
 
 def reduce_block(op: np.ndarray, n_g: int, hg_diag: np.ndarray,
-                 eps0: float) -> tuple[TruncatedSolution, EffectivePotential]:
+                 eps0: float) -> tuple[np.ndarray, EffectivePotential]:
     """Eliminate everything past the first n_g rows of a block operator.
 
-    Diagonalizes L = op[n_g:, n_g:] and carries B = op[:n_g, n_g:] into
-    the residue vectors B q_k of the potential on h0 = op[:n_g, :n_g].
-    Both hierarchy levels and the pipeline use this one reduction.
+    Diagonalizes L = op[n_g:, n_g:] = Q diag(p) Q^T and carries
+    B = op[:n_g, n_g:] into the residue vectors B q_k of the potential
+    on h0 = op[:n_g, :n_g]; returns Q and the potential. Both hierarchy
+    levels and the pipeline use this one reduction.
     """
-    sub = op[n_g:, n_g:]
-    vals, vecs = diagonalize_sym(sub)
-    trunc = TruncatedSolution(eigvals=vals, eigvecs=vecs)
+    vals, vecs = diagonalize_sym(op[n_g:, n_g:])
     ep = ep_from_poles(op[:n_g, :n_g], vals, op[:n_g, n_g:] @ vecs,
                        n_channels=op.shape[0] // n_g - 1,
                        hg_diag=hg_diag, eps0=eps0)
-    return trunc, ep
+    return vecs, ep
 
 
 def check_pole_gap(eta, poles: np.ndarray, span: float) -> None:
     """Raise PoleProximityError if an eta lies within rounding of a pole.
 
     Within POLE_GUARD_FACTOR x span of a pole, 1 / (eta - p_k) carries
-    no significant digits, so neither V_eff nor a state's resolvent
-    tail is defined there. eval_ep and reconstruct_all share this guard.
+    no significant digits, so V_eff is not defined there. eval_ep and
+    the inertia count (_pivot_eigenvalues) share this guard.
     """
     eta = np.atleast_1d(np.asarray(eta, dtype=float))
     guard = POLE_GUARD_FACTOR * span

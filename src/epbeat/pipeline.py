@@ -13,7 +13,6 @@ from .model import (CouplingMatrices, ProblemSpec, block_operator,
                     hamiltonian_g, project_coupling)
 from .realizations import RealizationSet, group_realizations
 from .spectrum import SpectrumResult, find_roots
-from .truncated import TruncatedSolution
 
 
 @dataclass(frozen=True)
@@ -25,7 +24,6 @@ class PipelineResult:
     spec: ProblemSpec
     v: CouplingMatrices
     operator: np.ndarray
-    trunc: TruncatedSolution
     ep: EffectivePotential
     sr: SpectrumResult
     states: StateSet
@@ -38,15 +36,13 @@ def solve_problem(spec: ProblemSpec,
     v = project_coupling(spec.modes, spec.coupling, spec.xi_grid)
     op = block_operator(spec, v)
     op.setflags(write=False)
-    n_g = spec.n_g
-    trunc, ep = reduce_block(op, n_g, hamiltonian_g(spec).diagonal().copy(),
-                             float(spec.modes.eps[0]))
+    q, ep = reduce_block(op, spec.n_g, hamiltonian_g(spec).diagonal().copy(),
+                         float(spec.modes.eps[0]))
     sr = find_roots(ep)
-    states = reconstruct_all(sr, trunc, op[:n_g, n_g:], spec.modes,
-                             spec.xi_grid)
+    states = reconstruct_all(sr, ep, q, spec.modes, spec.xi_grid)
     rs = group_realizations(states, pr_threshold)
-    return PipelineResult(spec=spec, v=v, operator=op, trunc=trunc, ep=ep,
-                          sr=sr, states=states, rs=rs)
+    return PipelineResult(spec=spec, v=v, operator=op, ep=ep, sr=sr,
+                          states=states, rs=rs)
 
 
 def mean_intermediate_density(result: PipelineResult) -> np.ndarray:

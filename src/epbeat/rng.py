@@ -84,10 +84,12 @@ def _check_window(start: int, count: int) -> None:
 def uniform_block(seed: int, start: int, count: int) -> np.ndarray:
     """Vectorized uniform doubles for indices start..start+count-1.
 
-    Bit-identical to calling uniform_at per index; computed in place.
+    Bit-identical to calling uniform_at per index, with counters that
+    wrap mod 2^64 like its own; computed in place.
     """
     _check_window(start, count)
-    z = np.arange(start + 1, start + count + 1, dtype=np.uint64)
+    z = np.arange(count, dtype=np.uint64)
+    z += np.uint64((start + 1) & MASK64)
     z *= _U64_GAMMA
     z += np.uint64(seed & MASK64)
     z ^= z >> _S30

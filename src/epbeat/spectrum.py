@@ -54,22 +54,22 @@ class CountRecord:
 
 @dataclass(frozen=True)
 class SpectrumResult:
-    """All certified roots with channel-0 eigenvectors and accounting.
+    """All certified roots with their eigenvectors and accounting.
 
-    excluded keeps the (value, reason) format of spectrum.json; since
-    certification excludes nothing, it is empty. span is the
-    potential's span, the scale of the certification bound and of the
-    pole guard.
+    vectors[i] is root i's unit channel-0 profile x and border[i] the
+    border block y of the same linearization eigenvector, scaled
+    alike. excluded keeps the (value, reason) format of spectrum.json;
+    since certification excludes nothing, it is empty.
     """
 
     roots: np.ndarray
-    vectors: np.ndarray  # rows are unit channel-0 profiles per root
+    vectors: np.ndarray  # (n_roots, N_g)
+    border: np.ndarray   # (n_roots, sum of ranks)
     energies: np.ndarray
     counts: CountRecord
     excluded: tuple
     decoupled_poles: np.ndarray
     residual_max: float
-    span: float
 
     def eigenvalues(self) -> np.ndarray:
         """Sorted spectrum of the reduced operator, in the eta scale.
@@ -88,7 +88,7 @@ def find_roots(ep: EffectivePotential) -> SpectrumResult:
     division-free residual R_j = ||h0 x_j + W y_j - eta_j x_j|| / ||x_j||,
     from one product for all roots, must clear ROOT_RESIDUAL_FACTOR
     times the span, or NumericalError is raised. residual_max is the
-    largest R_j.
+    largest R_j. Eigenvectors are scaled in place to ||x_j|| = 1.
     """
     lin = linearize_ep(ep)
     vals, vecs = diagonalize_sym(lin)
@@ -105,6 +105,7 @@ def find_roots(ep: EffectivePotential) -> SpectrumResult:
             f"find_roots: root {float(vals[j])!r} failed certification "
             f"(residual {resid[j]:.3e} > {bound:.3e} x channel-0 weight "
             f"{nx[j]:.3e})")
+    vecs /= nx
     ranks = ep.ranks()
     n_e = ep.n_channels
     counts = CountRecord(
@@ -116,10 +117,10 @@ def find_roots(ep: EffectivePotential) -> SpectrumResult:
         full_degree_count=int(n_g * (n_e * n_g + 1)),
         linear_count=int((n_e + 1) * n_g))
     return SpectrumResult(
-        roots=vals, vectors=(x / nx).T, energies=vals + ep.eps0,
-        counts=counts, excluded=(),
+        roots=vals, vectors=x.T, border=vecs[n_g:].T,
+        energies=vals + ep.eps0, counts=counts, excluded=(),
         decoupled_poles=ep.poles[ranks == 0],
-        residual_max=float((resid / nx).max(initial=0.0)), span=ep.span)
+        residual_max=float((resid / nx).max(initial=0.0)))
 
 
 def count_accounting(sr: SpectrumResult) -> dict:

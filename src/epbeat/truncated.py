@@ -1,17 +1,14 @@
-"""The eliminated sector of a block reduction and the one eigensolver.
+"""The one eigensolver of the package.
 
-Eliminating mode 0 from the coupled-channel operator leaves the block
-operator L = op[N_g:, N_g:] over the remaining modes (see
-model.block_operator). Its eigenvalues are the pole positions of the
-effective potential, because the per-block energy shifts eps_n - eps_0
-are already part of L. diagonalize_sym is the only eigensolver of the
-package: LAPACK's symmetric solver behind input and reconstruction
-checks.
+diagonalize_sym is LAPACK's symmetric solver behind input and
+reconstruction checks. effective.reduce_block applies it to the
+eliminated block L = op[N_g:, N_g:] (see model.block_operator), whose
+eigenvalues are the pole positions of the effective potential and
+whose eigenvectors carry the reconstructed channel tails;
+spectrum.find_roots applies it to the bordered linearization.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -19,18 +16,6 @@ from .errors import NumericalError
 
 SYMMETRY_TOL = 1e-12
 RECONSTRUCTION_TOL = 1e-9
-
-
-@dataclass(frozen=True)
-class TruncatedSolution:
-    """Eigen-solution of the eliminated block operator.
-
-    eigvecs columns are global eigenvectors over the flattened
-    (block n, xi) index, orthonormal; eigvals are sorted ascending.
-    """
-
-    eigvals: np.ndarray
-    eigvecs: np.ndarray
 
 
 def diagonalize_sym(m: np.ndarray):

@@ -4,10 +4,13 @@ import numpy as np
 import pytest
 
 from epbeat import (CouplingSpec, Grid, ProblemSpec, StateSet,
-                    block_operator, complexity_measure, gaussian_bump_basis,
-                    given_mode_basis, participation_ratio, schmidt_ranks,
-                    solve_problem)
-from epbeat.verification import random_instance, zero_coupling_instance
+                    block_operator, compare_spectra, complexity_measure,
+                    direct_energies, find_roots, gaussian_bump_basis,
+                    given_mode_basis, participation_ratio, reconstruct_all,
+                    reduce_block, schmidt_ranks, solve_problem)
+from epbeat.verification import (EP_EXACTNESS_TOL, STATE_RESIDUAL_TOL,
+                                 max_state_residual, random_instance,
+                                 recovered_spectrum, zero_coupling_instance)
 
 
 def toy_states(phi, channels, q_grid, xi_grid):
@@ -54,23 +57,66 @@ class TestReconstruction:
             mass = np.einsum("qx,q,x->", painted(states, i) ** 2, wq, wx)
             assert mass == pytest.approx(1.0, abs=1e-9)
 
-    def test_resonant_root_rejected(self):
-        import dataclasses
-        from epbeat import PoleProximityError, reconstruct_all
-        from epbeat import hamiltonian_g, project_coupling, reduce_block
-        from epbeat import find_roots
-        spec = random_instance(3)
-        v = project_coupling(spec.modes, spec.coupling, spec.xi_grid)
-        op = block_operator(spec, v)
-        trunc, ep = reduce_block(op, spec.n_g, hamiltonian_g(spec).diagonal(),
-                                 spec.modes.eps[0])
+    def test_root_on_pole_reconstructed(self):
+        # the mode-0 row at xi_0 is uncoupled and its diagonal 2.0 equals
+        # the pole of L at xi_1, so a root sits exactly on a coupled
+        # pole, where the resolvent <w_k, x> / (eta - p_k) is 0 / 0
+        n_g = 3
+        h0 = np.array([[2.0, 0.0, 0.0], [0.0, 0.5, -0.2], [0.0, -0.2, -0.3]])
+        b = np.diag([0.0, 0.4, 0.7])
+        op = np.block([[h0, b], [b.T, np.diag([1.0, 2.0, 3.0])]])
+        q, ep = reduce_block(op, n_g, np.zeros(n_g), 0.0)
         sr = find_roots(ep)
-        rigged = sr.roots.copy()
-        rigged[0] = trunc.eigvals[0]  # park the root on a pole
-        sr_bad = dataclasses.replace(sr, roots=rigged)
-        with pytest.raises(PoleProximityError, match="resonance"):
-            reconstruct_all(sr_bad, trunc, op[:spec.n_g, spec.n_g:],
-                            spec.modes, spec.xi_grid)
+        assert 2.0 in sr.roots and 2.0 in ep.poles
+        q_grid = Grid.uniform(4, (0.0, 1.0), "periodic")
+        phi = [np.ones(4), np.sqrt(2.0) * np.cos(2 * np.pi * q_grid.points)]
+        basis = given_mode_basis([0.0, 1.0], phi, q_grid)
+        states = reconstruct_all(sr, ep, q, basis, Grid.uniform(n_g, (0, 1)))
+        c = states.channels.reshape(len(states), -1).T
+        c = c / np.linalg.norm(c, axis=0)
+        resid = np.linalg.norm(op @ c - c * sr.roots, axis=0)
+        assert resid.max() <= STATE_RESIDUAL_TOL
+
+    def test_merged_cluster_states(self):
+        # modes {1, sqrt2 cos, sqrt2 sin} at eps (0, 0.8, 0.8) under the
+        # kernel -(f + h1 cos + h2 sin): L is two equal blocks, so every
+        # pole is a pair that merges at rank 2
+        n_g, n_q = 6, 16
+        q_grid = Grid.uniform(n_q, (0.0, 1.0), "periodic")
+        qq = 2 * np.pi * q_grid.points
+        phi = [np.ones(n_q), np.sqrt(2.0) * np.cos(qq),
+               np.sqrt(2.0) * np.sin(qq)]
+        basis = given_mode_basis([0.0, 0.8, 0.8], phi, q_grid)
+        xi_grid = Grid.uniform(n_g, (0.0, 1.0))
+        xi = xi_grid.points
+        f = 1.0 + np.cos(np.pi * xi)
+        h1 = 0.9 * np.exp(-(xi - 0.3) ** 2 / 0.05)
+        h2 = 0.6 * np.exp(-(xi - 0.7) ** 2 / 0.05)
+        samples = -(f + np.cos(qq)[:, None] * h1 + np.sin(qq)[:, None] * h2)
+        spec = ProblemSpec(
+            xi_grid=xi_grid, modes=basis,
+            coupling=CouplingSpec(kind="custom_sampled", samples=samples),
+            g_stiffness=0.3, g_potential=np.linspace(-0.5, 0.5, n_g))
+        result = solve_problem(spec)
+        assert result.ep.ranks().tolist() == [2] * n_g
+        assert result.ep.raw_pole_count == 2 * n_g
+        assert max_state_residual(result) <= STATE_RESIDUAL_TOL
+        report = compare_spectra(recovered_spectrum(result),
+                                 direct_energies(spec, result.operator),
+                                 EP_EXACTNESS_TOL)
+        assert report.passed
+        # resolvent oracle over the raw poles, away from them
+        lvals, lvecs = np.linalg.eigh(result.operator[n_g:, n_g:])
+        eta, x = result.sr.roots, result.sr.vectors
+        far = np.abs(eta[:, None] - lvals).min(axis=1) > 1e-3
+        amps = (x[far] @ result.operator[:n_g, n_g:] @ lvecs
+                / (eta[far, None] - lvals))
+        want = np.hstack([x[far], amps @ lvecs.T])
+        got = result.states.channels[far].reshape(want.shape)
+        assert far.sum() >= len(eta) - 2
+        assert np.allclose(got / np.linalg.norm(got, axis=1)[:, None],
+                           want / np.linalg.norm(want, axis=1)[:, None],
+                           rtol=0.0, atol=1e-9)
 
     def test_tail_weight_grows_with_coupling(self):
         gen = np.random.default_rng(2)

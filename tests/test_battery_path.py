@@ -17,9 +17,9 @@ import pytest
 
 import epbeat.oracle as oracle
 import epbeat.verification as verification
-from epbeat import (NumericalError, block_operator, direct_energies,
-                    direct_spectrum, ep_from_poles, hamiltonian_g,
-                    project_coupling, reduce_block, solve_problem)
+from epbeat import (NumericalError, block_operator, diagonalize_sym,
+                    direct_energies, direct_spectrum, ep_from_poles,
+                    project_coupling, solve_problem)
 from epbeat.cli import main
 from epbeat.effective import (DECOUPLED_FACTOR, POLE_MERGE_FACTOR,
                               RESIDUE_RANK_TOL)
@@ -83,8 +83,8 @@ def reduction_inputs(spec):
     v = project_coupling(spec.modes, spec.coupling, spec.xi_grid)
     op = block_operator(spec, v)
     n_g = spec.n_g
-    trunc, _ = reduce_block(op, n_g, hamiltonian_g(spec).diagonal(), 0.0)
-    return op[:n_g, :n_g], trunc.eigvals, op[:n_g, n_g:] @ trunc.eigvecs
+    poles, q = diagonalize_sym(op[n_g:, n_g:])
+    return op[:n_g, :n_g], poles, op[:n_g, n_g:] @ q
 
 
 class TestBatchedMerge:

@@ -124,6 +124,19 @@ class TestGenerator:
         assert np.array_equal(rng.categorical_block(0, 0, u.size, alpha),
                               expected)
 
+    def test_top_of_counter_range(self):
+        # the counters wrap mod 2^64 like the scalar path's
+        top = 2 ** 64 - 1
+        scalar = np.array([rng.uniform_at(5, top - 2 + i) for i in range(5)])
+        assert np.array_equal(rng.uniform_block(5, top, 1), scalar[2:3])
+        assert np.array_equal(rng.uniform_block(5, top - 2, 5), scalar)
+        alpha = WEIGHTS["random300"]
+        cum = np.cumsum(alpha / alpha.sum())
+        expected = np.minimum(np.searchsorted(cum, scalar[2:], side="right"),
+                              alpha.size - 1)
+        assert np.array_equal(rng.categorical_block(5, top, 3, alpha),
+                              expected)
+
     @pytest.mark.parametrize("start, count", [(-1, 2), (-3, 5), (-1, 0)])
     def test_uniform_rejects_negative_start(self, start, count):
         with pytest.raises(ValueError, match="index must be nonnegative"):

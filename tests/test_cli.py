@@ -320,6 +320,18 @@ class TestExitCodes:
         assert f"run.{key}" in capsys.readouterr().err
         assert not out.exists()  # rejected before any artifact
 
+    def test_seed_below_two_to_the_64(self, config_path, tmp_path, capsys):
+        # the generator reduces a seed mod 2^64, so 2^64 would replay seed 0
+        out = tmp_path / "o"
+        assert main(["beat", "--config", config_path, "--out-dir", str(out),
+                     "--seed", str(2 ** 64)]) == 2
+        assert "run.seed" in capsys.readouterr().err
+        assert not out.exists()
+        assert main(["beat", "--config", config_path, "--out-dir", str(out),
+                     "--cycles", "50", "--seed", str(2 ** 64 - 1)]) == 0
+        summary = json.loads((out / "beat_summary.json").read_text())
+        assert summary["seed"] == 2 ** 64 - 1
+
     @pytest.mark.parametrize("literal",
                              ["NaN", "Infinity", "-Infinity", "1e400"])
     @pytest.mark.parametrize("command", ["solve", "verify"])

@@ -15,9 +15,9 @@ from epbeat.effective import POLE_GUARD_FACTOR
 
 def pipeline_upto_ep(spec):
     v = project_coupling(spec.modes, spec.coupling, spec.xi_grid)
-    trunc, ep = reduce_block(block_operator(spec, v), spec.n_g,
-                             hamiltonian_g(spec).diagonal(), spec.modes.eps[0])
-    return v, trunc, ep
+    q, ep = reduce_block(block_operator(spec, v), spec.n_g,
+                         hamiltonian_g(spec).diagonal(), spec.modes.eps[0])
+    return v, q, ep
 
 
 def scalar_ep(a=0.0, poles=(2.0,), weights=(1.0,)):
@@ -28,7 +28,7 @@ def scalar_ep(a=0.0, poles=(2.0,), weights=(1.0,)):
 class TestAssemble:
     def test_zero_coupling_residues_vanish(self):
         spec = zero_coupling_instance()
-        v, trunc, ep = pipeline_upto_ep(spec)
+        v, q, ep = pipeline_upto_ep(spec)
         for k in range(ep.poles.size):
             assert np.all(ep.residue_factors[k] == 0.0)
         eta = float(ep.poles.max() + 10.0)
@@ -45,7 +45,7 @@ class TestAssemble:
 
     def test_generic_instance_rank_one_residues(self):
         spec = random_instance(12)
-        v, trunc, ep = pipeline_upto_ep(spec)
+        v, q, ep = pipeline_upto_ep(spec)
         assert ep.poles.size == (spec.n_tot - 1) * spec.n_g
         for k in range(ep.poles.size):
             r = ep.residue_matrix(k)
@@ -138,7 +138,7 @@ class TestCharacteristic:
 class TestWellAlignment:
     def test_zero_coupling_reports_v00_minimum(self):
         spec = zero_coupling_instance()
-        v, trunc, ep = pipeline_upto_ep(spec)
+        v, q, ep = pipeline_upto_ep(spec)
         sr = find_roots(ep)
         report = ep_well_alignment(ep, float(sr.roots[0]), sr.vectors[0])
         v00 = ep.h0.diagonal() - ep.hg_diag
@@ -147,7 +147,7 @@ class TestWellAlignment:
 
     def test_single_well_coincidence(self):
         spec = single_well_instance()
-        v, trunc, ep = pipeline_upto_ep(spec)
+        v, q, ep = pipeline_upto_ep(spec)
         sr = find_roots(ep)
         report = ep_well_alignment(ep, float(sr.roots[0]), sr.vectors[0])
         assert report.aligned
@@ -155,7 +155,7 @@ class TestWellAlignment:
 
     def test_two_well_each_root_own_well(self):
         spec = two_well_instance()
-        v, trunc, ep = pipeline_upto_ep(spec)
+        v, q, ep = pipeline_upto_ep(spec)
         sr = find_roots(ep)
         # two lowest roots live in separate wells and each drags the
         # effective well onto itself
@@ -168,7 +168,7 @@ class TestWellAlignment:
 
     def test_bad_root_rejected(self):
         spec = single_well_instance()
-        v, trunc, ep = pipeline_upto_ep(spec)
+        v, q, ep = pipeline_upto_ep(spec)
         sr = find_roots(ep)
         from epbeat import NumericalError
         with pytest.raises(NumericalError, match="residual"):
@@ -178,7 +178,7 @@ class TestWellAlignment:
 class TestRecurse:
     def test_depth_one_matches_assemble(self):
         spec = random_instance(21)
-        v, trunc, ep = pipeline_upto_ep(spec)
+        v, q, ep = pipeline_upto_ep(spec)
         levels = recurse_ep(spec, v, 1)
         assert len(levels) == 1
         assert np.allclose(levels[0].ep.poles, ep.poles)

@@ -13,9 +13,9 @@ from epbeat.verification import (random_instance, two_well_instance,
 
 def pipeline_upto_ep(spec):
     v = project_coupling(spec.modes, spec.coupling, spec.xi_grid)
-    trunc, ep = reduce_block(block_operator(spec, v), spec.n_g,
-                             hamiltonian_g(spec).diagonal(), spec.modes.eps[0])
-    return v, trunc, ep
+    q, ep = reduce_block(block_operator(spec, v), spec.n_g,
+                         hamiltonian_g(spec).diagonal(), spec.modes.eps[0])
+    return v, q, ep
 
 
 def synthetic_full_rank_ep(n_e=2, n_g=3, seed=42):
@@ -92,7 +92,7 @@ class TestFindRoots:
 
     def test_matches_direct_full_spectrum(self):
         spec = random_instance(101)
-        v, trunc, ep = pipeline_upto_ep(spec)
+        v, q, ep = pipeline_upto_ep(spec)
         sr = find_roots(ep)
         energies, _ = direct_spectrum(spec, v)
         scale = max(np.abs(energies).max(), 1.0)
@@ -164,7 +164,7 @@ class TestAccounting:
 
     def test_simple_poles_measured_equals_linear_dimension(self):
         spec = random_instance(241)
-        v, trunc, ep = pipeline_upto_ep(spec)
+        v, q, ep = pipeline_upto_ep(spec)
         sr = find_roots(ep)
         acc = count_accounting(sr)
         assert acc["measured_roots"] == 9 == spec.n_tot * spec.n_g

@@ -13,8 +13,10 @@ byte-identical CSV/JSON files (timestamps live only in the manifest).
 JSON layout: two-space indent, one scalar per line; floats as .17g,
 non-finite floats as null; Python and numpy bools as true/false. A
 numpy array is written as nested lists, the same bytes as its
-tolist(), but all its elements are formatted in one pass and each row
-is joined once.
+tolist(): its template is joined once per axis and filled with one %
+over the flat elements, then inf/-inf/nan become null. A list of
+ndarrays of one shape and dtype is written as their np.stack. Density
+CSVs fill a repeated row template the same way.
 """
 
 from __future__ import annotations
@@ -64,37 +66,50 @@ def _fmt_float(x: float) -> str:
     return format(float(x), ".17g")
 
 
-def _fmt_floats(a: np.ndarray) -> list:
-    """_fmt_float of every element of a, in one pass (row-major)."""
-    flat = np.ravel(a)
-    text = list(map("{:.17g}".format, flat.tolist()))
-    for i in np.flatnonzero(~np.isfinite(flat)).tolist():
-        text[i] = "null"
+# %-conversion of an array element per dtype kind; a bool is filled
+# from its JSON text
+_CONVERSIONS = {"f": "%.17g", "i": "%d", "u": "%d", "b": "%s"}
+
+
+def _fill(template: str, a: np.ndarray) -> str:
+    """template % the elements of a, row-major, in one call.
+
+    A non-finite float prints as inf, -inf or nan; no finite .17g
+    string holds those letters, so each is then replaced by null.
+    """
+    values = a.ravel().tolist()
+    if a.dtype.kind == "b":
+        values = [("false", "true")[x] for x in values]
+    text = template % tuple(values)
+    if a.dtype.kind == "f" and not np.isfinite(a).all():
+        for word in ("-inf", "inf", "nan"):
+            text = text.replace(word, "null")
     return text
 
 
 def _array_json(a: np.ndarray, indent: int) -> str:
-    """_to_json(a.tolist(), indent), built from the innermost axis
-    outward: one formatting pass, then one join per row."""
-    kind = a.dtype.kind
-    if kind == "f":
-        items = _fmt_floats(a)
-    elif kind == "b":
-        items = ["true" if x else "false" for x in a.ravel().tolist()]
-    elif kind in "iu":
-        items = list(map(str, a.ravel().tolist()))
-    else:
+    """_to_json(a.tolist(), indent) from one template and one fill.
+
+    Every block along an axis has the same text, so the template is
+    built innermost axis first with one join per axis.
+    """
+    if a.dtype.kind not in _CONVERSIONS:
         return _to_json(a.tolist(), indent)
+    text = _CONVERSIONS[a.dtype.kind]
     for axis in range(a.ndim - 1, -1, -1):
         n = a.shape[axis]
-        if n == 0:
-            items = ["[]"] * math.prod(a.shape[:axis])
-            continue
         pad = "  " * (indent + axis)
-        head, sep, tail = f"[\n{pad}  ", f",\n{pad}  ", f"\n{pad}]"
-        items = [head + sep.join(items[i:i + n]) + tail
-                 for i in range(0, len(items), n)]
-    return items[0]
+        text = (f"[\n{pad}  " + f",\n{pad}  ".join([text] * n) + f"\n{pad}]"
+                if n else "[]")
+    return _fill(text, a)
+
+
+def _same_arrays(items) -> bool:
+    """Items that np.stack writes with the same bytes as the list: all
+    ndarrays of one shape and one dtype."""
+    first = items[0]
+    return all(isinstance(x, np.ndarray) and x.shape == first.shape
+               and x.dtype == first.dtype for x in items)
 
 
 def _to_json(obj, indent: int = 0) -> str:
@@ -109,6 +124,8 @@ def _to_json(obj, indent: int = 0) -> str:
     if isinstance(obj, (list, tuple)):
         if len(obj) == 0:
             return "[]"
+        if _same_arrays(obj):
+            return _array_json(np.stack(obj), indent)
         items = [f"{inner}{_to_json(v, indent + 1)}" for v in obj]
         return "[\n" + ",\n".join(items) + f"\n{pad}]"
     if isinstance(obj, np.ndarray):
@@ -135,11 +152,10 @@ def write_density_csv(path: Path, rho: np.ndarray, q_points: np.ndarray,
     Header carries the q coordinates; the first column carries xi.
     """
     rows = np.column_stack([xi_points, rho.T])
-    text = _fmt_floats(rows)
-    width = rows.shape[1]
-    lines = ["xi," + ",".join(_fmt_floats(q_points))]
-    lines += [",".join(text[i:i + width]) for i in range(0, len(text), width)]
-    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    header = _fill(",".join(["%.17g"] * q_points.size), q_points)
+    row = ",".join(["%.17g"] * rows.shape[1]) + "\n"
+    path.write_text(f"xi,{header}\n" + _fill(row * rows.shape[0], rows),
+                    encoding="utf-8")
 
 
 def write_events_csv(path: Path, traj) -> None:
@@ -423,9 +439,9 @@ def cmd_hierarchy(runner: _Runner, doc: dict, run: dict) -> int:
     levels = recurse_ep(spec, v, depth=run["depth"])
     payload = {"levels": []}
     for level in levels:
+        direct = direct_energies(spec, level.operator)
         sr = find_roots(level.ep)
-        direct_sorted = np.sort(np.linalg.eigvalsh(level.operator))
-        report = compare_spectra(sr.eigenvalues(), direct_sorted,
+        report = compare_spectra(sr.eigenvalues() + level.ep.eps0, direct,
                                  EP_EXACTNESS_TOL)
         payload["levels"].append({
             "depth": level.depth,

@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 import epbeat
+from epbeat import oracle
 from epbeat.cli import main
 
 BASE_CONFIG = {
@@ -209,6 +210,25 @@ def test_hierarchy_adds_back_decoupled_poles(tmp_path):
     levels = json.loads((out / "hierarchy.json").read_text())["levels"]
     assert [lv["operator_spectrum_match"]["passed"] for lv in levels] \
         == [True, True]
+
+
+def test_hierarchy_refuses_dense_solve_above_cap(tmp_path, monkeypatch,
+                                                 capsys):
+    # the same DIMENSION_CAP as verify: 4x32 has dimension 128
+    monkeypatch.setattr(oracle, "DIMENSION_CAP", 127)
+    doc = {"grid": {"n": 32}, "modes": {"count": 4, "delta_eps": 0.7},
+           "coupling": {"kind": "gaussian_attractive", "g": 1.0,
+                        "sigma": 0.2},
+           "hg": {"stiffness": 0.1,
+                  "potential": {"kind": "double_well", "depth": 1,
+                                "width": 0.08, "centers": [0.3, 0.7]}}}
+    path = tmp_path / "ladder.json"
+    path.write_text(json.dumps(doc))
+    out = tmp_path / "out"
+    assert main(["hierarchy", "--config", str(path), "--out-dir", str(out),
+                 "--depth", "2"]) == 3
+    assert "dimension 128 exceeds cap 127" in capsys.readouterr().err
+    assert not (out / "hierarchy.json").exists()
 
 
 # prints the heavy modules loaded by the import, the exit code of a

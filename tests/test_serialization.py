@@ -14,6 +14,7 @@ import pytest
 
 import epbeat.cli as cli
 from epbeat.cli import _to_json, main, write_density_csv, write_json
+from epbeat.effective import ep_from_poles
 from epbeat.verification import two_well_instance
 
 
@@ -86,6 +87,17 @@ EDGE_CASES = {
     "float32": np.linspace(0, 1, 7, dtype=np.float32),
     "three_d": np.random.default_rng(3).standard_normal((2, 3, 4)),
     "column": np.random.default_rng(4).standard_normal((4, 1)),
+    # same shape and dtype: written as np.stack of the list
+    "same_shape_columns": list(
+        np.random.default_rng(6).standard_normal((3, 4, 1))),
+    "stacked_nonfinite": [np.array([1.0, 2.0]), np.array([np.nan, -np.inf]),
+                          np.array([np.inf, -0.0])],
+    "zero_d_list": [np.array(1.5), np.array(-2.0), np.array(np.nan)],
+    # same shape, different dtypes: stacking would promote to one dtype
+    # (bools to 0/1, 2**60 to 1.152921504606847e+18)
+    "same_shape_bool_int": [np.array([True, False]), np.array([1, 0])],
+    "same_shape_int_float": [np.array([2 ** 60, -3]), np.array([0.5, 2.0])],
+    "zero_middle_axis": np.zeros((2, 0, 3)),
     "nested": {
         "factors": [np.ones((3, 2)), np.zeros((3, 0)),
                     np.random.default_rng(5).standard_normal((3, 1))],
@@ -117,6 +129,20 @@ def test_numpy_bools_and_arrays_are_written_as_json():
     loaded = json.loads(_to_json({"c": values, "m": np.eye(2) / 3}))
     assert loaded["c"] == values.tolist()
     assert loaded["m"] == (np.eye(2) / 3).tolist()
+
+
+def test_ep_from_poles_potential_matches_reference(tmp_path):
+    # pole 2.0 is replicated with independent vectors (one rank-2
+    # factor), 1.0 and 3.0 are simple, 4.0 has a zero vector (rank 0)
+    rng = np.random.default_rng(8)
+    vectors = rng.standard_normal((3, 5))
+    vectors[:, 4] = 0.0
+    ep = ep_from_poles(np.diag([0.5, 1.5, 2.5]), [2.0, 1.0, 2.0, 3.0, 4.0],
+                       vectors, n_channels=2)
+    assert ep.ranks().tolist() == [1, 2, 1, 0]
+    write_json(tmp_path / "ep.json", ep.to_dict())
+    assert (tmp_path / "ep.json").read_text(encoding="utf-8") \
+        == ref_to_json(as_scalars(ep.to_dict())) + "\n"
 
 
 @pytest.mark.parametrize("shape", [(1, 1), (4, 3), (3, 5)])

@@ -14,9 +14,8 @@ JSON layout: two-space indent, one scalar per line; floats as .17g,
 non-finite floats as null; Python and numpy bools as true/false. A
 numpy array is written as nested lists, the same bytes as its
 tolist(): its template is joined once per axis and filled with one %
-over the flat elements, then inf/-inf/nan become null. A list of
-ndarrays of one shape and dtype is written as their np.stack. Density
-CSVs fill a repeated row template the same way.
+over the flat elements, then inf/-inf/nan become null. Density CSVs
+fill a repeated row template the same way.
 """
 
 from __future__ import annotations
@@ -40,7 +39,7 @@ from .effective import recurse_ep, reduce_block
 from .errors import ConfigError, NumericalError, VerificationError
 from .model import (CouplingMatrices, block_operator, build_problem,
                     project_coupling)
-from .oracle import compare_spectra, direct_energies
+from .oracle import check_dimension, compare_spectra, direct_energies
 from .pipeline import mean_intermediate_density, solve_problem
 from .realizations import (PROBABILITY_MODES, mix_density,
                            realization_densities)
@@ -104,14 +103,6 @@ def _array_json(a: np.ndarray, indent: int) -> str:
     return _fill(text, a)
 
 
-def _same_arrays(items) -> bool:
-    """Items that np.stack writes with the same bytes as the list: all
-    ndarrays of one shape and one dtype."""
-    first = items[0]
-    return all(isinstance(x, np.ndarray) and x.shape == first.shape
-               and x.dtype == first.dtype for x in items)
-
-
 def _to_json(obj, indent: int = 0) -> str:
     pad = "  " * indent
     inner = "  " * (indent + 1)
@@ -124,8 +115,6 @@ def _to_json(obj, indent: int = 0) -> str:
     if isinstance(obj, (list, tuple)):
         if len(obj) == 0:
             return "[]"
-        if _same_arrays(obj):
-            return _array_json(np.stack(obj), indent)
         items = [f"{inner}{_to_json(v, indent + 1)}" for v in obj]
         return "[\n" + ",\n".join(items) + f"\n{pad}]"
     if isinstance(obj, np.ndarray):
@@ -380,6 +369,7 @@ def cmd_verify(runner: _Runner, doc: dict, run: dict, args) -> int:
         raise ConfigError(
             f"instances: need K >= 1 random instances, got {args.instances}")
     spec = build_problem(doc)
+    check_dimension("verify", spec)
     result = solve_problem(spec, run.get("pr_threshold"))
     energies = direct_energies(spec, result.operator)
     report = compare_spectra(recovered_spectrum(result), energies,
@@ -435,13 +425,15 @@ def cmd_verify(runner: _Runner, doc: dict, run: dict, args) -> int:
 
 def cmd_hierarchy(runner: _Runner, doc: dict, run: dict) -> int:
     spec = build_problem(doc)
+    # every level's operator is a trailing block of the full one
+    check_dimension("hierarchy", spec)
     v = project_coupling(spec.modes, spec.coupling, spec.xi_grid)
     levels = recurse_ep(spec, v, depth=run["depth"])
     payload = {"levels": []}
     for level in levels:
-        direct = direct_energies(spec, level.operator)
         sr = find_roots(level.ep)
-        report = compare_spectra(sr.eigenvalues() + level.ep.eps0, direct,
+        direct_sorted = np.sort(np.linalg.eigvalsh(level.operator))
+        report = compare_spectra(sr.eigenvalues(), direct_sorted,
                                  EP_EXACTNESS_TOL)
         payload["levels"].append({
             "depth": level.depth,

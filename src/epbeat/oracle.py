@@ -18,10 +18,11 @@ from .model import CouplingMatrices, ProblemSpec, block_operator
 DIMENSION_CAP = 2000
 
 
-def _check_dimension(caller: str, spec: ProblemSpec,
-                     dimension_cap: int | None) -> None:
-    """Refuse a dense solve above the cap; None reads DIMENSION_CAP now,
-    so both oracles follow a cap set on the module."""
+def check_dimension(caller: str, spec: ProblemSpec,
+                    dimension_cap: int | None = None) -> None:
+    """Refuse a dense solve of the full operator above the cap; None
+    reads DIMENSION_CAP now, so every caller follows a cap set on the
+    module."""
     cap = DIMENSION_CAP if dimension_cap is None else dimension_cap
     dim = spec.n_tot * spec.n_g
     if dim > cap:
@@ -35,7 +36,7 @@ def direct_spectrum(spec: ProblemSpec, v: CouplingMatrices,
 
     The eigenvalues of block_operator (eta scale) shifted by eps_0.
     """
-    _check_dimension("direct_spectrum", spec, dimension_cap)
+    check_dimension("direct_spectrum", spec, dimension_cap)
     etas, vectors = np.linalg.eigh(block_operator(spec, v))
     return etas + spec.modes.eps[0], vectors
 
@@ -43,7 +44,7 @@ def direct_spectrum(spec: ProblemSpec, v: CouplingMatrices,
 def direct_energies(spec: ProblemSpec, op: np.ndarray) -> np.ndarray:
     """Eigenvalues only of op = block_operator(spec, v), total energies
     ascending; the same DIMENSION_CAP as direct_spectrum."""
-    _check_dimension("direct_energies", spec, None)
+    check_dimension("direct_energies", spec)
     return np.linalg.eigvalsh(op) + spec.modes.eps[0]
 
 

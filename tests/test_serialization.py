@@ -87,14 +87,14 @@ EDGE_CASES = {
     "float32": np.linspace(0, 1, 7, dtype=np.float32),
     "three_d": np.random.default_rng(3).standard_normal((2, 3, 4)),
     "column": np.random.default_rng(4).standard_normal((4, 1)),
-    # same shape and dtype: written as np.stack of the list
+    # lists of same-shape arrays, written item by item
     "same_shape_columns": list(
         np.random.default_rng(6).standard_normal((3, 4, 1))),
-    "stacked_nonfinite": [np.array([1.0, 2.0]), np.array([np.nan, -np.inf]),
-                          np.array([np.inf, -0.0])],
+    "list_nonfinite": [np.array([1.0, 2.0]), np.array([np.nan, -np.inf]),
+                       np.array([np.inf, -0.0])],
     "zero_d_list": [np.array(1.5), np.array(-2.0), np.array(np.nan)],
-    # same shape, different dtypes: stacking would promote to one dtype
-    # (bools to 0/1, 2**60 to 1.152921504606847e+18)
+    # same shape, different dtypes: each item keeps its own conversion
+    # (np.stack would print bools as 0/1, 2**60 as 1.152921504606847e+18)
     "same_shape_bool_int": [np.array([True, False]), np.array([1, 0])],
     "same_shape_int_float": [np.array([2 ** 60, -3]), np.array([0.5, 2.0])],
     "zero_middle_axis": np.zeros((2, 0, 3)),

@@ -54,6 +54,9 @@ EXIT_VERIFICATION = 4
 # ticks per block of events.csv rows built in memory
 EVENTS_CHUNK = 1 << 16
 
+# "00".."99", each two ASCII bytes read as one uint16
+_DIGIT_PAIRS = np.array([b"%02d" % i for i in range(100)]).view(np.uint16)
+
 
 # ---------------------------------------------------------------------------
 # Deterministic serialization (17 significant digits)
@@ -147,16 +150,38 @@ def write_density_csv(path: Path, rho: np.ndarray, q_points: np.ndarray,
                     encoding="utf-8")
 
 
-def write_events_csv(path: Path, traj) -> None:
-    """One row per tick: the tick, then the row suffix of the
-    realization drawn.
+def _write_ticks(rows: np.ndarray, a: int, b: int) -> None:
+    """Store ticks a..b-1, all of d digits, as ASCII in rows[:, :d].
 
-    Each suffix is encoded once into a NUL-padded byte table. The rows
-    are built as uint8 arrays, EVENTS_CHUNK ticks at a time, in pieces
-    whose ticks share one digit count d. The tick's digits are stored
-    two at a time from a table of the 100 ASCII digit pairs, viewed as
-    uint16, with an odd leading digit stored alone; the padding is then
-    dropped (the output is ASCII, so a NUL is never data). Binary mode
+    Digits go two at a time through uint16 views. The last pair has
+    period 100: the 100 pairs, rotated by a % 100, tiled in one store.
+    Higher pairs are encoded for t // 100 only and repeated 100 times;
+    an odd leading digit is stored alone. Temporaries are O(b - a).
+    """
+    d = len(str(a))
+    if d == 1:
+        rows[:, 0] = np.arange(a, b) + 48
+        return
+    n, r, odd = b - a, a % 100, d % 2
+    pairs = rows[:, odd:d].view(np.uint16)
+    pairs[:, -1] = np.tile(np.roll(_DIGIT_PAIRS, -r), n // 100 + 1)[:n]
+    high = np.arange(a // 100, (b - 1) // 100 + 1)
+    for k in range(d // 2 - 2, -1, -1):
+        top = high // 100
+        pairs[:, k] = np.repeat(_DIGIT_PAIRS[high - top * 100], 100)[r:r + n]
+        high = top
+    if odd:
+        rows[:, 0] = np.repeat((high + 48).astype(np.uint8), 100)[r:r + n]
+
+
+def write_events_csv(path: Path, traj) -> None:
+    """One row per tick: the tick, then the suffix of the realization drawn.
+
+    Each suffix is encoded once into a NUL-padded byte table. Rows are
+    built EVENTS_CHUNK ticks at a time, in pieces whose ticks share a
+    digit count d: one take of the ids from the table behind a blank
+    d-byte tick field, which _write_ticks fills. The NULs are then
+    dropped (the output is ASCII, so a NUL is never data); binary mode
     keeps the newlines exact on every platform.
     """
     suffixes = [(f",{j},{index},"
@@ -164,24 +189,14 @@ def write_events_csv(path: Path, traj) -> None:
                  ).encode("ascii")
                 for j, (index, coord) in enumerate(traj.centers)]
     table = np.array(suffixes).view(np.uint8).reshape(len(suffixes), -1)
-    pairs = np.array([b"%02d" % i for i in range(100)]).view(np.uint16)
     with path.open("wb") as fh:
         fh.write(b"tick,realization_id,center_index,center_coord\n")
         a = 0
         while a < traj.length:
             d = len(str(a))
             b = min(traj.length, a + EVENTS_CHUNK, 10 ** d)
-            rows = np.empty((b - a, d + table.shape[1]), dtype=np.uint8)
-            odd = d % 2
-            digit_pairs = rows[:, odd:d].view(np.uint16)
-            ticks = np.arange(a, b)
-            for k in range(d // 2 - 1, -1, -1):
-                high = ticks // 100
-                digit_pairs[:, k] = pairs[ticks - high * 100]
-                ticks = high
-            if odd:
-                rows[:, 0] = ticks + 48
-            rows[:, d:] = table.take(traj.ids[a:b], axis=0)
+            rows = np.pad(table, ((0, 0), (d, 0))).take(traj.ids[a:b], axis=0)
+            _write_ticks(rows, a, b)
             flat = rows.ravel()
             fh.write(flat[flat != 0].tobytes())
             a = b

@@ -8,9 +8,9 @@ from scipy import stats
 
 from epbeat import (ConfigError, empirical_freqs, mean_intermediate_density,
                     simulate_beat, solve_problem)
-from epbeat import rng
+from epbeat import cli, rng
 from epbeat.beat import BeatTrajectory
-from epbeat.cli import EVENTS_CHUNK, _fmt_float, write_events_csv
+from epbeat.cli import EVENTS_CHUNK, _fmt_float, _write_ticks, write_events_csv
 from epbeat.verification import two_well_instance, zero_coupling_instance
 
 # Published SplitMix64 reference outputs for seed 0
@@ -191,6 +191,44 @@ class TestSimulateBeat:
         path = tmp_path / "events.csv"
         write_events_csv(path, traj)
         assert path.read_bytes() == reference_events_csv(traj)
+
+    @pytest.mark.parametrize("chunk", [7, 64, 1000])
+    @pytest.mark.parametrize("t", [1, 99, 101, 1_000, 12_345])
+    def test_writer_matches_reference_at_any_chunk_start(
+            self, two_well_rs, tmp_path, monkeypatch, chunk, t):
+        # chunk starts on every residue mod 100, pieces that end inside
+        # a 100-tick block
+        monkeypatch.setattr(cli, "EVENTS_CHUNK", chunk)
+        traj = simulate_beat(two_well_rs, t, seed=chunk, mode="uniform")
+        path = tmp_path / "events.csv"
+        write_events_csv(path, traj)
+        assert path.read_bytes() == reference_events_csv(traj)
+
+    @pytest.mark.parametrize("t", [131_073, 199_999])
+    def test_writer_matches_reference_for_uint16_ids(self, tmp_path, t):
+        # 300 realizations, suffixes of 9 to 36 bytes
+        coords = [float("nan"), 0.5, -1.2345678901234567e-300,
+                  9.8765432109876543e+200, 0.0, -0.0, 1e16, 3.0000000000000004]
+        centers = tuple((-1 if j % 7 == 0 else j * 37, coords[j % len(coords)])
+                        for j in range(300))
+        ids = np.random.default_rng(t).integers(0, 300, t).astype(np.uint16)
+        traj = BeatTrajectory(seed=0, mode="uniform", ids=ids, centers=centers)
+        path = tmp_path / "events.csv"
+        write_events_csv(path, traj)
+        assert path.read_bytes() == reference_events_csv(traj)
+
+    @pytest.mark.parametrize("a, b", [
+        (0, 10), (10, 100), (100, 1000), (37, 41), (199, 301),
+        (10 ** 12 - 250, 10 ** 12), (10 ** 12, 10 ** 12 + 1234),
+        (10 ** 12 + 37, 10 ** 12 + 338), (2 ** 64 - 1234, 2 ** 64),
+        (2 ** 64 - 99, 2 ** 64 - 98)])
+    def test_tick_digits_match_str(self, a, b):
+        d = len(str(a))
+        rows = np.zeros((b - a, d + 3), dtype=np.uint8)
+        _write_ticks(rows, a, b)
+        assert not rows[:, d:].any()
+        assert rows[:, :d].tobytes() == "".join(
+            str(t) for t in range(a, b)).encode("ascii")
 
     def test_two_well_born_events_pinned(self, tmp_path):
         result = solve_problem(two_well_instance())

@@ -68,8 +68,14 @@ def simulate_beat(rs: RealizationSet, t: int, seed: int,
 
 
 def empirical_freqs(traj: BeatTrajectory) -> tuple:
-    """Visit frequency per realization id, count_j / T."""
+    """Visit frequency per realization id, count_j / T.
+
+    Counted rng.DRAW_CHUNK ids at a time: bincount widens its input to
+    intp, so a whole-trajectory call would copy the ids at 8 bytes each.
+    """
     if traj.length == 0:
         raise ConfigError("empirical_freqs: empty trajectory")
-    counts = np.bincount(traj.ids, minlength=len(traj.centers))
+    counts = sum(np.bincount(traj.ids[a:a + rng.DRAW_CHUNK],
+                             minlength=len(traj.centers))
+                 for a in range(0, traj.length, rng.DRAW_CHUNK))
     return tuple(counts.astype(float) / traj.length)

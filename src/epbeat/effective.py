@@ -19,8 +19,11 @@ POLE_MERGE_FACTOR x span are combined, their residues summed into one
 block truncated at RESIDUE_RANK_TOL, and a pole whose residue is below
 DECOUPLED_FACTOR against the strongest keeps rank 0. The factors it
 stores are exactly the columns of the linearization, so the ranks are
-the rank accounting. The hierarchy applies the same reduction again
-to L, whose lowest block plays the mode-0 role at level 2.
+the rank accounting. The hierarchy (recurse_ep) is one loop of the
+same reduction over trailing blocks of the operator: level k + 1
+reduces level k's L, whose lowest block plays the mode-0 role, so
+level k's raw poles are already the spectrum level k + 1 must
+reproduce.
 """
 
 from __future__ import annotations
@@ -30,8 +33,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, NumericalError, PoleProximityError
-from .model import (CouplingMatrices, ProblemSpec, block_operator,
-                    hamiltonian_g)
+from .model import ProblemSpec, hamiltonian_g
 from .truncated import diagonalize_sym
 
 POLE_MERGE_FACTOR = 1e-8   # poles within this x span are one pole
@@ -48,31 +50,40 @@ class EffectivePotential:
 
     residue_factors[k] is an (N_g, r_k) matrix W_k with R_k = W_k W_k^T
     and r_k its numerical rank: 1 for a simple pole, larger after
-    merging, 0 for a decoupled pole. raw_pole_count is the pole count
-    before merging and n_channels the number of eliminated channels,
-    both kept for count accounting. span bounds the spectrum of h0 and
-    the poles; every root tolerance scales with it. hg_diag is the bare
-    grid-operator diagonal, needed to isolate the interaction well
-    profile; eps0 converts roots to total energies. lifts[k] maps pole
-    k's r_k border amplitudes to its m_k raw poles (raw_amplitudes).
+    merging, 0 for a decoupled pole. raw_poles are the poles before
+    merging, ascending (for reduce_block, the eigenvalues of L), and
+    n_channels the number of eliminated channels, both kept for count
+    accounting. span bounds the spectrum of h0 and the poles; every
+    root tolerance scales with it. hg_diag is the bare grid-operator
+    diagonal, needed to isolate the interaction well profile; eps0
+    converts roots to total energies. lifts[k] maps pole k's r_k border
+    amplitudes to its m_k raw poles (raw_amplitudes).
     """
 
     h0: np.ndarray
     poles: np.ndarray
     residue_factors: tuple
-    raw_pole_count: int
+    raw_poles: np.ndarray
     n_channels: int
     span: float
     hg_diag: np.ndarray
+    lifts: tuple
     eps0: float = 0.0
-    lifts: tuple = ()
 
     @property
     def n_g(self) -> int:
         return self.h0.shape[0]
 
+    @property
+    def raw_pole_count(self) -> int:
+        return self.raw_poles.size
+
     def ranks(self) -> np.ndarray:
         return np.array([w.shape[1] for w in self.residue_factors], dtype=int)
+
+    def cluster_sizes(self) -> np.ndarray:
+        """m_k, the number of raw poles merged into pole k."""
+        return np.array([m.shape[1] for m in self.lifts], dtype=int)
 
     def columns(self) -> tuple[np.ndarray, np.ndarray]:
         """Every residue-factor column side by side, W (N_g, sum r_k),
@@ -83,8 +94,7 @@ class EffectivePotential:
     def raw_amplitudes(self, y: np.ndarray) -> np.ndarray:
         """Border amplitudes y (a column per column of columns()) on the
         raw poles in ascending order: y_k M_k per pole, 0 if decoupled."""
-        ranks = self.ranks()
-        sizes = np.array([m.shape[1] for m in self.lifts], dtype=int)
+        ranks, sizes = self.ranks(), self.cluster_sizes()
         cols, first = np.cumsum(ranks) - ranks, np.cumsum(sizes) - sizes
         out = np.zeros((y.shape[0], self.raw_pole_count))
         lone = (sizes == 1) & (ranks == 1)
@@ -111,19 +121,16 @@ class EffectivePotential:
 
 
 def _merge_poles(poles: np.ndarray, vectors: np.ndarray, tol: float):
-    """Cluster poles within tol and sum their rank-1 residues.
+    """Cluster ascending poles within tol and sum their rank-1 residues.
 
     Returns sorted distinct pole values, per-pole residue factors, each
     factor's lead (its largest squared column norm) and lift. One mask
-    splits the sorted poles into clusters; a lone pole keeps its
+    splits the poles into clusters; a lone pole keeps its
     vector as a column view and the lift [[1]]. Only a merged cluster's
     factor W = V Lambda^{1/2} and lift M = Lambda^{-1/2} V^T C (C = W M)
     come from the eigendecomposition V Lambda V^T of its summed residue
     matrix C C^T, truncated at the numerical rank.
     """
-    order = np.argsort(poles, kind="stable")
-    poles = poles[order]
-    vectors = vectors[:, order]
     starts = np.flatnonzero(~(np.diff(poles, prepend=-np.inf) <= tol))
     stops = np.append(starts[1:], poles.size)
     merged = poles[starts]
@@ -160,6 +167,8 @@ def ep_from_poles(h0: np.ndarray, poles, residue_vectors, n_channels: int,
     radius = np.sum(np.abs(h0), axis=1) - np.abs(diag)
     ends = np.concatenate([diag - radius, diag + radius, poles])
     span = max(float(ends.max() - ends.min()), 1.0)
+    order = np.argsort(poles, kind="stable")
+    poles, vectors = poles[order], vectors[:, order]
     merged, factors, leads, lifts = _merge_poles(poles, vectors,
                                                  POLE_MERGE_FACTOR * span)
     coupled = (leads > DECOUPLED_FACTOR * np.max(leads, initial=0.0)).tolist()
@@ -170,9 +179,9 @@ def ep_from_poles(h0: np.ndarray, poles, residue_vectors, n_channels: int,
         hg_diag = np.zeros(h0.shape[0])
     return EffectivePotential(
         h0=h0, poles=merged, residue_factors=factors,
-        raw_pole_count=int(poles.size), n_channels=n_channels, span=span,
-        hg_diag=np.asarray(hg_diag, dtype=float), eps0=float(eps0),
-        lifts=lifts)
+        raw_poles=poles, n_channels=n_channels, span=span,
+        hg_diag=np.asarray(hg_diag, dtype=float), lifts=lifts,
+        eps0=float(eps0))
 
 
 def reduce_block(op: np.ndarray, n_g: int, hg_diag: np.ndarray,
@@ -181,8 +190,8 @@ def reduce_block(op: np.ndarray, n_g: int, hg_diag: np.ndarray,
 
     Diagonalizes L = op[n_g:, n_g:] = Q diag(p) Q^T and carries
     B = op[:n_g, n_g:] into the residue vectors B q_k of the potential
-    on h0 = op[:n_g, :n_g]; returns Q and the potential. Both hierarchy
-    levels and the pipeline use this one reduction.
+    on h0 = op[:n_g, :n_g]; returns Q and the potential. Every
+    hierarchy level and the pipeline use this one reduction.
     """
     vals, vecs = diagonalize_sym(op[n_g:, n_g:])
     ep = ep_from_poles(op[:n_g, :n_g], vals, op[:n_g, n_g:] @ vecs,
@@ -299,35 +308,20 @@ def ep_well_alignment(ep: EffectivePotential, root: float,
                          aligned=abs(well - peak) <= 1, profile=profile)
 
 
-@dataclass(frozen=True)
-class HierarchyLevel:
-    """One level of the recursive construction."""
+def recurse_ep(spec: ProblemSpec, op: np.ndarray,
+               depth: int) -> tuple[EffectivePotential, ...]:
+    """Effective potentials down the truncation hierarchy, one per level.
 
-    depth: int
-    ep: EffectivePotential
-    operator: np.ndarray  # the block problem this level reduces
-
-
-def recurse_ep(spec: ProblemSpec, v: CouplingMatrices,
-               depth: int) -> tuple[HierarchyLevel, ...]:
-    """Recursive effective potentials down the truncation hierarchy.
-
-    Depth 1 reduces the full problem onto mode 0. Depth 2 applies the
-    same reduction to the truncated operator L, whose lowest block
-    plays the mode-0 role; the level-2 roots then recover L's spectrum.
+    op is block_operator(spec, v). Level k reduces its trailing block
+    op[(k-1) N_g:, (k-1) N_g:] onto that block's lowest mode, so level
+    1 is the pipeline's reduction and level k + 1 reduces level k's L.
+    Each level must leave a truncated sector: 1 <= depth <= N_tot - 1.
     """
-    if depth not in (1, 2):
-        raise ConfigError(f"depth unsupported: {depth} (must be 1 or 2)")
-    if depth == 2 and spec.n_tot < 3:
-        raise ConfigError(
-            "depth 2 needs N_tot >= 3: the truncated sector must have "
-            "a separable lowest block")
+    if not 1 <= depth <= spec.n_tot - 1:
+        raise ConfigError(f"depth {depth}: must be in 1..N_tot - 1 = "
+                          f"{spec.n_tot - 1}")
     n_g = spec.n_g
     hg_diag = hamiltonian_g(spec).diagonal().copy()
-    op = block_operator(spec, v)
-    levels = []
-    for level in range(1, depth + 1):
-        _, ep = reduce_block(op, n_g, hg_diag, float(spec.modes.eps[0]))
-        levels.append(HierarchyLevel(depth=level, ep=ep, operator=op))
-        op = op[n_g:, n_g:]
-    return tuple(levels)
+    eps0 = float(spec.modes.eps[0])
+    return tuple(reduce_block(op[k * n_g:, k * n_g:], n_g, hg_diag, eps0)[1]
+                 for k in range(depth))

@@ -18,25 +18,22 @@ from .model import CouplingMatrices, ProblemSpec, block_operator
 DIMENSION_CAP = 2000
 
 
-def check_dimension(caller: str, spec: ProblemSpec,
-                    dimension_cap: int | None = None) -> None:
-    """Refuse a dense solve of the full operator above the cap; None
-    reads DIMENSION_CAP now, so every caller follows a cap set on the
+def check_dimension(caller: str, spec: ProblemSpec) -> None:
+    """Refuse a dense solve of the full operator above DIMENSION_CAP,
+    read at call time, so every caller follows a cap set on the
     module."""
-    cap = DIMENSION_CAP if dimension_cap is None else dimension_cap
     dim = spec.n_tot * spec.n_g
-    if dim > cap:
+    if dim > DIMENSION_CAP:
         raise NumericalError(
-            f"{caller}: dimension {dim} exceeds cap {cap}")
+            f"{caller}: dimension {dim} exceeds cap {DIMENSION_CAP}")
 
 
-def direct_spectrum(spec: ProblemSpec, v: CouplingMatrices,
-                    dimension_cap: int | None = None):
+def direct_spectrum(spec: ProblemSpec, v: CouplingMatrices):
     """All eigenpairs of the full operator, total energies ascending.
 
     The eigenvalues of block_operator (eta scale) shifted by eps_0.
     """
-    check_dimension("direct_spectrum", spec, dimension_cap)
+    check_dimension("direct_spectrum", spec)
     etas, vectors = np.linalg.eigh(block_operator(spec, v))
     return etas + spec.modes.eps[0], vectors
 

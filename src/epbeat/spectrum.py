@@ -74,9 +74,11 @@ class SpectrumResult:
     def eigenvalues(self) -> np.ndarray:
         """Sorted spectrum of the reduced operator, in the eta scale.
 
-        The roots plus the decoupled poles: zero-residue eigenvalues
-        that carry no channel-0 weight and so never appear as roots of
-        the characteristic function.
+        The roots plus the decoupled poles: the m_k - r_k eigenvalues
+        left at each pole whose m_k merged raw poles kept only r_k
+        residue columns (all of them when r_k = 0). They carry no
+        channel-0 weight and so never appear as roots of the
+        characteristic function.
         """
         return np.sort(np.concatenate([self.roots, self.decoupled_poles]))
 
@@ -119,7 +121,7 @@ def find_roots(ep: EffectivePotential) -> SpectrumResult:
     return SpectrumResult(
         roots=vals, vectors=x.T, border=vecs[n_g:].T,
         energies=vals + ep.eps0, counts=counts, excluded=(),
-        decoupled_poles=ep.poles[ranks == 0],
+        decoupled_poles=np.repeat(ep.poles, ep.cluster_sizes() - ranks),
         residual_max=float((resid / nx).max(initial=0.0)))
 
 

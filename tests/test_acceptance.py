@@ -11,9 +11,10 @@ import time
 import numpy as np
 import pytest
 
-from epbeat import (CouplingSpec, Grid, ProblemSpec, born_match,
-                    complexity_measure, compare_spectra, count_accounting,
-                    ep_well_alignment, find_roots, ep_from_poles,
+from epbeat import (CouplingSpec, Grid, ProblemSpec, block_operator,
+                    born_match, complexity_measure, compare_spectra,
+                    count_accounting, ep_well_alignment, find_roots,
+                    ep_from_poles,
                     gaussian_bump_basis, mix_density, probabilities,
                     project_coupling, realization_densities, recurse_ep,
                     schmidt_ranks, simulate_beat, solve_problem)
@@ -227,10 +228,11 @@ def test_criterion_10_hierarchy_depth_2():
             coupling=CouplingSpec(kind="gaussian_attractive", strength=1.0,
                                   width=0.25),
             g_stiffness=0.2, g_potential=gen.uniform(-1, 1, n_g))
-        v = project_coupling(spec.modes, spec.coupling, spec.xi_grid)
-        levels = recurse_ep(spec, v, depth=2)
-        sr2 = find_roots(levels[1].ep)
-        direct = np.sort(np.linalg.eigvalsh(levels[1].operator))
+        op = block_operator(spec, project_coupling(spec.modes, spec.coupling,
+                                                   spec.xi_grid))
+        levels = recurse_ep(spec, op, depth=2)
+        sr2 = find_roots(levels[1])
+        direct = np.linalg.eigvalsh(op[n_g:, n_g:])
         report = compare_spectra(np.sort(sr2.roots), direct, EXACTNESS_TOL)
         assert report.passed, f"hierarchy mismatch at N_g={n_g}"
         worst = max(worst, report.max_rel_dev)

@@ -266,6 +266,15 @@ class TestEmpiricalFreqs:
                               centers=((3, 0.3),))
         assert empirical_freqs(traj) == (1.0,)
 
+    def test_chunked_count_equals_one_bincount(self):
+        # three whole count chunks plus a partial one
+        t = 3 * rng.DRAW_CHUNK + 17
+        ids = np.random.default_rng(5).integers(0, 4, t, dtype=np.uint8)
+        traj = BeatTrajectory(seed=0, mode="uniform", ids=ids,
+                              centers=tuple((j, 0.0) for j in range(5)))
+        want = np.bincount(ids, minlength=5) / t
+        assert empirical_freqs(traj) == tuple(want)
+
     def test_chi_square_over_seeds(self, two_well_rs):
         # goodness-of-fit oracle at the 99.9% quantile
         t = 100_000

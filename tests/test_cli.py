@@ -212,6 +212,44 @@ def test_hierarchy_adds_back_decoupled_poles(tmp_path):
         == [True, True]
 
 
+LADDER_4X8 = {"grid": {"n": 8}, "modes": {"count": 4, "delta_eps": 0.7},
+              "coupling": {"kind": "gaussian_attractive", "g": 1.0,
+                           "sigma": 0.2},
+              "hg": {"stiffness": 0.1,
+                     "potential": {"kind": "double_well", "depth": 1,
+                                   "width": 0.08, "centers": [0.3, 0.7]}}}
+
+
+@pytest.mark.parametrize("g", [1.0, 0.0])
+def test_hierarchy_to_depth_n_tot_minus_one(tmp_path, g):
+    doc = json.loads(json.dumps(LADDER_4X8))
+    doc["coupling"]["g"] = g
+    path = tmp_path / "ladder.json"
+    path.write_text(json.dumps(doc))
+    out = tmp_path / "out"
+    assert main(["hierarchy", "--config", str(path), "--out-dir", str(out),
+                 "--depth", "3"]) == 0
+    levels = json.loads((out / "hierarchy.json").read_text())["levels"]
+    assert [lv["depth"] for lv in levels] == [1, 2, 3]
+    for lv, n_tot in zip(levels, (4, 3, 2)):
+        match = lv["operator_spectrum_match"]
+        assert match["passed"]
+        assert match["matched_pairs"] == n_tot * 8
+        # uncoupled, every pole is decoupled and no root but the N_g of
+        # the level's own mode 0 remains
+        assert len(lv["roots"]) == (8 if g == 0.0 else n_tot * 8)
+
+
+def test_hierarchy_depth_n_tot_is_a_config_error(tmp_path, capsys):
+    path = tmp_path / "ladder.json"
+    path.write_text(json.dumps(LADDER_4X8))
+    out = tmp_path / "out"
+    assert main(["hierarchy", "--config", str(path), "--out-dir", str(out),
+                 "--depth", "4"]) == 2
+    assert "N_tot - 1 = 3" in capsys.readouterr().err
+    assert not (out / "hierarchy.json").exists()
+
+
 def test_hierarchy_refuses_dense_solve_above_cap(tmp_path, monkeypatch,
                                                  capsys):
     # the same DIMENSION_CAP as verify: 4x32 has dimension 128
@@ -328,7 +366,7 @@ class TestExitCodes:
 
     @pytest.mark.parametrize("key,value", [
         ("seed", "x"), ("seed", -1), ("cycles", "abc"), ("cycles", 2.5),
-        ("cycles", True), ("prob_mode", "foo"), ("depth", "2"),
+        ("cycles", True), ("prob_mode", "foo"), ("depth", "2"), ("depth", 0),
         ("pr_threshold", "a")])
     def test_bad_run_value(self, tmp_path, capsys, key, value):
         doc = dict(BASE_CONFIG, run={**BASE_CONFIG["run"], key: value})

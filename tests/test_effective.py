@@ -175,32 +175,57 @@ class TestWellAlignment:
             ep_well_alignment(ep, float(sr.roots[0]) + 0.05, sr.vectors[0])
 
 
+def trailing_spectrum(op, n_g, level):
+    """Independent oracle: eigvalsh of the operator level `level` reduces."""
+    return np.linalg.eigvalsh(op[(level - 1) * n_g:, (level - 1) * n_g:])
+
+
 class TestRecurse:
     def test_depth_one_matches_assemble(self):
         spec = random_instance(21)
         v, q, ep = pipeline_upto_ep(spec)
-        levels = recurse_ep(spec, v, 1)
+        levels = recurse_ep(spec, block_operator(spec, v), 1)
         assert len(levels) == 1
-        assert np.allclose(levels[0].ep.poles, ep.poles)
-        assert np.allclose(levels[0].ep.h0, ep.h0)
+        assert np.array_equal(levels[0].poles, ep.poles)
+        assert np.array_equal(levels[0].h0, ep.h0)
+        assert np.array_equal(levels[0].raw_poles, ep.raw_poles)
 
     def test_depth_two_reproduces_truncated_spectrum(self):
         spec = random_instance(33)
         while spec.n_tot < 3:
             spec = random_instance(spec.n_g + 100)
         v = project_coupling(spec.modes, spec.coupling, spec.xi_grid)
-        levels = recurse_ep(spec, v, 2)
+        op = block_operator(spec, v)
+        levels = recurse_ep(spec, op, 2)
         assert len(levels) == 2
-        sr2 = find_roots(levels[1].ep)
-        direct = np.sort(np.linalg.eigvalsh(levels[1].operator))
+        sr2 = find_roots(levels[1])
+        direct = trailing_spectrum(op, spec.n_g, 2)
         scale = max(np.abs(direct).max(), 1.0)
         assert np.abs(np.sort(sr2.roots) - direct).max() <= 1e-7 * scale
 
-    def test_depth_three_unsupported(self):
+    def test_raw_poles_are_the_next_levels_spectrum(self):
+        # level k's raw poles are the eigenvalues of level k + 1's operator
+        spec = random_instance(0)
+        while spec.n_tot < 4:
+            spec = random_instance(spec.n_g + 200)
+        op = block_operator(spec, project_coupling(spec.modes, spec.coupling,
+                                                   spec.xi_grid))
+        levels = recurse_ep(spec, op, spec.n_tot - 1)
+        assert len(levels) == spec.n_tot - 1
+        for k, ep in enumerate(levels, start=1):
+            direct = trailing_spectrum(op, spec.n_g, k + 1)
+            scale = max(np.abs(direct).max(), 1.0)
+            assert np.abs(ep.raw_poles - direct).max() <= 1e-12 * scale
+            assert ep.n_channels == spec.n_tot - k
+
+    def test_depth_outside_one_to_n_tot_minus_one(self):
         spec = random_instance(2)
-        v = project_coupling(spec.modes, spec.coupling, spec.xi_grid)
-        with pytest.raises(ConfigError, match="depth"):
-            recurse_ep(spec, v, 3)
+        op = block_operator(spec, project_coupling(spec.modes, spec.coupling,
+                                                   spec.xi_grid))
+        assert len(recurse_ep(spec, op, spec.n_tot - 1)) == spec.n_tot - 1
+        for depth in (0, spec.n_tot):
+            with pytest.raises(ConfigError, match="depth"):
+                recurse_ep(spec, op, depth)
 
     def test_depth_two_needs_three_modes(self):
         gen = np.random.default_rng(0)
@@ -212,4 +237,4 @@ class TestRecurse:
             g_stiffness=0.2, g_potential=gen.uniform(-1, 1, 4))
         v = project_coupling(spec.modes, spec.coupling, spec.xi_grid)
         with pytest.raises(ConfigError, match="N_tot"):
-            recurse_ep(spec, v, 2)
+            recurse_ep(spec, block_operator(spec, v), 2)

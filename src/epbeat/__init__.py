@@ -22,7 +22,7 @@ from .spectrum import (SpectrumResult, CountRecord, linearize_ep, find_roots,
                        count_accounting)
 from .assembly import (StateSet, reconstruct_all, participation_ratio,
                        schmidt_ranks, complexity_measure)
-from .realizations import (RealizationSet, RealizationGroup, MixedDensity,
+from .realizations import (RealizationSet, RealizationGroup,
                            group_realizations, probabilities, born_match,
                            mix_density, realization_densities,
                            default_pr_threshold)
@@ -44,7 +44,7 @@ __all__ = [
     "count_accounting",
     "StateSet", "reconstruct_all", "participation_ratio", "schmidt_ranks",
     "complexity_measure",
-    "RealizationSet", "RealizationGroup", "MixedDensity",
+    "RealizationSet", "RealizationGroup",
     "group_realizations", "probabilities", "born_match", "mix_density",
     "realization_densities", "default_pr_threshold",
     "BeatTrajectory", "simulate_beat", "empirical_freqs",

@@ -342,9 +342,8 @@ def _solve_and_write(runner: _Runner, doc: dict, run: dict):
     for j, rho in enumerate(densities):
         write_density_csv(runner.path(f"density_realization_{j}.csv"),
                           rho, q_pts, xi_pts)
-    mixed = mix_density(rs, densities, mode)
     write_density_csv(runner.path(f"density_mixed_{mode}.csv"),
-                      mixed.rho_ex, q_pts, xi_pts)
+                      mix_density(rs, densities, mode), q_pts, xi_pts)
     return result
 
 
@@ -393,7 +392,7 @@ def cmd_verify(runner: _Runner, doc: dict, run: dict, args) -> int:
     cross[0, :] = cross[:, 0] = False
     v_pb[cross] = 0.0
     _, ep_pb = reduce_block(block_operator(spec, CouplingMatrices(v_pb)),
-                            spec.n_g, result.ep.hg_diag, result.ep.eps0)
+                            spec.n_g, result.ep.eps0)
     sr_pb = find_roots(ep_pb)
     scale = max(float(np.abs(energies).max()), 1.0)
     per_block = {

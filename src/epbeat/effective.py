@@ -17,13 +17,13 @@ constructor of the potential. It computes the potential's span once
 and is the only code that decides a residue's rank: poles closer than
 POLE_MERGE_FACTOR x span are combined, their residues summed into one
 block truncated at RESIDUE_RANK_TOL, and a pole whose residue is below
-DECOUPLED_FACTOR against the strongest keeps rank 0. The factors it
-stores are exactly the columns of the linearization, so the ranks are
-the rank accounting. The hierarchy (recurse_ep) is one loop of the
-same reduction over trailing blocks of the operator: level k + 1
-reduces level k's L, whose lowest block plays the mode-0 role, so
-level k's raw poles are already the spectrum level k + 1 must
-reproduce.
+DECOUPLED_FACTOR against the strongest keeps rank 0. It stores the
+kept factors as one column matrix w = [W_1 ... W_K], which is exactly
+the border of the linearization, so the ranks are the rank
+accounting. The hierarchy (recurse_ep) is one loop of the same
+reduction over trailing blocks of the operator: level k + 1 reduces
+level k's L, whose lowest block plays the mode-0 role, so level k's
+raw poles are already the spectrum level k + 1 must reproduce.
 """
 
 from __future__ import annotations
@@ -33,7 +33,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, NumericalError, PoleProximityError
-from .model import ProblemSpec, hamiltonian_g
+from .model import ProblemSpec
 from .truncated import diagonalize_sym
 
 POLE_MERGE_FACTOR = 1e-8   # poles within this x span are one pole
@@ -48,25 +48,27 @@ WELL_RESIDUAL_TOL = 1e-7
 class EffectivePotential:
     """Static part plus pole/residue-factor terms of V_eff(eta).
 
-    residue_factors[k] is an (N_g, r_k) matrix W_k with R_k = W_k W_k^T
-    and r_k its numerical rank: 1 for a simple pole, larger after
-    merging, 0 for a decoupled pole. raw_poles are the poles before
+    w holds every residue-factor column side by side, (N_g, sum r_k):
+    pole k owns ranks[k] consecutive columns W_k, with R_k = W_k W_k^T
+    and r_k its numerical rank (1 for a simple pole, larger after
+    merging, 0 for a decoupled pole). sizes[k] is m_k, the number of
+    raw poles merged into pole k. raw_poles are the poles before
     merging, ascending (for reduce_block, the eigenvalues of L), and
     n_channels the number of eliminated channels, both kept for count
     accounting. span bounds the spectrum of h0 and the poles; every
-    root tolerance scales with it. hg_diag is the bare grid-operator
-    diagonal, needed to isolate the interaction well profile; eps0
-    converts roots to total energies. lifts[k] maps pole k's r_k border
-    amplitudes to its m_k raw poles (raw_amplitudes).
+    root tolerance scales with it. eps0 converts roots to total
+    energies. lifts[k] maps a coupled pole k's r_k border amplitudes to
+    its m_k raw poles (raw_amplitudes).
     """
 
     h0: np.ndarray
     poles: np.ndarray
-    residue_factors: tuple
+    w: np.ndarray
+    ranks: np.ndarray
+    sizes: np.ndarray
     raw_poles: np.ndarray
     n_channels: int
     span: float
-    hg_diag: np.ndarray
     lifts: tuple
     eps0: float = 0.0
 
@@ -78,23 +80,15 @@ class EffectivePotential:
     def raw_pole_count(self) -> int:
         return self.raw_poles.size
 
-    def ranks(self) -> np.ndarray:
-        return np.array([w.shape[1] for w in self.residue_factors], dtype=int)
-
-    def cluster_sizes(self) -> np.ndarray:
-        """m_k, the number of raw poles merged into pole k."""
-        return np.array([m.shape[1] for m in self.lifts], dtype=int)
-
-    def columns(self) -> tuple[np.ndarray, np.ndarray]:
-        """Every residue-factor column side by side, W (N_g, sum r_k),
-        and the pole of each column."""
-        w_all = np.hstack((np.zeros((self.n_g, 0)),) + self.residue_factors)
-        return w_all, np.repeat(self.poles, self.ranks())
+    @property
+    def column_poles(self) -> np.ndarray:
+        """The pole of each column of w."""
+        return np.repeat(self.poles, self.ranks)
 
     def raw_amplitudes(self, y: np.ndarray) -> np.ndarray:
-        """Border amplitudes y (a column per column of columns()) on the
-        raw poles in ascending order: y_k M_k per pole, 0 if decoupled."""
-        ranks, sizes = self.ranks(), self.cluster_sizes()
+        """Border amplitudes y (a column per column of w) on the raw
+        poles in ascending order: y_k M_k per pole, 0 if decoupled."""
+        ranks, sizes = self.ranks, self.sizes
         cols, first = np.cumsum(ranks) - ranks, np.cumsum(sizes) - sizes
         out = np.zeros((y.shape[0], self.raw_pole_count))
         lone = (sizes == 1) & (ranks == 1)
@@ -104,16 +98,14 @@ class EffectivePotential:
                 y[:, cols[k]:cols[k] + ranks[k]] @ self.lifts[k])
         return out
 
-    def residue_matrix(self, k: int) -> np.ndarray:
-        w = self.residue_factors[k]
-        return w @ w.T
-
     def to_dict(self) -> dict:
-        """Poles and residue factors, as arrays, for cli.write_json."""
+        """Poles and per-pole residue factors, as arrays, for
+        cli.write_json."""
         return {
             "poles": self.poles,
-            "ranks": self.ranks(),
-            "residue_factors": list(self.residue_factors),
+            "ranks": self.ranks,
+            "residue_factors": np.split(self.w, np.cumsum(self.ranks)[:-1],
+                                        axis=1) if self.poles.size else [],
             "raw_pole_count": self.raw_pole_count,
             "n_channels": self.n_channels,
             "eps0": float(self.eps0),
@@ -124,12 +116,12 @@ def _merge_poles(poles: np.ndarray, vectors: np.ndarray, tol: float):
     """Cluster ascending poles within tol and sum their rank-1 residues.
 
     Returns sorted distinct pole values, per-pole residue factors, each
-    factor's lead (its largest squared column norm) and lift. One mask
-    splits the poles into clusters; a lone pole keeps its
-    vector as a column view and the lift [[1]]. Only a merged cluster's
-    factor W = V Lambda^{1/2} and lift M = Lambda^{-1/2} V^T C (C = W M)
-    come from the eigendecomposition V Lambda V^T of its summed residue
-    matrix C C^T, truncated at the numerical rank.
+    factor's lead (its largest squared column norm), lift and cluster
+    size. One mask splits the poles into clusters; a lone pole keeps
+    its vector as a column view and the lift [[1]]. Only a merged
+    cluster's factor W = V Lambda^{1/2} and lift M = Lambda^{-1/2} V^T C
+    (C = W M) come from the eigendecomposition V Lambda V^T of its
+    summed residue matrix C C^T, truncated at the numerical rank.
     """
     starts = np.flatnonzero(~(np.diff(poles, prepend=-np.inf) <= tol))
     stops = np.append(starts[1:], poles.size)
@@ -146,11 +138,11 @@ def _merge_poles(poles: np.ndarray, vectors: np.ndarray, tol: float):
         merged[k] = np.mean(poles[starts[k]:stops[k]])
         leads[k] = np.max(np.sum(factors[k] * factors[k], axis=0),
                           initial=0.0)
-    return merged, tuple(factors), leads, lifts
+    return merged, factors, leads, lifts, stops - starts
 
 
 def ep_from_poles(h0: np.ndarray, poles, residue_vectors, n_channels: int,
-                  hg_diag=None, eps0: float = 0.0) -> EffectivePotential:
+                  eps0: float = 0.0) -> EffectivePotential:
     """Effective potential from explicit poles and rank-1 residue vectors.
 
     The one constructor: reduce_block feeds it the eliminated block's
@@ -169,22 +161,19 @@ def ep_from_poles(h0: np.ndarray, poles, residue_vectors, n_channels: int,
     span = max(float(ends.max() - ends.min()), 1.0)
     order = np.argsort(poles, kind="stable")
     poles, vectors = poles[order], vectors[:, order]
-    merged, factors, leads, lifts = _merge_poles(poles, vectors,
-                                                 POLE_MERGE_FACTOR * span)
-    coupled = (leads > DECOUPLED_FACTOR * np.max(leads, initial=0.0)).tolist()
-    factors = tuple(w if keep else w[:, :0]
-                    for w, keep in zip(factors, coupled))
-    lifts = tuple(m if keep else m[:0] for m, keep in zip(lifts, coupled))
-    if hg_diag is None:
-        hg_diag = np.zeros(h0.shape[0])
+    merged, factors, leads, lifts, sizes = _merge_poles(
+        poles, vectors, POLE_MERGE_FACTOR * span)
+    coupled = leads > DECOUPLED_FACTOR * np.max(leads, initial=0.0)
+    widths = np.array([f.shape[1] for f in factors], dtype=int)
+    w = np.hstack([np.zeros((h0.shape[0], 0))] + factors)
     return EffectivePotential(
-        h0=h0, poles=merged, residue_factors=factors,
-        raw_poles=poles, n_channels=n_channels, span=span,
-        hg_diag=np.asarray(hg_diag, dtype=float), lifts=lifts,
+        h0=h0, poles=merged, w=w[:, np.repeat(coupled, widths)],
+        ranks=widths * coupled, sizes=sizes, raw_poles=poles,
+        n_channels=n_channels, span=span, lifts=tuple(lifts),
         eps0=float(eps0))
 
 
-def reduce_block(op: np.ndarray, n_g: int, hg_diag: np.ndarray,
+def reduce_block(op: np.ndarray, n_g: int,
                  eps0: float) -> tuple[np.ndarray, EffectivePotential]:
     """Eliminate everything past the first n_g rows of a block operator.
 
@@ -195,8 +184,7 @@ def reduce_block(op: np.ndarray, n_g: int, hg_diag: np.ndarray,
     """
     vals, vecs = diagonalize_sym(op[n_g:, n_g:])
     ep = ep_from_poles(op[:n_g, :n_g], vals, op[:n_g, n_g:] @ vecs,
-                       n_channels=op.shape[0] // n_g - 1,
-                       hg_diag=hg_diag, eps0=eps0)
+                       n_channels=op.shape[0] // n_g - 1, eps0=eps0)
     return vecs, ep
 
 
@@ -222,8 +210,7 @@ def eval_ep(ep: EffectivePotential, eta: float) -> np.ndarray:
     Raises PoleProximityError within rounding of a pole.
     """
     check_pole_gap(eta, ep.poles, ep.span)
-    w_all, p_all = ep.columns()
-    out = ep.h0 + (w_all / (eta - p_all)) @ w_all.T
+    out = ep.h0 + (ep.w / (eta - ep.column_poles)) @ ep.w.T
     return 0.5 * (out + out.T)
 
 
@@ -238,10 +225,9 @@ def _pivot_eigenvalues(ep: EffectivePotential, eta) -> np.ndarray:
     """
     eta = np.atleast_1d(np.asarray(eta, dtype=float))
     check_pole_gap(eta, ep.poles, ep.span)
-    w_all, p_all = ep.columns()
-    n_g = ep.n_g
-    outer = (w_all[:, None, :] * w_all[None, :, :]).reshape(n_g * n_g, -1)
-    terms = ((1.0 / (eta[:, None] - p_all)) @ outer.T).reshape(-1, n_g, n_g)
+    n_g, w, p = ep.n_g, ep.w, ep.column_poles
+    outer = (w[:, None, :] * w[None, :, :]).reshape(n_g * n_g, -1)
+    terms = ((1.0 / (eta[:, None] - p)) @ outer.T).reshape(-1, n_g, n_g)
     return np.linalg.eigvalsh(
         terms + (ep.h0 - eta[:, None, None] * np.eye(n_g)))
 
@@ -271,7 +257,7 @@ def root_count_below(ep: EffectivePotential, eta):
     returned); both go through one batched evaluation.
     """
     etas = np.atleast_1d(np.asarray(eta, dtype=float))
-    below = (ep.poles < etas[:, None]) @ ep.ranks()
+    below = (ep.poles < etas[:, None]) @ ep.ranks
     counts = below + np.sum(_pivot_eigenvalues(ep, etas) < 0.0, axis=1)
     return int(counts[0]) if np.ndim(eta) == 0 else counts
 
@@ -287,12 +273,13 @@ class WellAlignment:
 
 
 def ep_well_alignment(ep: EffectivePotential, root: float,
-                      state: np.ndarray) -> WellAlignment:
+                      state: np.ndarray, hg_diag: np.ndarray) -> WellAlignment:
     """Check that the self-consistent well sits under the state's peak.
 
-    The interaction profile d(xi) = V_eff(root)(xi,xi) - h_g(xi,xi)
-    is the well the pole terms dig at this root; alignment holds when
-    its argmin and the density argmax differ by at most one cell.
+    The interaction profile d(xi) = V_eff(root)(xi,xi) - h_g(xi,xi),
+    with hg_diag the bare grid-operator diagonal h_g(xi,xi), is the
+    well the pole terms dig at this root; alignment holds when its
+    argmin and the density argmax differ by at most one cell.
     """
     state = np.asarray(state, dtype=float)
     m = eval_ep(ep, root)
@@ -301,7 +288,7 @@ def ep_well_alignment(ep: EffectivePotential, root: float,
         raise NumericalError(
             f"well alignment: root {root!r} fails residual check "
             f"({resid:.3e})")
-    profile = m.diagonal() - ep.hg_diag
+    profile = m.diagonal() - hg_diag
     well = int(np.argmin(profile))
     peak = int(np.argmax(state ** 2))
     return WellAlignment(well_index=well, density_index=peak,
@@ -320,8 +307,6 @@ def recurse_ep(spec: ProblemSpec, op: np.ndarray,
     if not 1 <= depth <= spec.n_tot - 1:
         raise ConfigError(f"depth {depth}: must be in 1..N_tot - 1 = "
                           f"{spec.n_tot - 1}")
-    n_g = spec.n_g
-    hg_diag = hamiltonian_g(spec).diagonal().copy()
-    eps0 = float(spec.modes.eps[0])
-    return tuple(reduce_block(op[k * n_g:, k * n_g:], n_g, hg_diag, eps0)[1]
+    n_g, eps0 = spec.n_g, float(spec.modes.eps[0])
+    return tuple(reduce_block(op[k * n_g:, k * n_g:], n_g, eps0)[1]
                  for k in range(depth))

@@ -14,6 +14,7 @@ construction.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from typing import Mapping, Sequence
@@ -344,35 +345,62 @@ def block_operator(spec: ProblemSpec, v: CouplingMatrices) -> np.ndarray:
 
 
 def _check_keys(doc: Mapping, allowed: Sequence[str], path: str) -> None:
+    if not isinstance(doc, Mapping):
+        raise ConfigError(f"{path[:-1] or 'config'}: must be an object")
     for key in doc:
         if key not in allowed:
             raise ConfigError(f"{path}{key}: unknown key")
 
 
+def _number(doc: Mapping, key: str, default, path: str,
+            integer: bool = False):
+    """doc[key], or default when absent, as a float (an int with
+    integer). A boolean, a non-number or a non-integral count raises a
+    ConfigError naming the field path."""
+    value = doc.get(key, default)
+    if isinstance(value, bool) or not isinstance(
+            value, numbers.Integral if integer else numbers.Real):
+        raise ConfigError(f"{path}{key}: must be "
+                          f"{'an integer' if integer else 'a number'}, "
+                          f"got {value!r}")
+    return int(value) if integer else float(value)
+
+
+def _array(value, path: str, shape=None) -> np.ndarray:
+    """value as a float array, of the given shape if one is given."""
+    try:
+        arr = np.asarray(value, dtype=float)
+    except (TypeError, ValueError):
+        arr = None
+    if arr is None or shape is not None and arr.shape != shape:
+        raise ConfigError(f"{path}: need numbers"
+                          + ("" if shape is None else f" of shape {shape}"))
+    return arr
+
+
 def _named_potential(doc: Mapping, grid: Grid) -> np.ndarray:
     kind = doc.get("kind")
     xi = grid.points
+    path = "hg.potential."
     if kind == "zero":
-        _check_keys(doc, ("kind",), "hg.potential.")
+        _check_keys(doc, ("kind",), path)
         return np.zeros(grid.n)
     if kind == "harmonic":
-        _check_keys(doc, ("kind", "strength", "center"), "hg.potential.")
-        s = float(doc.get("strength", 1.0))
-        c = float(doc.get("center", 0.5 * (xi[0] + xi[-1])))
+        _check_keys(doc, ("kind", "strength", "center"), path)
+        s = _number(doc, "strength", 1.0, path)
+        c = _number(doc, "center", 0.5 * (xi[0] + xi[-1]), path)
         return s * (xi - c) ** 2
     if kind == "double_well":
         _check_keys(doc, ("kind", "depth", "width", "centers", "detune"),
-                    "hg.potential.")
-        depth = float(doc.get("depth", 1.0))
-        width = float(doc.get("width", 0.1 * (xi[-1] - xi[0])))
-        centers = doc.get("centers")
-        if centers is None or len(centers) != 2:
-            raise ConfigError("hg.potential.centers: need exactly 2 centers")
-        detune = float(doc.get("detune", 0.0))
+                    path)
+        depth = _number(doc, "depth", 1.0, path)
+        width = _number(doc, "width", 0.1 * (xi[-1] - xi[0]), path)
+        centers = _array(doc.get("centers"), path + "centers", (2,))
+        detune = _number(doc, "detune", 0.0, path)
         depths = (depth, depth + detune)
         out = np.zeros(grid.n)
         for c, d in zip(centers, depths):
-            out -= d * np.exp(-((xi - float(c)) ** 2) / (2 * width ** 2))
+            out -= d * np.exp(-((xi - c) ** 2) / (2 * width ** 2))
         return out
     raise ConfigError(f"hg.potential.kind: unknown value {kind!r}")
 
@@ -381,36 +409,37 @@ def build_problem(config: Mapping) -> ProblemSpec:
     """Validate a structured config document and build a ProblemSpec.
 
     Top-level keys: grid, modes, coupling, hg (run is tolerated here
-    so one document can drive both the model and the CLI). Unknown
-    keys anywhere raise a ConfigError naming the field path.
+    so one document can drive both the model and the CLI). Each
+    section is an object, every number is checked by one reader, and
+    unknown keys anywhere raise; each ConfigError names the field path.
     """
     _check_keys(config, ("grid", "modes", "coupling", "hg", "run"), "")
 
     gdoc = config.get("grid", {})
     _check_keys(gdoc, ("n", "span", "boundary"), "grid.")
-    n_g = gdoc.get("n")
-    if not isinstance(n_g, int) or n_g < 2:
-        raise ConfigError(f"grid.n: need an integer >= 2, got {n_g!r}")
-    xi_grid = Grid.uniform(n_g, gdoc.get("span", (0.0, 1.0)),
+    xi_grid = Grid.uniform(_number(gdoc, "n", None, "grid.", integer=True),
+                           _array(gdoc.get("span", (0.0, 1.0)), "grid.span",
+                                  (2,)),
                            gdoc.get("boundary", "dirichlet"))
 
     mdoc = config.get("modes", {})
     _check_keys(mdoc, ("count", "kind", "delta_eps", "q_n", "q_span",
                        "width_factor", "eps", "phi"), "modes.")
-    n_tot = mdoc.get("count")
-    if not isinstance(n_tot, int) or n_tot < 2:
-        raise ConfigError(f"modes.count: need an integer >= 2, got {n_tot!r}")
-    q_grid = Grid.uniform(int(mdoc.get("q_n", 32)),
-                          mdoc.get("q_span", (0.0, 1.0)))
+    n_tot = _number(mdoc, "count", None, "modes.", integer=True)
+    q_grid = Grid.uniform(_number(mdoc, "q_n", 32, "modes.", integer=True),
+                          _array(mdoc.get("q_span", (0.0, 1.0)),
+                                 "modes.q_span", (2,)))
     kind = mdoc.get("kind", "bumps")
     if kind == "bumps":
         basis = gaussian_bump_basis(
-            n_tot, q_grid, float(mdoc.get("delta_eps", 1.0)),
-            float(mdoc.get("width_factor", DEFAULT_BUMP_WIDTH_FACTOR)))
+            n_tot, q_grid, _number(mdoc, "delta_eps", 1.0, "modes."),
+            _number(mdoc, "width_factor", DEFAULT_BUMP_WIDTH_FACTOR,
+                    "modes."))
     elif kind == "given":
         if "eps" not in mdoc or "phi" not in mdoc:
             raise ConfigError("modes.eps/modes.phi: required for kind 'given'")
-        basis = given_mode_basis(mdoc["eps"], mdoc["phi"], q_grid)
+        basis = given_mode_basis(_array(mdoc["eps"], "modes.eps"),
+                                 _array(mdoc["phi"], "modes.phi"), q_grid)
         if basis.n_modes != n_tot:
             raise ConfigError("modes.count: does not match declared eps length")
     else:
@@ -418,13 +447,13 @@ def build_problem(config: Mapping) -> ProblemSpec:
 
     cdoc = config.get("coupling", {})
     _check_keys(cdoc, ("kind", "g", "sigma", "samples"), "coupling.")
-    ckind = cdoc.get("kind", "gaussian_attractive")
     samples = cdoc.get("samples")
     coupling = CouplingSpec(
-        kind=ckind,
-        strength=float(cdoc.get("g", 1.0)),
-        width=float(cdoc.get("sigma", 1.0)),
-        samples=None if samples is None else np.asarray(samples, dtype=float))
+        kind=cdoc.get("kind", "gaussian_attractive"),
+        strength=_number(cdoc, "g", 1.0, "coupling."),
+        width=_number(cdoc, "sigma", 1.0, "coupling."),
+        samples=None if samples is None
+        else _array(samples, "coupling.samples"))
 
     hdoc = config.get("hg", {})
     _check_keys(hdoc, ("stiffness", "potential"), "hg.")
@@ -432,10 +461,8 @@ def build_problem(config: Mapping) -> ProblemSpec:
     if isinstance(pot, Mapping):
         potential = _named_potential(pot, xi_grid)
     else:
-        potential = np.asarray(pot, dtype=float)
-        if potential.shape != (n_g,):
-            raise ConfigError("hg.potential: length must equal grid.n")
+        potential = _array(pot, "hg.potential", (xi_grid.n,))
 
     return ProblemSpec(xi_grid=xi_grid, modes=basis, coupling=coupling,
-                       g_stiffness=float(hdoc.get("stiffness", 1.0)),
+                       g_stiffness=_number(hdoc, "stiffness", 1.0, "hg."),
                        g_potential=potential)

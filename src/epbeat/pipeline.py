@@ -10,7 +10,7 @@ from .assembly import StateSet, reconstruct_all
 from .effective import EffectivePotential, reduce_block
 from .errors import NumericalError
 from .model import (CouplingMatrices, ProblemSpec, block_operator,
-                    hamiltonian_g, project_coupling)
+                    project_coupling)
 from .realizations import RealizationSet, group_realizations
 from .spectrum import SpectrumResult, find_roots
 
@@ -36,8 +36,7 @@ def solve_problem(spec: ProblemSpec,
     v = project_coupling(spec.modes, spec.coupling, spec.xi_grid)
     op = block_operator(spec, v)
     op.setflags(write=False)
-    q, ep = reduce_block(op, spec.n_g, hamiltonian_g(spec).diagonal().copy(),
-                         float(spec.modes.eps[0]))
+    q, ep = reduce_block(op, spec.n_g, float(spec.modes.eps[0]))
     sr = find_roots(ep)
     states = reconstruct_all(sr, ep, q, spec.modes, spec.xi_grid)
     rs = group_realizations(states, pr_threshold)

@@ -86,14 +86,6 @@ class RealizationSet:
         }
 
 
-@dataclass(frozen=True)
-class MixedDensity:
-    """Probability-weighted mixture of per-realization densities."""
-
-    rho_ex: np.ndarray
-    mode: str
-
-
 def default_pr_threshold(n_g: int) -> float:
     """N_g / 3, clipped into the open interval (1, N_g)."""
     return min(max(n_g / 3.0, 1.0 + 1e-6), n_g - 1e-6)
@@ -212,7 +204,7 @@ def born_match(rs: RealizationSet, psi0_intermediate: np.ndarray):
 
 
 def mix_density(rs: RealizationSet, group_densities,
-                mode: str) -> MixedDensity:
+                mode: str) -> np.ndarray:
     """Expectation density: alpha-weighted mean of group densities.
 
     group_densities are the painted per-realization means of
@@ -226,7 +218,7 @@ def mix_density(rs: RealizationSet, group_densities,
     rho = np.zeros_like(group_densities[0])
     for a, rho_j in zip(rs.alphas[mode], group_densities):
         rho += a * rho_j
-    return MixedDensity(rho_ex=rho, mode=mode)
+    return rho
 
 
 def realization_densities(rs: RealizationSet, states: StateSet) -> tuple:

@@ -35,8 +35,7 @@ def linearize_ep(ep: EffectivePotential) -> np.ndarray:
     its pole on the diagonal; decoupled poles have no column and are
     reported separately by find_roots.
     """
-    w_all, p_all = ep.columns()
-    return np.block([[ep.h0, w_all], [w_all.T, np.diag(p_all)]])
+    return np.block([[ep.h0, ep.w], [ep.w.T, np.diag(ep.column_poles)]])
 
 
 @dataclass(frozen=True)
@@ -92,12 +91,10 @@ def find_roots(ep: EffectivePotential) -> SpectrumResult:
     times the span, or NumericalError is raised. residual_max is the
     largest R_j. Eigenvectors are scaled in place to ||x_j|| = 1.
     """
-    lin = linearize_ep(ep)
-    vals, vecs = diagonalize_sym(lin)
+    vals, vecs = diagonalize_sym(linearize_ep(ep))
     n_g = ep.n_g
     x = vecs[:n_g]
-    w_all = lin[:n_g, n_g:]
-    resid = np.linalg.norm(ep.h0 @ x + w_all @ vecs[n_g:] - x * vals, axis=0)
+    resid = np.linalg.norm(ep.h0 @ x + ep.w @ vecs[n_g:] - x * vals, axis=0)
     nx = np.linalg.norm(x, axis=0)
     bound = ROOT_RESIDUAL_FACTOR * ep.span
     failed = np.flatnonzero(resid > bound * nx)
@@ -108,20 +105,19 @@ def find_roots(ep: EffectivePotential) -> SpectrumResult:
             f"(residual {resid[j]:.3e} > {bound:.3e} x channel-0 weight "
             f"{nx[j]:.3e})")
     vecs /= nx
-    ranks = ep.ranks()
     n_e = ep.n_channels
     counts = CountRecord(
         n_g=int(n_g),
         n_roots=int(vals.size),
         n_poles=int(ep.poles.size),
-        rank_sum=int(ranks.sum()),
+        rank_sum=int(ep.ranks.sum()),
         degree_bound=int(n_g * (ep.poles.size + 1)),
         full_degree_count=int(n_g * (n_e * n_g + 1)),
         linear_count=int((n_e + 1) * n_g))
     return SpectrumResult(
         roots=vals, vectors=x.T, border=vecs[n_g:].T,
         energies=vals + ep.eps0, counts=counts, excluded=(),
-        decoupled_poles=np.repeat(ep.poles, ep.cluster_sizes() - ranks),
+        decoupled_poles=np.repeat(ep.poles, ep.sizes - ep.ranks),
         residual_max=float((resid / nx).max(initial=0.0)))
 
 

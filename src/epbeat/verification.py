@@ -54,8 +54,7 @@ def _bump(xi: np.ndarray, center: float, width: float) -> np.ndarray:
     return np.exp(-((xi - center) ** 2) / (2 * width ** 2))
 
 
-def two_well_instance(n_g: int = 9, well_a: float = 6.1, well_b: float = 5.1,
-                      cross: float = 0.9) -> ProblemSpec:
+def two_well_instance() -> ProblemSpec:
     """Strong-coupling instance whose interaction digs two wells.
 
     Built in matrix-element space over a cosine mode pair (the kernel
@@ -68,6 +67,7 @@ def two_well_instance(n_g: int = 9, well_a: float = 6.1, well_b: float = 5.1,
     state: the dynamically produced well sits under the density peak,
     and is even repulsive near the opposite center.
     """
+    n_g = 9
     xi_grid = Grid.uniform(n_g, (0.0, 1.0))
     q_grid = Grid.uniform(48, (0.0, 1.0))
     q = q_grid.points
@@ -77,8 +77,8 @@ def two_well_instance(n_g: int = 9, well_a: float = 6.1, well_b: float = 5.1,
     c1 = float(xi[TWO_WELL_CENTERS[0]])
     c2 = float(xi[TWO_WELL_CENTERS[1]])
     v00 = -6.0 * (_bump(xi, c1, 0.05) + 0.892 * _bump(xi, c2, 0.05))
-    v11 = -(well_a * _bump(xi, c1, 0.15) + well_b * _bump(xi, c2, 0.15))
-    v01 = -cross * np.ones(n_g)
+    v11 = -(6.1 * _bump(xi, c1, 0.15) + 5.1 * _bump(xi, c2, 0.15))
+    v01 = -0.9 * np.ones(n_g)
     # kernel -(a + b cos(pi q) + c cos(2 pi q)) projects onto the pair as
     # V_00 = -a, V_01 = -b/sqrt(2), V_11 = -a - c/2
     a, b, c = -v00, -np.sqrt(2.0) * v01, 2.0 * (v00 - v11)
@@ -89,9 +89,9 @@ def two_well_instance(n_g: int = 9, well_a: float = 6.1, well_b: float = 5.1,
                        g_stiffness=0.02, g_potential=np.zeros(n_g))
 
 
-def single_well_instance(n_g: int = 9) -> ProblemSpec:
+def single_well_instance() -> ProblemSpec:
     """Attractive instance with one dominant interaction well."""
-    xi_grid = Grid.uniform(n_g, (0.0, 1.0))
+    xi_grid = Grid.uniform(9, (0.0, 1.0))
     q_grid = Grid.uniform(32, (0.0, 1.0))
     basis = gaussian_bump_basis(2, q_grid, delta_eps=0.6)
     xi = xi_grid.points
@@ -101,20 +101,20 @@ def single_well_instance(n_g: int = 9) -> ProblemSpec:
     samples = -5.0 * radial * envelope[None, :]
     coupling = CouplingSpec(kind="custom_sampled", samples=samples)
     return ProblemSpec(xi_grid=xi_grid, modes=basis, coupling=coupling,
-                       g_stiffness=0.02, g_potential=np.zeros(n_g))
+                       g_stiffness=0.02, g_potential=np.zeros(9))
 
 
-def zero_coupling_instance(seed: int = 0, n_tot: int = 3,
-                           n_g: int = 6) -> ProblemSpec:
-    """Instance with an identically zero kernel (free fields)."""
-    gen = default_rng(seed)
-    xi_grid = Grid.uniform(n_g, (0.0, 1.0))
+def zero_coupling_instance() -> ProblemSpec:
+    """Instance with an identically zero kernel (free fields), N_tot 3
+    by N_g 6."""
+    xi_grid = Grid.uniform(6, (0.0, 1.0))
     q_grid = Grid.uniform(24, (0.0, 1.0))
-    basis = gaussian_bump_basis(n_tot, q_grid, delta_eps=1.0)
+    basis = gaussian_bump_basis(3, q_grid, delta_eps=1.0)
     coupling = CouplingSpec(kind="gaussian_attractive", strength=0.0,
                             width=0.25)
     return ProblemSpec(xi_grid=xi_grid, modes=basis, coupling=coupling,
-                       g_stiffness=0.2, g_potential=gen.uniform(-0.5, 0.5, n_g))
+                       g_stiffness=0.2,
+                       g_potential=default_rng(0).uniform(-0.5, 0.5, 6))
 
 
 @dataclass(frozen=True)

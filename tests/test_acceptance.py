@@ -15,7 +15,8 @@ from epbeat import (CouplingSpec, Grid, ProblemSpec, block_operator,
                     born_match, complexity_measure, compare_spectra,
                     count_accounting, ep_well_alignment, find_roots,
                     ep_from_poles,
-                    gaussian_bump_basis, mix_density, probabilities,
+                    gaussian_bump_basis, hamiltonian_g, mix_density,
+                    probabilities,
                     project_coupling, realization_densities, recurse_ep,
                     schmidt_ranks, simulate_beat, solve_problem)
 from epbeat.cli import main as cli_main
@@ -167,7 +168,7 @@ def test_criterion_6_beat_convergence(two_well_result):
     rho = realization_densities(rs, two_well_result.states)
     emp = np.array(traj.empirical)
     hist = sum(e * r for e, r in zip(emp, rho))
-    expected = mix_density(rs, rho, "uniform").rho_ex
+    expected = mix_density(rs, rho, "uniform")
     mean_sq = sum(a * r ** 2 for a, r in zip(alpha, rho))
     sigma = np.sqrt(np.maximum(mean_sq - expected ** 2, 0.0) / t)
     hist_ok = np.all(np.abs(hist - expected) <= 3.0 * sigma + 1e-12)
@@ -208,10 +209,11 @@ def test_criterion_9_well_alignment(two_well_result):
     two_groups = (len(rs.groups) == 2
                   and {g.center_index for g in rs.groups} == {2, 6})
     all_aligned = True
+    hg_diag = hamiltonian_g(result.spec).diagonal()
     for g in rs.groups:
         for i in g.members:
             report = ep_well_alignment(result.ep, float(result.sr.roots[i]),
-                                       result.sr.vectors[i])
+                                       result.sr.vectors[i], hg_diag)
             all_aligned &= report.aligned
     verdict(9, two_groups and all_aligned,
             "each localized root's dynamically produced well minimum sits "

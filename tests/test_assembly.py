@@ -88,7 +88,7 @@ class TestReconstruction:
         h0 = np.array([[2.0, 0.0, 0.0], [0.0, 0.5, -0.2], [0.0, -0.2, -0.3]])
         b = np.diag([0.0, 0.4, 0.7])
         op = np.block([[h0, b], [b.T, np.diag([1.0, 2.0, 3.0])]])
-        q, ep = reduce_block(op, n_g, np.zeros(n_g), 0.0)
+        q, ep = reduce_block(op, n_g, 0.0)
         sr = find_roots(ep)
         assert 2.0 in sr.roots and 2.0 in ep.poles
         q_grid = Grid.uniform(4, (0.0, 1.0), "periodic")
@@ -106,7 +106,7 @@ class TestReconstruction:
         n_g = 6
         spec = merged_cluster_spec()
         result = solve_problem(spec)
-        assert result.ep.ranks().tolist() == [2] * n_g
+        assert result.ep.ranks.tolist() == [2] * n_g
         assert result.ep.raw_pole_count == 2 * n_g
         assert max_state_residual(result) <= STATE_RESIDUAL_TOL
         report = compare_spectra(recovered_spectrum(result),

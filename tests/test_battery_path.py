@@ -11,10 +11,12 @@ scratch, and the battery's worst deviation must keep a NaN.
 import dataclasses
 import json
 import math
+import sys
 
 import numpy as np
 import pytest
 
+import epbeat.model as model
 import epbeat.oracle as oracle
 import epbeat.verification as verification
 from epbeat import (NumericalError, block_operator, diagonalize_sym,
@@ -68,11 +70,12 @@ def assert_merge_matches_loop(h0, poles, vectors, n_channels=1):
     factors = ref_leads(factors)
     assert ep.poles.dtype == merged.dtype and ep.poles.shape == merged.shape
     assert np.array_equal(ep.poles, merged)
-    assert len(ep.residue_factors) == len(factors)
-    for got, want in zip(ep.residue_factors, factors):
+    per_pole = ep.to_dict()["residue_factors"]
+    assert len(per_pole) == len(factors)
+    for got, want in zip(per_pole, factors):
         assert got.shape == want.shape
         assert np.array_equal(got, want)
-    assert np.array_equal(ep.ranks(),
+    assert np.array_equal(ep.ranks,
                           np.array([w.shape[1] for w in factors], dtype=int))
     return ep
 
@@ -100,17 +103,17 @@ class TestBatchedMerge:
         poles = np.repeat(np.linspace(2.0, 12.0, n_e * n_g), n_g)
         vectors = np.tile(np.diag(0.7 + 0.1 * np.arange(n_g)), n_e * n_g)
         ep = assert_merge_matches_loop(h0, poles, vectors, n_channels=n_e)
-        assert ep.ranks().tolist() == [n_g] * (n_e * n_g)
+        assert ep.ranks.tolist() == [n_g] * (n_e * n_g)
 
     def test_zero_coupling_every_rank_zero(self):
         h0, poles, vectors = reduction_inputs(zero_coupling_instance())
         ep = assert_merge_matches_loop(h0, poles, vectors, n_channels=2)
-        assert ep.poles.size > 0 and not ep.ranks().any()
+        assert ep.poles.size > 0 and not ep.ranks.any()
 
     def test_weakly_coupled_poles(self):
         ep = assert_merge_matches_loop(np.array([[0.0]]), [2.0, 5.0, 8.0],
                                        np.array([[1.0, 1e-6, 1e-6]]))
-        assert ep.ranks().tolist() == [1, 1, 1]
+        assert ep.ranks.tolist() == [1, 1, 1]
 
     def test_rank_two_cluster_of_three(self):
         e1, e2 = np.eye(3)[0], np.eye(3)[1]
@@ -118,11 +121,12 @@ class TestBatchedMerge:
         poles = [4.0, 4.0 + 1e-12, 4.0 + 2e-12, 6.0]
         ep = assert_merge_matches_loop(np.eye(3), poles, vectors)
         assert ep.poles.size == 2
-        assert ep.ranks().tolist() == [2, 1]
+        assert ep.ranks.tolist() == [2, 1]
 
     def test_empty_pole_list(self):
         ep = assert_merge_matches_loop(np.eye(2), [], np.zeros((2, 0)))
-        assert ep.residue_factors == () and ep.ranks().size == 0
+        assert ep.to_dict()["residue_factors"] == [] and ep.ranks.size == 0
+        assert ep.w.shape == (2, 0)
 
 
 class TestSharedOperator:
@@ -133,6 +137,23 @@ class TestSharedOperator:
         with pytest.raises(ValueError):
             op[0, 0] = 1.0
         assert np.array_equal(op, block_operator(result.spec, result.v))
+
+    def test_grid_operator_built_once_per_solve(self):
+        # counted by code object, so a caller holding its own reference
+        # to hamiltonian_g is counted too
+        code, calls = model.hamiltonian_g.__code__, []
+
+        def profile(frame, event, arg):
+            if event == "call" and frame.f_code is code:
+                calls.append(event)
+
+        previous = sys.getprofile()
+        sys.setprofile(profile)
+        try:
+            solve_problem(random_instance(4))
+        finally:
+            sys.setprofile(previous)
+        assert len(calls) == 1
 
     def test_state_residual_against_rebuilt_operator(self):
         for seed in range(20):

@@ -390,6 +390,31 @@ class TestExitCodes:
         summary = json.loads((out / "beat_summary.json").read_text())
         assert summary["seed"] == 2 ** 64 - 1
 
+    @pytest.mark.parametrize("section,key,value,field", [
+        ("modes", "delta_eps", [1], "modes.delta_eps"),
+        ("coupling", "g", None, "coupling.g"),
+        ("coupling", "g", True, "coupling.g"),
+        ("grid", "span", [0], "grid.span"),
+        ("modes", "q_n", "abc", "modes.q_n"),
+        ("modes", "q_n", 2.7, "modes.q_n"),
+        ("hg", "stiffness", "x", "hg.stiffness"),
+        ("hg", "potential", "zero", "hg.potential"),
+        ("hg", "potential", {"kind": "double_well", "centers": [0.3, "a"]},
+         "hg.potential.centers"),
+        (None, "grid", [], "grid"),
+        (None, "hg", "soft", "hg")])
+    def test_malformed_value_names_its_field(self, tmp_path, capsys, section,
+                                             key, value, field):
+        doc = json.loads(json.dumps(BASE_CONFIG))
+        (doc if section is None else doc[section])[key] = value
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(doc))
+        out = tmp_path / "o"
+        assert main(["solve", "--config", str(path),
+                     "--out-dir", str(out)]) == 2
+        assert f"config error: {field}:" in capsys.readouterr().err
+        assert not out.exists()  # rejected before any artifact
+
     @pytest.mark.parametrize("literal",
                              ["NaN", "Infinity", "-Infinity", "1e400"])
     @pytest.mark.parametrize("command", ["solve", "verify"])

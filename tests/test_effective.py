@@ -15,8 +15,7 @@ from epbeat.effective import POLE_GUARD_FACTOR
 
 def pipeline_upto_ep(spec):
     v = project_coupling(spec.modes, spec.coupling, spec.xi_grid)
-    q, ep = reduce_block(block_operator(spec, v), spec.n_g,
-                         hamiltonian_g(spec).diagonal(), spec.modes.eps[0])
+    q, ep = reduce_block(block_operator(spec, v), spec.n_g, spec.modes.eps[0])
     return v, q, ep
 
 
@@ -29,8 +28,8 @@ class TestAssemble:
     def test_zero_coupling_residues_vanish(self):
         spec = zero_coupling_instance()
         v, q, ep = pipeline_upto_ep(spec)
-        for k in range(ep.poles.size):
-            assert np.all(ep.residue_factors[k] == 0.0)
+        for w_k in ep.to_dict()["residue_factors"]:
+            assert np.all(w_k == 0.0)
         eta = float(ep.poles.max() + 10.0)
         assert np.allclose(eval_ep(ep, eta), ep.h0)
 
@@ -39,16 +38,16 @@ class TestAssemble:
         # residue weight = V_01^2
         hg, v00, v01, v11, eps10 = 0.7, -0.2, 0.4, -0.5, 1.3
         op = np.array([[hg + v00, v01], [v01, hg + v11 + eps10]])
-        _, ep = reduce_block(op, 1, hg_diag=np.array([hg]), eps0=0.0)
+        _, ep = reduce_block(op, 1, eps0=0.0)
         assert ep.poles[0] == pytest.approx(hg + v11 + eps10)
-        assert float(ep.residue_factors[0][0, 0] ** 2) == pytest.approx(v01 ** 2)
+        assert float(ep.w[0, 0] ** 2) == pytest.approx(v01 ** 2)
 
     def test_generic_instance_rank_one_residues(self):
         spec = random_instance(12)
         v, q, ep = pipeline_upto_ep(spec)
         assert ep.poles.size == (spec.n_tot - 1) * spec.n_g
-        for k in range(ep.poles.size):
-            r = ep.residue_matrix(k)
+        for w_k in ep.to_dict()["residue_factors"]:
+            r = w_k @ w_k.T
             s = np.linalg.svd(r, compute_uv=False)
             assert s[1:].max() <= 1e-10 * s[0]  # rank 1
             # PSD with a single positive eigenvalue
@@ -59,8 +58,8 @@ class TestAssemble:
         vecs = np.array([[1.0, 0.0], [0.0, 1.0]])
         ep = ep_from_poles(np.zeros((2, 2)), [3.0, 3.0], vecs, n_channels=1)
         assert ep.poles.size == 1
-        assert ep.residue_factors[0].shape == (2, 2)
-        assert np.allclose(ep.residue_matrix(0), np.eye(2))
+        assert ep.ranks.tolist() == [2] and ep.w.shape == (2, 2)
+        assert np.allclose(ep.w @ ep.w.T, np.eye(2))
 
 
 class TestEvalEP:
@@ -69,7 +68,7 @@ class TestEvalEP:
         _, _, ep = pipeline_upto_ep(spec)
         eta = 1e6 * ep.span
         dev = np.abs(eval_ep(ep, eta) - ep.h0).max()
-        total_residue = sum(float(np.sum(w * w)) for w in ep.residue_factors)
+        total_residue = float(np.sum(ep.w * ep.w))
         assert dev <= 2.0 * total_residue / (eta - ep.poles.max())
 
     def test_pole_guard(self):
@@ -140,8 +139,10 @@ class TestWellAlignment:
         spec = zero_coupling_instance()
         v, q, ep = pipeline_upto_ep(spec)
         sr = find_roots(ep)
-        report = ep_well_alignment(ep, float(sr.roots[0]), sr.vectors[0])
-        v00 = ep.h0.diagonal() - ep.hg_diag
+        hg_diag = hamiltonian_g(spec).diagonal()
+        report = ep_well_alignment(ep, float(sr.roots[0]), sr.vectors[0],
+                                   hg_diag)
+        v00 = ep.h0.diagonal() - hg_diag
         assert report.well_index == int(np.argmin(v00))
         assert np.allclose(report.profile, v00, atol=1e-12)
 
@@ -149,7 +150,8 @@ class TestWellAlignment:
         spec = single_well_instance()
         v, q, ep = pipeline_upto_ep(spec)
         sr = find_roots(ep)
-        report = ep_well_alignment(ep, float(sr.roots[0]), sr.vectors[0])
+        report = ep_well_alignment(ep, float(sr.roots[0]), sr.vectors[0],
+                                   hamiltonian_g(spec).diagonal())
         assert report.aligned
         assert report.well_index == report.density_index
 
@@ -161,7 +163,8 @@ class TestWellAlignment:
         # effective well onto itself
         seen_wells = set()
         for i in (0, 1):
-            report = ep_well_alignment(ep, float(sr.roots[i]), sr.vectors[i])
+            report = ep_well_alignment(ep, float(sr.roots[i]), sr.vectors[i],
+                                       hamiltonian_g(spec).diagonal())
             assert report.aligned
             seen_wells.add(report.well_index)
         assert len(seen_wells) == 2
@@ -172,7 +175,8 @@ class TestWellAlignment:
         sr = find_roots(ep)
         from epbeat import NumericalError
         with pytest.raises(NumericalError, match="residual"):
-            ep_well_alignment(ep, float(sr.roots[0]) + 0.05, sr.vectors[0])
+            ep_well_alignment(ep, float(sr.roots[0]) + 0.05, sr.vectors[0],
+                              hamiltonian_g(spec).diagonal())
 
 
 def trailing_spectrum(op, n_g, level):

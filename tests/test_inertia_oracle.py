@@ -13,8 +13,7 @@ from scipy.linalg import ldl
 
 from epbeat import (PoleProximityError, block_operator, build_problem,
                     characteristic, ep_from_poles, eval_ep, find_roots,
-                    hamiltonian_g, project_coupling, reduce_block,
-                    root_count_below)
+                    project_coupling, reduce_block, root_count_below)
 from epbeat.verification import random_instance
 from test_ladder import ladder_config
 
@@ -27,8 +26,7 @@ ROUNDING_FACTOR = 10.0
 
 def ep_of(spec):
     v = project_coupling(spec.modes, spec.coupling, spec.xi_grid)
-    _, ep = reduce_block(block_operator(spec, v), spec.n_g,
-                         hamiltonian_g(spec).diagonal(), spec.modes.eps[0])
+    _, ep = reduce_block(block_operator(spec, v), spec.n_g, spec.modes.eps[0])
     return ep
 
 
@@ -48,18 +46,18 @@ def ldl_disagreements(ep):
                              [marks[-1] + 1.0]])
     counts = root_count_below(ep, probes)
     dets = characteristic(ep, probes)
-    w_all, p_all = ep.columns()
     bad = []
     for eta, count, det in zip(probes, counts, dets):
         m = eval_ep(ep, eta) - eta * np.eye(ep.n_g)
         pivots = ldl_pivots(m)
-        if count != (ep.poles < eta) @ ep.ranks() + np.sum(pivots < 0.0):
+        if count != (ep.poles < eta) @ ep.ranks + np.sum(pivots < 0.0):
             bad.append((float(eta), "count"))
         oracle = np.prod(pivots)
         if np.sign(det) != np.sign(oracle):
             bad.append((float(eta), "sign"))
-        size = (np.abs(ep.h0) + (np.abs(w_all) / np.abs(eta - p_all))
-                @ np.abs(w_all).T + abs(eta) * np.eye(ep.n_g))
+        w = np.abs(ep.w)
+        size = (np.abs(ep.h0) + (w / np.abs(eta - ep.column_poles)) @ w.T
+                + abs(eta) * np.eye(ep.n_g))
         tol = (ROUNDING_FACTOR * EPS * np.linalg.norm(size)
                * np.sum(1.0 / np.abs(np.linalg.eigvalsh(m))) * abs(oracle))
         if not abs(det - oracle) <= tol:

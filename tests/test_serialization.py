@@ -7,6 +7,7 @@ array. The writers must give the same bytes for an array as the oracle
 gives for its tolist().
 """
 
+import hashlib
 import json
 
 import numpy as np
@@ -16,6 +17,14 @@ import epbeat.cli as cli
 from epbeat.cli import _to_json, main, write_density_csv, write_json
 from epbeat.effective import ep_from_poles
 from epbeat.verification import two_well_instance
+
+# sha256 of ep.json for the two potentials below, written by the writer
+# that stored one residue factor per pole (numpy 2.4.6): the per-pole
+# split of the column matrix must keep the layout
+RANKS_1210_EP_SHA256 = (
+    "629d6ce26afeea63d4a58673db94853806775d1b5120d13d4cf9d86c35c0b748")
+NO_POLES_EP_SHA256 = (
+    "3d31126e3830b544014f7a98d92b1f2bd939a8c5d02800cfc745c507377f5bae")
 
 
 def ref_fmt_float(x: float) -> str:
@@ -139,10 +148,20 @@ def test_ep_from_poles_potential_matches_reference(tmp_path):
     vectors[:, 4] = 0.0
     ep = ep_from_poles(np.diag([0.5, 1.5, 2.5]), [2.0, 1.0, 2.0, 3.0, 4.0],
                        vectors, n_channels=2)
-    assert ep.ranks().tolist() == [1, 2, 1, 0]
+    assert ep.ranks.tolist() == [1, 2, 1, 0]
     write_json(tmp_path / "ep.json", ep.to_dict())
     assert (tmp_path / "ep.json").read_text(encoding="utf-8") \
         == ref_to_json(as_scalars(ep.to_dict())) + "\n"
+    digest = hashlib.sha256((tmp_path / "ep.json").read_bytes()).hexdigest()
+    assert digest == RANKS_1210_EP_SHA256
+
+
+def test_ep_without_poles_keeps_its_layout(tmp_path):
+    ep = ep_from_poles(0.75 * np.eye(2), [], np.zeros((2, 0)), n_channels=0)
+    assert ep.w.shape == (2, 0) and ep.to_dict()["residue_factors"] == []
+    write_json(tmp_path / "ep.json", ep.to_dict())
+    digest = hashlib.sha256((tmp_path / "ep.json").read_bytes()).hexdigest()
+    assert digest == NO_POLES_EP_SHA256
 
 
 @pytest.mark.parametrize("shape", [(1, 1), (4, 3), (3, 5)])

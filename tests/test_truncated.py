@@ -21,8 +21,7 @@ def make_spec(n_tot=3, n_g=5, strength=1.0, seed=1, kind="gaussian_attractive",
 
 def reduce_spec(spec, v):
     """The pipeline's reduction of the full operator onto mode 0."""
-    return reduce_block(block_operator(spec, v), spec.n_g,
-                        hamiltonian_g(spec).diagonal(), spec.modes.eps[0])
+    return reduce_block(block_operator(spec, v), spec.n_g, spec.modes.eps[0])
 
 
 def without_cross(v):

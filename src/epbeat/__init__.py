@@ -29,7 +29,8 @@ from .realizations import (RealizationSet, RealizationGroup,
 from .beat import BeatTrajectory, simulate_beat, empirical_freqs
 from .oracle import (ComparisonReport, compare_spectra, direct_energies,
                      direct_spectrum)
-from .pipeline import PipelineResult, solve_problem, mean_intermediate_density
+from .pipeline import (PipelineResult, solve_problem, solve_with_operator,
+                       mean_intermediate_density)
 from .errors import (ConfigError, NumericalError, PoleProximityError,
                      VerificationError)
 
@@ -50,7 +51,8 @@ __all__ = [
     "BeatTrajectory", "simulate_beat", "empirical_freqs",
     "ComparisonReport", "direct_spectrum", "direct_energies",
     "compare_spectra",
-    "PipelineResult", "solve_problem", "mean_intermediate_density",
+    "PipelineResult", "solve_problem", "solve_with_operator",
+    "mean_intermediate_density",
     "ConfigError", "NumericalError", "PoleProximityError",
     "VerificationError",
 ]

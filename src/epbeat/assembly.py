@@ -8,10 +8,12 @@ of L = Q diag(p) Q^T, the eliminated channels
 
 For a simple pole a_ik = <w_k, x> / (eta_i - p_k), read off without
 dividing, so a root on a pole is rebuilt like any other. States stay
-in channel space: the two-field amplitude
-Psi_i(q, xi) = sum_n phi_n(q) psi_ni(xi) is painted onto the q grid
-only for density CSVs. Norms, xi marginals and Schmidt ranks go
-through the mode-overlap factor R of ModeBasis.overlap_factor.
+in channel space and the two-field amplitude
+Psi_i(q, xi) = sum_n phi_n(q) psi_ni(xi) is never formed on the q
+grid: the density CSVs evaluate phi(q)^T G(xi) phi(q) from per-cell
+channel Gram blocks (realizations.realization_densities). Norms, xi
+marginals and Schmidt ranks go through the mode-overlap factor R of
+ModeBasis.overlap_factor.
 """
 
 from __future__ import annotations

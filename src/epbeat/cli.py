@@ -41,7 +41,8 @@ from .errors import ConfigError, NumericalError, VerificationError
 from .model import (CouplingMatrices, block_operator, build_problem,
                     project_coupling)
 from .oracle import check_dimension, compare_spectra, direct_energies
-from .pipeline import mean_intermediate_density, solve_problem
+from .pipeline import (mean_intermediate_density, solve_problem,
+                       solve_with_operator)
 from .realizations import (PROBABILITY_MODES, mix_density,
                            realization_densities)
 from .spectrum import count_accounting, find_roots
@@ -377,8 +378,9 @@ def cmd_verify(runner: _Runner, doc: dict, run: dict, args) -> int:
             f"instances: need K >= 1 random instances, got {args.instances}")
     spec = build_problem(doc)
     check_dimension("verify", spec)
-    result = solve_problem(spec, run.get("pr_threshold"))
-    energies = direct_energies(spec, result.operator)
+    result, op = solve_with_operator(spec, run.get("pr_threshold"))
+    energies = direct_energies(spec, op)
+    del op  # read by the oracle only
     report = compare_spectra(recovered_spectrum(result), energies,
                              EP_EXACTNESS_TOL)
     accounting = count_accounting(result.sr)

@@ -17,13 +17,14 @@ constructor of the potential. It computes the potential's span once
 and is the only code that decides a residue's rank: poles closer than
 POLE_MERGE_FACTOR x span are combined, their residues summed into one
 block truncated at RESIDUE_RANK_TOL, and a pole whose residue is below
-DECOUPLED_FACTOR against the strongest keeps rank 0. It stores the
-kept factors as one column matrix w = [W_1 ... W_K], which is exactly
-the border of the linearization, so the ranks are the rank
-accounting. The hierarchy (recurse_ep) is one loop of the same
-reduction over trailing blocks of the operator: level k + 1 reduces
-level k's L, whose lowest block plays the mode-0 role, so level k's
-raw poles are already the spectrum level k + 1 must reproduce.
+DECOUPLED_FACTOR against the strongest, or below the rounding floor
+(eps x span)^2, keeps rank 0. It stores the kept factors as one column
+matrix w = [W_1 ... W_K], which is exactly the border of the
+linearization, so the ranks are the rank accounting. The hierarchy
+(recurse_ep) is one loop of the same reduction over trailing blocks
+of the operator: level k + 1 reduces level k's L, whose lowest block
+plays the mode-0 role, so level k's raw poles are already the
+spectrum level k + 1 must reproduce.
 """
 
 from __future__ import annotations
@@ -163,7 +164,10 @@ def ep_from_poles(h0: np.ndarray, poles, residue_vectors, n_channels: int,
     poles, vectors = poles[order], vectors[:, order]
     merged, factors, leads, lifts, sizes = _merge_poles(
         poles, vectors, POLE_MERGE_FACTOR * span)
-    coupled = leads > DECOUPLED_FACTOR * np.max(leads, initial=0.0)
+    # a lead below (eps span)^2 is rounding of B q_k, not coupling, even
+    # when every lead is (a hierarchy level whose border cancels)
+    coupled = leads > max(DECOUPLED_FACTOR * np.max(leads, initial=0.0),
+                          (np.finfo(float).eps * span) ** 2)
     widths = np.array([f.shape[1] for f in factors], dtype=int)
     w = np.hstack([np.zeros((h0.shape[0], 0))] + factors)
     return EffectivePotential(

@@ -69,18 +69,19 @@ class Grid:
 
     @classmethod
     def uniform(cls, n: int, span: Sequence[float],
-                boundary: str = "dirichlet") -> "Grid":
+                boundary: str = "dirichlet", field: str = "grid.") -> "Grid":
         """Evenly spaced grid over span.
 
         Dirichlet grids include both endpoints and carry trapezoid
         weights (h/2 at the ends). Periodic grids cover one period
-        [a, b) with uniform weights h = (b - a)/n.
+        [a, b) with uniform weights h = (b - a)/n. Errors name the
+        config fields field + "n" and field + "span".
         """
         if n < 2:
-            raise ConfigError(f"grid.n: need at least 2 points, got {n}")
+            raise ConfigError(f"{field}n: need at least 2 points, got {n}")
         a, b = float(span[0]), float(span[1])
         if not b > a:
-            raise ConfigError("grid.span: upper bound must exceed lower")
+            raise ConfigError(f"{field}span: upper bound must exceed lower")
         if boundary == "periodic":
             h = (b - a) / n
             pts = a + h * np.arange(n)
@@ -363,14 +364,29 @@ def _number(doc: Mapping, key: str, default, path: str,
         raise ConfigError(f"{path}{key}: must be "
                           f"{'an integer' if integer else 'a number'}, "
                           f"got {value!r}")
-    return int(value) if integer else float(value)
+    if integer:
+        return int(value)
+    try:
+        return float(value)
+    except OverflowError:
+        raise ConfigError(f"{path}{key}: must be a finite number") from None
+
+
+def _all_numbers(value) -> bool:
+    """True when value is a number, an integer or float array, or nested
+    lists of these; booleans and numeric strings are not numbers."""
+    if isinstance(value, (list, tuple)):
+        return all(_all_numbers(x) for x in value)
+    if isinstance(value, np.ndarray):
+        return value.dtype.kind in "iuf"
+    return isinstance(value, numbers.Real) and not isinstance(value, bool)
 
 
 def _array(value, path: str, shape=None) -> np.ndarray:
     """value as a float array, of the given shape if one is given."""
     try:
-        arr = np.asarray(value, dtype=float)
-    except (TypeError, ValueError):
+        arr = np.asarray(value, dtype=float) if _all_numbers(value) else None
+    except (OverflowError, ValueError):
         arr = None
     if arr is None or shape is not None and arr.shape != shape:
         raise ConfigError(f"{path}: need numbers"
@@ -428,7 +444,7 @@ def build_problem(config: Mapping) -> ProblemSpec:
     n_tot = _number(mdoc, "count", None, "modes.", integer=True)
     q_grid = Grid.uniform(_number(mdoc, "q_n", 32, "modes.", integer=True),
                           _array(mdoc.get("q_span", (0.0, 1.0)),
-                                 "modes.q_span", (2,)))
+                                 "modes.q_span", (2,)), field="modes.q_")
     kind = mdoc.get("kind", "bumps")
     if kind == "bumps":
         basis = gaussian_bump_basis(

@@ -17,31 +17,48 @@ from .spectrum import SpectrumResult, find_roots
 
 @dataclass(frozen=True)
 class PipelineResult:
-    """Every stage of one solve. operator is the block operator the
-    solve reduced (model.block_operator, eta scale), read-only so the
-    checks can share it."""
+    """Every stage of one solve. It holds no block operator: only the
+    checks read H, and they keep it themselves (solve_with_operator)."""
 
     spec: ProblemSpec
     v: CouplingMatrices
-    operator: np.ndarray
     ep: EffectivePotential
     sr: SpectrumResult
     states: StateSet
     rs: RealizationSet
 
 
+def _after_reduction(spec: ProblemSpec, v: CouplingMatrices, q: np.ndarray,
+                     ep: EffectivePotential,
+                     pr_threshold: float | None) -> PipelineResult:
+    sr = find_roots(ep)
+    states = reconstruct_all(sr, ep, q, spec.modes, spec.xi_grid)
+    rs = group_realizations(states, pr_threshold)
+    return PipelineResult(spec=spec, v=v, ep=ep, sr=sr, states=states, rs=rs)
+
+
 def solve_problem(spec: ProblemSpec,
                   pr_threshold: float | None = None) -> PipelineResult:
-    """Run the full chain from a problem spec to grouped realizations."""
+    """Run the full chain from a problem spec to grouped realizations.
+
+    The block operator is a temporary of the reduction: it is freed
+    when reduce_block returns, before the linearization eigensolve.
+    """
+    v = project_coupling(spec.modes, spec.coupling, spec.xi_grid)
+    q, ep = reduce_block(block_operator(spec, v), spec.n_g,
+                         float(spec.modes.eps[0]))
+    return _after_reduction(spec, v, q, ep, pr_threshold)
+
+
+def solve_with_operator(spec: ProblemSpec, pr_threshold: float | None = None
+                        ) -> tuple[PipelineResult, np.ndarray]:
+    """solve_problem, plus the block operator (model.block_operator, eta
+    scale) that it reduced, read-only so the checks can share it."""
     v = project_coupling(spec.modes, spec.coupling, spec.xi_grid)
     op = block_operator(spec, v)
     op.setflags(write=False)
     q, ep = reduce_block(op, spec.n_g, float(spec.modes.eps[0]))
-    sr = find_roots(ep)
-    states = reconstruct_all(sr, ep, q, spec.modes, spec.xi_grid)
-    rs = group_realizations(states, pr_threshold)
-    return PipelineResult(spec=spec, v=v, operator=op, ep=ep, sr=sr,
-                          states=states, rs=rs)
+    return _after_reduction(spec, v, q, ep, pr_threshold), op
 
 
 def mean_intermediate_density(result: PipelineResult) -> np.ndarray:

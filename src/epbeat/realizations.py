@@ -21,6 +21,9 @@ from .errors import ConfigError, NumericalError
 from .model import Grid
 
 PROBABILITY_MODES = ("uniform", "grouped", "born")
+# members per Gram product of realization_densities: bounds its scratch
+# at GRAM_CHUNK x N_tot x N_g floats, whatever a realization's size
+GRAM_CHUNK = 64
 
 
 @dataclass(frozen=True)
@@ -207,7 +210,7 @@ def mix_density(rs: RealizationSet, group_densities,
                 mode: str) -> np.ndarray:
     """Expectation density: alpha-weighted mean of group densities.
 
-    group_densities are the painted per-realization means of
+    group_densities are the per-realization means of
     realization_densities; the intermediate set never enters the
     regular mixture. Requires the weights for the requested mode to be
     attached to the set.
@@ -224,17 +227,26 @@ def mix_density(rs: RealizationSet, group_densities,
 def realization_densities(rs: RealizationSet, states: StateSet) -> tuple:
     """Mean density rho(q, xi) = |Psi|^2 per realization, in group order.
 
-    The only place states are painted onto the q grid. rho is a density
-    with respect to the quadrature measure. Falls back to the
-    intermediate members when no regular group exists (the
-    intermediate is then the single realization).
+    The mean of the members' quadratic forms is the quadratic form of
+    their summed Gram matrix: with the channel Gram block
+    G_j(xi) = sum_{i in I_j} c_i(xi) c_i(xi)^T of each xi cell,
+    rho_j(q, xi) = phi(q)^T G_j(xi) phi(q) / |I_j|, so no member state
+    is painted onto the q grid. Members are gathered GRAM_CHUNK at a
+    time. rho is a density with respect to the quadrature measure.
+    Falls back to the intermediate members when no regular group
+    exists (the intermediate is then the single realization).
     """
     member_sets = [g.members for g in rs.groups] if rs.groups \
         else [rs.intermediate]
-    phi_t = states.basis.phi.T
+    phi = states.basis.phi
+    _, n_modes, n_g = states.channels.shape
     out = []
     for members in member_sets:
-        rho = phi_t @ states.channels[list(members)]
-        rho *= rho
-        out.append(rho.sum(axis=0) / len(members))
+        gram = np.zeros((n_g, n_modes, n_modes))
+        for start in range(0, len(members), GRAM_CHUNK):
+            chunk = states.channels[list(members[start:start + GRAM_CHUNK])]
+            cells = np.ascontiguousarray(chunk.transpose(2, 0, 1))
+            gram += cells.transpose(0, 2, 1) @ cells
+        g_phi = (gram.reshape(-1, n_modes) @ phi).reshape(n_g, n_modes, -1)
+        out.append(np.sum(g_phi * phi, axis=1).T / len(members))
     return tuple(out)

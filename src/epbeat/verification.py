@@ -17,7 +17,7 @@ from numpy.random import default_rng
 from .model import (CouplingSpec, Grid, ProblemSpec, gaussian_bump_basis,
                     given_mode_basis)
 from .oracle import compare_spectra, direct_energies
-from .pipeline import PipelineResult, solve_problem
+from .pipeline import PipelineResult, solve_with_operator
 
 EP_EXACTNESS_TOL = 1e-7
 STATE_RESIDUAL_TOL = 1e-6
@@ -157,13 +157,13 @@ def recovered_spectrum(result: PipelineResult) -> np.ndarray:
     return result.sr.eigenvalues() + result.ep.eps0
 
 
-def max_state_residual(result: PipelineResult) -> float:
+def max_state_residual(result: PipelineResult, h: np.ndarray) -> float:
     """Worst ||(H - eta_i) Psi_i|| over unit channel vectors.
 
-    H is the solve's block operator in the eta scale, eta_i = E_i - eps_0;
-    all states go through one product H C^T - C^T diag(eta).
+    h is the block operator the solve reduced, in the eta scale
+    (solve_with_operator), eta_i = E_i - eps_0; all states go through
+    one product H C^T - C^T diag(eta).
     """
-    h = result.operator
     states = result.states
     c = states.channels.reshape(len(states), -1).T
     c = c / np.linalg.norm(c, axis=0)
@@ -176,13 +176,13 @@ def check_instance(seed: int,
     """Run the full battery on one instance."""
     if spec is None:
         spec = random_instance(seed)
-    result = solve_problem(spec)
-    energies = direct_energies(spec, result.operator)
+    result, h = solve_with_operator(spec)
+    energies = direct_energies(spec, h)
     report = compare_spectra(recovered_spectrum(result), energies,
                              EP_EXACTNESS_TOL)
     counts = result.sr.counts
     rank_accounting = counts.n_g + counts.rank_sum
-    resid = max_state_residual(result)
+    resid = max_state_residual(result, h)
     return InstanceCheck(
         seed=seed, n_tot=spec.n_tot, n_g=spec.n_g,
         exactness_pass=report.passed, max_rel_dev=report.max_rel_dev,

@@ -1,13 +1,17 @@
 """State reconstruction, densities, and diagnostics."""
 
+import json
+
 import numpy as np
 import pytest
 
+import epbeat.cli as cli
 from epbeat import (CouplingSpec, Grid, ProblemSpec, StateSet,
                     block_operator, compare_spectra, complexity_measure,
                     direct_energies, find_roots, gaussian_bump_basis,
                     given_mode_basis, participation_ratio, reconstruct_all,
-                    reduce_block, schmidt_ranks, solve_problem)
+                    reduce_block, schmidt_ranks, solve_problem,
+                    solve_with_operator)
 from epbeat.verification import (EP_EXACTNESS_TOL, STATE_RESIDUAL_TOL,
                                  check_instance, max_state_residual,
                                  random_instance, recovered_spectrum,
@@ -105,19 +109,18 @@ class TestReconstruction:
         # rank 2
         n_g = 6
         spec = merged_cluster_spec()
-        result = solve_problem(spec)
+        result, h = solve_with_operator(spec)
         assert result.ep.ranks.tolist() == [2] * n_g
         assert result.ep.raw_pole_count == 2 * n_g
-        assert max_state_residual(result) <= STATE_RESIDUAL_TOL
+        assert max_state_residual(result, h) <= STATE_RESIDUAL_TOL
         report = compare_spectra(recovered_spectrum(result),
-                                 direct_energies(spec, result.operator),
-                                 EP_EXACTNESS_TOL)
+                                 direct_energies(spec, h), EP_EXACTNESS_TOL)
         assert report.passed
         # resolvent oracle over the raw poles, away from them
-        lvals, lvecs = np.linalg.eigh(result.operator[n_g:, n_g:])
+        lvals, lvecs = np.linalg.eigh(h[n_g:, n_g:])
         eta, x = result.sr.roots, result.sr.vectors
         far = np.abs(eta[:, None] - lvals).min(axis=1) > 1e-3
-        amps = (x[far] @ result.operator[:n_g, n_g:] @ lvecs
+        amps = (x[far] @ h[:n_g, n_g:] @ lvecs
                 / (eta[far, None] - lvals))
         want = np.hstack([x[far], amps @ lvecs.T])
         got = result.states.channels[far].reshape(want.shape)
@@ -137,6 +140,23 @@ class TestReconstruction:
         # ~1e-5, leaves state residuals of 2.3e-6 and 3.1e-6
         if c2 < 1e-5:
             assert check.passed
+
+    @pytest.mark.parametrize("c2", [0.0, 1e-6, 1e-5, 1.0])
+    def test_hierarchy_depth_two_passes(self, c2, tmp_path, monkeypatch):
+        # level 2's border B q_k cancels to rounding (max |B| ~ 1e-16):
+        # the absolute floor (eps x span)^2 on the residue leads gives
+        # those poles rank 0 instead of roots of channel-0 weight 2e-17
+        # that fail certification
+        monkeypatch.setattr(cli, "build_problem",
+                            lambda doc: merged_cluster_spec(c2))
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps({"grid": {"n": 6}, "modes": {"count": 3}}))
+        out = tmp_path / "out"
+        assert cli.main(["hierarchy", "--config", str(path), "--depth", "2",
+                         "--out-dir", str(out)]) == 0
+        levels = json.loads((out / "hierarchy.json").read_text())["levels"]
+        assert [lv["depth"] for lv in levels] == [1, 2]
+        assert all(lv["operator_spectrum_match"]["passed"] for lv in levels)
 
     def test_tail_weight_grows_with_coupling(self):
         gen = np.random.default_rng(2)

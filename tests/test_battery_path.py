@@ -8,20 +8,22 @@ the eigenvalue-only oracle are checked against operators rebuilt from
 scratch, and the battery's worst deviation must keep a NaN.
 """
 
-import dataclasses
 import json
 import math
 import sys
+import weakref
 
 import numpy as np
 import pytest
 
 import epbeat.model as model
 import epbeat.oracle as oracle
+import epbeat.pipeline as pipeline
 import epbeat.verification as verification
 from epbeat import (NumericalError, block_operator, diagonalize_sym,
                     direct_energies, direct_spectrum, ep_from_poles,
-                    project_coupling, solve_problem)
+                    find_roots, project_coupling, solve_problem,
+                    solve_with_operator)
 from epbeat.cli import main
 from epbeat.effective import (DECOUPLED_FACTOR, POLE_MERGE_FACTOR,
                               RESIDUE_RANK_TOL)
@@ -129,48 +131,78 @@ class TestBatchedMerge:
         assert ep.w.shape == (2, 0)
 
 
+def calls_of(func, run) -> int:
+    """Calls of func while run() executes, counted by code object, so a
+    caller holding its own reference to func is counted too."""
+    code, calls = func.__code__, []
+
+    def profile(frame, event, arg):
+        if event == "call" and frame.f_code is code:
+            calls.append(event)
+
+    previous = sys.getprofile()
+    sys.setprofile(profile)
+    try:
+        run()
+    finally:
+        sys.setprofile(previous)
+    return len(calls)
+
+
 class TestSharedOperator:
     def test_operator_is_read_only_and_the_block_operator(self):
-        result = solve_problem(random_instance(4))
-        op = result.operator
+        result, op = solve_with_operator(random_instance(4))
         assert not op.flags.writeable
         with pytest.raises(ValueError):
             op[0, 0] = 1.0
         assert np.array_equal(op, block_operator(result.spec, result.v))
 
+    def test_solve_frees_the_operator_before_the_roots(self, monkeypatch):
+        built, alive = [], []
+
+        def build(spec, v):
+            op = block_operator(spec, v)
+            built.append(weakref.ref(op))
+            return op
+
+        def roots(ep):
+            alive.append(built[-1]() is not None)
+            return find_roots(ep)
+
+        monkeypatch.setattr(pipeline, "block_operator", build)
+        monkeypatch.setattr(pipeline, "find_roots", roots)
+        result = pipeline.solve_problem(random_instance(4))
+        assert alive == [False]
+        assert not hasattr(result, "operator")
+        _, op = pipeline.solve_with_operator(random_instance(4))
+        assert alive == [False, True] and built[-1]() is op
+
+    def test_check_instance_builds_the_operator_once(self):
+        checks = []
+        assert calls_of(model.block_operator, lambda: checks.append(
+            verification.check_instance(4))) == 1
+        assert checks[0].passed
+
     def test_grid_operator_built_once_per_solve(self):
-        # counted by code object, so a caller holding its own reference
-        # to hamiltonian_g is counted too
-        code, calls = model.hamiltonian_g.__code__, []
-
-        def profile(frame, event, arg):
-            if event == "call" and frame.f_code is code:
-                calls.append(event)
-
-        previous = sys.getprofile()
-        sys.setprofile(profile)
-        try:
-            solve_problem(random_instance(4))
-        finally:
-            sys.setprofile(previous)
-        assert len(calls) == 1
+        assert calls_of(model.hamiltonian_g,
+                        lambda: solve_problem(random_instance(4))) == 1
 
     def test_state_residual_against_rebuilt_operator(self):
         for seed in range(20):
-            result = solve_problem(random_instance(seed))
-            rebuilt = dataclasses.replace(
-                result, operator=block_operator(result.spec, result.v))
-            assert max_state_residual(result) == max_state_residual(rebuilt)
+            result, h = solve_with_operator(random_instance(seed))
+            rebuilt = block_operator(result.spec, result.v)
+            assert (max_state_residual(result, h)
+                    == max_state_residual(result, rebuilt))
 
     def test_eigenvalue_only_oracle(self):
         spec = random_instance(7)
-        result = solve_problem(spec)
+        result, h = solve_with_operator(spec)
         pair = direct_spectrum(spec, result.v)
         assert isinstance(pair, tuple) and len(pair) == 2
         energies, vectors = pair
         dim = spec.n_tot * spec.n_g
         assert energies.shape == (dim,) and vectors.shape == (dim, dim)
-        only = direct_energies(spec, result.operator)
+        only = direct_energies(spec, h)
         assert np.allclose(only, energies, rtol=0.0,
                            atol=1e-12 * np.abs(energies).max())
 
@@ -186,14 +218,14 @@ class TestSharedOperator:
 
     def test_both_oracles_read_the_cap_at_call_time(self, monkeypatch):
         spec = random_instance(13)
-        result = solve_problem(spec)
+        result, h = solve_with_operator(spec)
         monkeypatch.setattr(oracle, "DIMENSION_CAP", 3)
         with pytest.raises(NumericalError,
                            match=r"^direct_spectrum: .* exceeds cap 3$"):
             direct_spectrum(spec, result.v)
         with pytest.raises(NumericalError,
                            match=r"^direct_energies: .* exceeds cap 3$"):
-            direct_energies(spec, result.operator)
+            direct_energies(spec, h)
 
 
 def test_battery_worst_values_keep_a_nan(monkeypatch):
@@ -212,8 +244,8 @@ def test_battery_worst_values_keep_a_nan(monkeypatch):
             energies[-1] = math.nan
         return energies
 
-    def state_residual(result):
-        return math.nan if len(calls) == 2 else residual(result)
+    def state_residual(result, h):
+        return math.nan if len(calls) == 2 else residual(result, h)
 
     monkeypatch.setattr(verification, "recovered_spectrum", recovered)
     monkeypatch.setattr(verification, "max_state_residual", state_residual)

@@ -24,6 +24,14 @@ BASE_CONFIG = {
     "run": {"seed": 7, "cycles": 400, "prob_mode": "uniform"},
 }
 
+# a valid "given" modes section for BASE_CONFIG (N_tot 2 on 2 q points)
+GIVEN_MODES = {"count": 2, "kind": "given", "q_n": 2,
+               "eps": [0, 1], "phi": [[1, 1], [1, -1]]}
+# custom kernel samples for BASE_CONFIG (24 q by 6 xi) with one entry
+# replaced by a value that is not a number
+SAMPLES_WITH = {bad: [[-1.0] * 6 for _ in range(3)] + [[-1.0, bad] + [-1.0] * 4]
+                + [[-1.0] * 6 for _ in range(20)] for bad in (True, "-1")}
+
 
 @pytest.fixture
 def config_path(tmp_path):
@@ -402,7 +410,31 @@ class TestExitCodes:
         ("hg", "potential", {"kind": "double_well", "centers": [0.3, "a"]},
          "hg.potential.centers"),
         (None, "grid", [], "grid"),
-        (None, "hg", "soft", "hg")])
+        (None, "hg", "soft", "hg"),
+        ("modes", "q_n", 1, "modes.q_n"),
+        ("modes", "q_span", [1, 0], "modes.q_span"),
+        ("grid", "n", 1, "grid.n"),
+        ("grid", "span", [1, 0], "grid.span"),
+        pytest.param("coupling", "g", 10 ** 400, "coupling.g",
+                     id="coupling-g-10**400-coupling.g"),
+        ("hg", "potential", {"kind": "double_well", "centers": ["0.3", True]},
+         "hg.potential.centers"),
+        ("hg", "potential", [0, 0, 0, "0", 0, 0], "hg.potential"),
+        ("hg", "potential", [0, 0, 0, False, 0, 0], "hg.potential"),
+        pytest.param("hg", "potential", [0, 0, 0, 10 ** 400, 0, 0],
+                     "hg.potential", id="hg-potential-10**400-hg.potential"),
+        (None, "coupling", {"kind": "custom_sampled",
+                            "samples": SAMPLES_WITH[True]},
+         "coupling.samples"),
+        (None, "coupling", {"kind": "custom_sampled",
+                            "samples": SAMPLES_WITH["-1"]},
+         "coupling.samples"),
+        (None, "modes", dict(GIVEN_MODES, eps=[0, "1"]), "modes.eps"),
+        (None, "modes", dict(GIVEN_MODES, eps=[False, 1]), "modes.eps"),
+        (None, "modes", dict(GIVEN_MODES, phi=[[1, 1], [True, -1]]),
+         "modes.phi"),
+        (None, "modes", dict(GIVEN_MODES, phi=[[1, 1], ["1", -1]]),
+         "modes.phi")])
     def test_malformed_value_names_its_field(self, tmp_path, capsys, section,
                                              key, value, field):
         doc = json.loads(json.dumps(BASE_CONFIG))

@@ -7,12 +7,14 @@ poles added back.
 """
 
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from epbeat import (build_problem, count_accounting, direct_spectrum,
-                    root_count_below, solve_problem)
+from epbeat import (block_operator, build_problem, count_accounting,
+                    direct_spectrum, realization_densities, root_count_below,
+                    solve_problem)
 from epbeat.cli import main
 from epbeat.oracle import compare_spectra
 from epbeat.verification import (EP_EXACTNESS_TOL, STATE_RESIDUAL_TOL,
@@ -58,7 +60,23 @@ def test_oracle_exact_with_only_decoupled_poles_added(ladder):
 def test_state_residuals(ladder):
     _, result = ladder
     assert len(result.states) == result.spec.n_tot * result.spec.n_g
-    assert max_state_residual(result) <= STATE_RESIDUAL_TOL
+    h = block_operator(result.spec, result.v)
+    assert max_state_residual(result, h) <= STATE_RESIDUAL_TOL
+
+
+def test_densities_never_paint_the_members(ladder):
+    # the painted stack of the largest realization, (M, n_q, N_g) floats
+    _, result = ladder
+    rs, states = result.rs, result.states
+    sizes = [len(g.members) for g in rs.groups] or [len(rs.intermediate)]
+    painted = max(sizes) * states.basis.q_grid.n * result.spec.n_g * 8
+    tracemalloc.start()
+    try:
+        realization_densities(rs, states)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < painted / 4
 
 
 def test_inertia_count_between_roots(ladder):

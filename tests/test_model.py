@@ -211,6 +211,24 @@ class TestBuildProblem:
         assert spec.n_tot == 3
         assert np.allclose(np.diff(spec.xi_grid.points), 1.0 / 7)
 
+    def test_numeric_arrays_build_like_lists(self):
+        doc = {"grid": {"n": 4, "span": [0.0, 1.0]},
+               "modes": {"count": 2, "kind": "given", "q_n": 2,
+                         "eps": [0, 1], "phi": [[1, 1], [1, -1]]},
+               "coupling": {"kind": "custom_sampled",
+                            "samples": [[-1.0, -2, -1, 0.5]] * 2},
+               "hg": {"potential": [0, 1, 0.5, 0]}}
+        arrays = {"grid": {"n": 4, "span": np.array([0.0, 1.0])},
+                  "modes": dict(doc["modes"], eps=np.arange(2),
+                                phi=np.array([[1, 1], [1, -1]])),
+                  "coupling": dict(doc["coupling"], samples=np.array(
+                      doc["coupling"]["samples"])),
+                  "hg": {"potential": np.array([0, 1, 0.5, 0])}}
+        a, b = build_problem(doc), build_problem(arrays)
+        assert np.array_equal(a.modes.phi, b.modes.phi)
+        assert np.array_equal(a.coupling.samples, b.coupling.samples)
+        assert np.array_equal(a.g_potential, b.g_potential)
+
     def test_zero_n_g_names_field(self):
         with pytest.raises(ConfigError, match="grid.n"):
             build_problem({"grid": {"n": 0}, "modes": {"count": 2}})

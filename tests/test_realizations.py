@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from epbeat import (ConfigError, Grid, born_match,
+from epbeat import (ConfigError, Grid, born_match, build_problem,
                     group_realizations, hamiltonian_g, mix_density,
                     probabilities,
                     realization_densities, simulate_beat, solve_problem)
@@ -218,3 +218,53 @@ class TestMixDensity:
         var = np.maximum(mean_sq - expected ** 2, 0.0) / t
         bound = 3.0 * np.sqrt(var) + 1e-12
         assert np.all(np.abs(hist - expected) <= bound)
+
+
+def painted_densities(rs, states):
+    """Reference for realization_densities: every member's amplitude
+    Psi_i(q, xi) painted onto the q grid, squared and averaged."""
+    member_sets = [g.members for g in rs.groups] if rs.groups \
+        else [rs.intermediate]
+    phi_t = states.basis.phi.T
+    out = []
+    for members in member_sets:
+        rho = phi_t @ states.channels[list(members)]
+        rho *= rho
+        out.append(rho.sum(axis=0) / len(members))
+    return tuple(out)
+
+
+def ladder_spec(n_tot, n_g, stiffness):
+    return build_problem({
+        "grid": {"n": n_g},
+        "modes": {"count": n_tot, "delta_eps": 0.7},
+        "coupling": {"kind": "gaussian_attractive", "g": 1.0, "sigma": 0.2},
+        "hg": {"stiffness": stiffness,
+               "potential": {"kind": "double_well", "depth": 1,
+                             "width": 0.08, "centers": [0.3, 0.7]}}})
+
+
+class TestRealizationDensities:
+    # (instance, number of regular groups; None: one delocalized realization)
+    CASES = {
+        "ladder 5x40": (lambda: ladder_spec(5, 40, 0.1), None),
+        "two-well": (two_well_instance, 6),
+        "localized 5x40": (lambda: ladder_spec(5, 40, 0.002), 19),
+    }
+
+    @pytest.mark.parametrize("case", list(CASES))
+    def test_gram_form_matches_painted_reference(self, case):
+        make, n_groups = self.CASES[case]
+        result = solve_problem(make())
+        rs, states = result.rs, result.states
+        if n_groups is None:  # one delocalized realization of every state
+            assert not rs.groups and len(rs.intermediate) == 200
+        else:
+            assert len(rs.groups) == n_groups
+        got = realization_densities(rs, states)
+        want = painted_densities(rs, states)
+        assert len(got) == len(want) == rs.n_realizations
+        for rho, ref in zip(got, want):
+            assert rho.shape == ref.shape
+            assert np.abs(rho - ref).max() <= 1e-13 * np.abs(ref).max()
+            assert rho.min() >= 0.0

@@ -18,7 +18,7 @@ from .truncated import diagonalize_sym
 from .effective import (EffectivePotential, eval_ep, characteristic,
                         root_count_below, ep_well_alignment, recurse_ep,
                         ep_from_poles, reduce_block)
-from .spectrum import (SpectrumResult, CountRecord, linearize_ep, find_roots,
+from .spectrum import (SpectrumResult, linearize_ep, find_roots,
                        count_accounting)
 from .assembly import (StateSet, reconstruct_all, participation_ratio,
                        schmidt_ranks, complexity_measure)
@@ -41,8 +41,7 @@ __all__ = [
     "diagonalize_sym",
     "EffectivePotential", "eval_ep", "characteristic", "root_count_below",
     "ep_well_alignment", "recurse_ep", "ep_from_poles", "reduce_block",
-    "SpectrumResult", "CountRecord", "linearize_ep", "find_roots",
-    "count_accounting",
+    "SpectrumResult", "linearize_ep", "find_roots", "count_accounting",
     "StateSet", "reconstruct_all", "participation_ratio", "schmidt_ranks",
     "complexity_measure",
     "RealizationSet", "RealizationGroup",

@@ -36,17 +36,16 @@ import numpy as np
 from . import __version__
 from .assembly import complexity_measure, schmidt_ranks
 from .beat import simulate_beat
-from .effective import recurse_ep, reduce_block
+from .effective import recurse_ep
 from .errors import ConfigError, NumericalError, VerificationError
-from .model import (CouplingMatrices, block_operator, build_problem,
-                    project_coupling)
-from .oracle import check_dimension, compare_spectra, direct_energies
-from .pipeline import (mean_intermediate_density, solve_problem,
-                       solve_with_operator)
+from .model import block_operator, build_problem, project_coupling
+from .oracle import check_dimension, compare_spectra
+from .pipeline import mean_intermediate_density, solve_problem
 from .realizations import (PROBABILITY_MODES, mix_density,
                            realization_densities)
 from .spectrum import count_accounting, find_roots
-from .verification import EP_EXACTNESS_TOL, recovered_spectrum, run_battery
+from .verification import (EP_EXACTNESS_TOL, check_instance,
+                           per_block_reading, run_battery)
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -261,7 +260,7 @@ def _run_settings(doc: dict, args) -> dict:
     any artifact is written."""
     run = dict(doc.get("run", {}))
     for key in ("seed", "cycles", "prob_mode", "depth", "out_dir"):
-        if getattr(args, key) is not None:
+        if getattr(args, key, None) is not None:
             run[key] = getattr(args, key)
     run.setdefault("seed", 0)
     run.setdefault("cycles", 10_000)
@@ -314,12 +313,11 @@ def _spectrum_payload(result) -> dict:
     return {
         "roots": sr.roots,
         "energies": sr.energies,
-        "counts": dataclasses.asdict(sr.counts),
         "excluded": [{"value": v, "reason": r} for v, r in sr.excluded],
         "decoupled_poles": sr.decoupled_poles,
         "residual_max": sr.residual_max,
         "poles": result.ep.poles,
-        "accounting": count_accounting(sr),
+        "accounting": count_accounting(result.ep, sr),
     }
 
 
@@ -378,55 +376,31 @@ def cmd_verify(runner: _Runner, doc: dict, run: dict, args) -> int:
             f"instances: need K >= 1 random instances, got {args.instances}")
     spec = build_problem(doc)
     check_dimension("verify", spec)
-    result, op = solve_with_operator(spec, run.get("pr_threshold"))
-    energies = direct_energies(spec, op)
-    del op  # read by the oracle only
-    report = compare_spectra(recovered_spectrum(result), energies,
-                             EP_EXACTNESS_TOL)
-    accounting = count_accounting(result.sr)
-
-    # same reduction under the per-block reading of the truncated sector
-    # (cross couplings V_nm, n != m >= 1, zeroed): exact when they
-    # vanish, an approximation otherwise; reported alongside the coupled
-    # reading
-    v_pb = result.v.v.copy()
-    cross = ~np.eye(spec.n_tot, dtype=bool)
-    cross[0, :] = cross[:, 0] = False
-    v_pb[cross] = 0.0
-    _, ep_pb = reduce_block(block_operator(spec, CouplingMatrices(v_pb)),
-                            spec.n_g, result.ep.eps0)
-    sr_pb = find_roots(ep_pb)
-    scale = max(float(np.abs(energies).max()), 1.0)
-    per_block = {
-        "n_roots": int(sr_pb.roots.size),
-        "max_rel_dev_vs_direct": float(
-            np.abs(np.sort(sr_pb.energies) - energies).max() / scale)
-        if sr_pb.energies.size == energies.size else None,
-    }
+    check = check_instance(run["seed"], spec, run["pr_threshold"])
     battery = run_battery(n_instances=args.instances, seed0=run["seed"])
     del battery["instances"]  # keep the report small; flags carry the verdict
-    zero_kernel = bool(np.all(result.v.v == 0.0))
-    payload = {
+    result = check.result
+    write_json(runner.path("verify_report.json"), {
         "configured_instance": {
-            "ep_exactness": report.to_dict(),
-            "accounting": accounting,
-            "zero_coupling_path": zero_kernel,
+            "ep_exactness": check.exactness.to_dict(),
+            "accounting": check.accounting,
+            "zero_coupling_path": bool(np.all(result.v.v == 0.0)),
             "n_realizations": result.rs.n_realizations,
-            "per_block_reading": per_block,
+            "per_block_reading": per_block_reading(check),
+            "state_residual_max": check.state_residual_max,
+            "passed": check.passed,
         },
         "random_battery": battery,
-    }
-    write_json(runner.path("verify_report.json"), payload)
-    ok = report.passed and battery["all_passed"] \
-        and accounting["measured_equals_rank_accounting"]
-    runner.checks["ep_exactness"] = "pass" if report.passed else "fail"
-    runner.checks["accounting"] = ("pass" if
-                                   accounting["measured_equals_rank_accounting"]
-                                   else "fail")
-    runner.checks["random_battery"] = ("pass" if battery["all_passed"]
-                                       else "fail")
+    })
+    verdicts = {"ep_exactness": check.exactness.passed,
+                "accounting": check.accounting[
+                    "measured_equals_rank_accounting"],
+                "configured_instance": check.passed,
+                "random_battery": battery["all_passed"]}
+    runner.checks.update({name: "pass" if ok else "fail"
+                          for name, ok in verdicts.items()})
     runner.finish("verify", run["seed"])
-    if not ok:
+    if not all(verdicts.values()):
         raise VerificationError("verify: one or more checks failed; see "
                                 "verify_report.json")
     return EXIT_OK
@@ -477,11 +451,11 @@ def cmd_report(out_dir: str) -> int:
         raise NumericalError(f"report: no artifacts found in {out_dir}")
     lines = []
     if "spectrum.json" in summary:
-        c = summary["spectrum.json"]["counts"]
-        lines.append(f"roots: {c['n_roots']} (rank accounting "
-                     f"{c['n_g'] + c['rank_sum']}, degree bound "
-                     f"{c['degree_bound']}, full-degree count "
-                     f"{c['full_degree_count']}, linear {c['linear_count']})")
+        a = summary["spectrum.json"]["accounting"]
+        lines.append(f"roots: {a['measured_roots']} (rank accounting "
+                     f"{a['rank_accounting']}, degree bound "
+                     f"{a['degree_bound']}, full-degree count "
+                     f"{a['full_degree_count']}, linear {a['linear_count']})")
     if "realizations.json" in summary:
         r = summary["realizations.json"]
         n_groups = len(r["groups"])
@@ -500,29 +474,39 @@ def cmd_report(out_dir: str) -> int:
     return EXIT_OK
 
 
+# subcommand -> (help, the run flags it reads); every subcommand also
+# takes --out-dir, and all but report take --config
+SUBCOMMANDS = {
+    "solve": ("compute spectrum, states, and realizations",
+              ("seed", "prob_mode")),
+    "beat": ("solve plus a simulated reduction-event stream",
+             ("seed", "cycles", "prob_mode")),
+    "verify": ("oracle comparisons and count accounting", ("seed",)),
+    "hierarchy": ("recursive effective potentials, depth >= 1",
+                  ("seed", "depth")),
+    "report": ("aggregate JSON summaries from an output dir", ()),
+}
+RUN_FLAGS = {"seed": {"type": int}, "cycles": {"type": int},
+             "prob_mode": {"choices": PROBABILITY_MODES},
+             "depth": {"type": int}}
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="epbeat",
         description="Effective-potential workbench for two coupled fields")
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="subcommand", required=True)
-    for name, brief in (
-            ("solve", "compute spectrum, states, and realizations"),
-            ("beat", "solve plus a simulated reduction-event stream"),
-            ("verify", "oracle comparisons and count accounting"),
-            ("hierarchy", "recursive effective potentials, depth >= 1"),
-            ("report", "aggregate JSON summaries from an output dir")):
+    for name, (brief, flags) in SUBCOMMANDS.items():
         p = sub.add_parser(name, help=brief)
         if name != "report":
             p.add_argument("--config", required=True, help="config JSON path")
         p.add_argument("--out-dir", default=None,
                        help="output directory (default: run.out_dir, "
                             "$EPBEAT_OUT_DIR or ./out)")
-        p.add_argument("--seed", type=int, default=None)
-        p.add_argument("--cycles", type=int, default=None)
-        p.add_argument("--prob-mode", dest="prob_mode", default=None,
-                       choices=PROBABILITY_MODES)
-        p.add_argument("--depth", type=int, default=None)
+        for flag in flags:
+            p.add_argument("--" + flag.replace("_", "-"), dest=flag,
+                           default=None, **RUN_FLAGS[flag])
         if name == "verify":
             p.add_argument("--instances", type=int, default=100,
                            help="random instances in the battery")

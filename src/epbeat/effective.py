@@ -43,6 +43,7 @@ DECOUPLED_FACTOR = 1e-13   # residue leads below this x the strongest: rank 0
 # Within rounding of a pole, eta - p_k has no significant digits.
 POLE_GUARD_FACTOR = float(np.finfo(float).eps)
 WELL_RESIDUAL_TOL = 1e-7
+EP_BATCH_BYTES = 1 << 24   # scaled residue columns eval_ep holds at once
 
 
 @dataclass(frozen=True)
@@ -192,30 +193,31 @@ def reduce_block(op: np.ndarray, n_g: int,
     return vecs, ep
 
 
-def check_pole_gap(eta, poles: np.ndarray, span: float) -> None:
-    """Raise PoleProximityError if an eta lies within rounding of a pole.
+def eval_ep(ep: EffectivePotential, eta) -> np.ndarray:
+    """V_eff at eta: h0 + sum_k W_k W_k^T / (eta - p_k), exactly symmetric.
 
-    Within POLE_GUARD_FACTOR x span of a pole, 1 / (eta - p_k) carries
-    no significant digits, so V_eff is not defined there. eval_ep and
-    the inertia count (_pivot_eigenvalues) share this guard.
+    eta is a scalar (an N_g x N_g matrix is returned) or a 1-D array
+    (one matrix per eta, stacked). The one builder of V_eff: a batch
+    is h0 + (w diag(1/(eta - p))) w^T, its scaled copies of w limited
+    to EP_BATCH_BYTES at a time. Within POLE_GUARD_FACTOR x span of a
+    pole, 1 / (eta - p_k) carries no significant digits, so V_eff is
+    not defined there: that raises PoleProximityError, for every
+    caller, the inertia count included.
     """
-    eta = np.atleast_1d(np.asarray(eta, dtype=float))
-    guard = POLE_GUARD_FACTOR * span
-    near = np.any(np.abs(eta[:, None] - poles[None, :]) <= guard, axis=1)
+    etas = np.atleast_1d(np.asarray(eta, dtype=float))
+    guard = POLE_GUARD_FACTOR * ep.span
+    near = np.any(np.abs(etas[:, None] - ep.poles) <= guard, axis=1)
     if np.any(near):
         raise PoleProximityError(
-            f"eta={float(eta[np.argmax(near)])!r} is at resonance with a "
+            f"eta={float(etas[np.argmax(near)])!r} is at resonance with a "
             f"pole (within {guard:.3e})")
-
-
-def eval_ep(ep: EffectivePotential, eta: float) -> np.ndarray:
-    """V_eff at a given eta: h0 + sum_k W_k W_k^T / (eta - p_k).
-
-    Raises PoleProximityError within rounding of a pole.
-    """
-    check_pole_gap(eta, ep.poles, ep.span)
-    out = ep.h0 + (ep.w / (eta - ep.column_poles)) @ ep.w.T
-    return 0.5 * (out + out.T)
+    w, p = ep.w, ep.column_poles
+    step = max(1, EP_BATCH_BYTES // max(w.nbytes, 1))
+    out = np.empty((etas.size,) + ep.h0.shape)
+    for a in range(0, etas.size, step):
+        m = ep.h0 + (w / (etas[a:a + step, None, None] - p)) @ w.T
+        out[a:a + step] = 0.5 * (m + m.swapaxes(1, 2))
+    return out[0] if np.ndim(eta) == 0 else out
 
 
 def _pivot_eigenvalues(ep: EffectivePotential, eta) -> np.ndarray:
@@ -223,17 +225,11 @@ def _pivot_eigenvalues(ep: EffectivePotential, eta) -> np.ndarray:
 
     By Sylvester's law they have the inertia of the pivots of a
     symmetric LDL^T factorization, and their product is the
-    determinant. The batch is checked against the poles once, built
-    with one product of the pole weights 1 / (eta - p) and the
-    column outer products w w^T, and solved with one stacked eigvalsh.
+    determinant. One batched eval_ep, one stacked eigvalsh.
     """
     eta = np.atleast_1d(np.asarray(eta, dtype=float))
-    check_pole_gap(eta, ep.poles, ep.span)
-    n_g, w, p = ep.n_g, ep.w, ep.column_poles
-    outer = (w[:, None, :] * w[None, :, :]).reshape(n_g * n_g, -1)
-    terms = ((1.0 / (eta[:, None] - p)) @ outer.T).reshape(-1, n_g, n_g)
     return np.linalg.eigvalsh(
-        terms + (ep.h0 - eta[:, None, None] * np.eye(n_g)))
+        eval_ep(ep, eta) - eta[:, None, None] * np.eye(ep.n_g))
 
 
 def characteristic(ep: EffectivePotential, eta):

@@ -29,6 +29,10 @@ MODE_KINDS = ("bumps", "given")
 
 DEFAULT_BUMP_WIDTH_FACTOR = 1.5
 NORMALIZATION_TOL = 1e-10
+# Largest spread of a grid's steps, relative to its first: hamiltonian_g
+# builds the Laplacian from one spacing, so the points must be evenly
+# spaced up to rounding (np.linspace steps differ in the last bits)
+SPACING_TOL = 1e-9
 
 
 def _freeze(a) -> np.ndarray:
@@ -39,7 +43,7 @@ def _freeze(a) -> np.ndarray:
 
 @dataclass(frozen=True)
 class Grid:
-    """Ordered 1-D quadrature grid with trapezoid weights."""
+    """Evenly spaced 1-D quadrature grid with trapezoid weights."""
 
     points: np.ndarray
     weights: np.ndarray
@@ -50,8 +54,11 @@ class Grid:
         object.__setattr__(self, "weights", _freeze(self.weights))
         if self.points.ndim != 1 or self.points.size < 2:
             raise ConfigError("grid: need at least 2 points")
-        if np.any(np.diff(self.points) <= 0):
+        steps = np.diff(self.points)
+        if np.any(steps <= 0):
             raise ConfigError("grid.points: must be strictly increasing")
+        if np.ptp(steps) > SPACING_TOL * steps[0]:
+            raise ConfigError("grid.points: must be evenly spaced")
         if self.weights.shape != self.points.shape:
             raise ConfigError("grid.weights: shape mismatch with points")
         if np.any(self.weights <= 0):

@@ -39,21 +39,8 @@ def linearize_ep(ep: EffectivePotential) -> np.ndarray:
 
 
 @dataclass(frozen=True)
-class CountRecord:
-    """Root/pole/rank bookkeeping for one spectrum."""
-
-    n_g: int
-    n_roots: int
-    n_poles: int
-    rank_sum: int
-    degree_bound: int
-    full_degree_count: int
-    linear_count: int
-
-
-@dataclass(frozen=True)
 class SpectrumResult:
-    """All certified roots with their eigenvectors and accounting.
+    """All certified roots with their eigenvectors.
 
     vectors[i] is root i's unit channel-0 profile x and border[i] the
     border block y of the same linearization eigenvector, scaled
@@ -65,7 +52,6 @@ class SpectrumResult:
     vectors: np.ndarray  # (n_roots, N_g)
     border: np.ndarray   # (n_roots, sum of ranks)
     energies: np.ndarray
-    counts: CountRecord
     excluded: tuple
     decoupled_poles: np.ndarray
     residual_max: float
@@ -105,50 +91,42 @@ def find_roots(ep: EffectivePotential) -> SpectrumResult:
             f"(residual {resid[j]:.3e} > {bound:.3e} x channel-0 weight "
             f"{nx[j]:.3e})")
     vecs /= nx
-    n_e = ep.n_channels
-    counts = CountRecord(
-        n_g=int(n_g),
-        n_roots=int(vals.size),
-        n_poles=int(ep.poles.size),
-        rank_sum=int(ep.ranks.sum()),
-        degree_bound=int(n_g * (ep.poles.size + 1)),
-        full_degree_count=int(n_g * (n_e * n_g + 1)),
-        linear_count=int((n_e + 1) * n_g))
     return SpectrumResult(
         roots=vals, vectors=x.T, border=vecs[n_g:].T,
-        energies=vals + ep.eps0, counts=counts, excluded=(),
+        energies=vals + ep.eps0, excluded=(),
         decoupled_poles=np.repeat(ep.poles, ep.sizes - ep.ranks),
         residual_max=float((resid / nx).max(initial=0.0)))
 
 
-def count_accounting(sr: SpectrumResult) -> dict:
+def count_accounting(ep: EffectivePotential, sr: SpectrumResult) -> dict:
     """Confront the measured root count with the closed-form counts.
 
-    Four numbers: the measured count, the rank accounting
-    N_g + sum_k rank(R_k), the full-degree count N_g (N_e N_g + 1)
-    evaluated with N_e = eliminated channels, and the plain linear
-    dimension N_tot N_g. The verdict strings state whether measurement
-    matches the rank accounting and under what condition the degree
-    bound is attained.
+    The one place the paper's counts are computed. Four numbers: the
+    measured count, the rank accounting N_g + sum_k rank(R_k), the
+    full-degree count N_g (N_e N_g + 1) evaluated with N_e = eliminated
+    channels, and the plain linear dimension N_tot N_g. The verdict
+    strings state whether measurement matches the rank accounting and
+    under what condition the degree bound is attained.
     """
-    c = sr.counts
-    n_g = c.n_g
-    rank_accounting = n_g + c.rank_sum
-    all_full_rank = (c.n_poles > 0 and c.rank_sum == c.n_poles * n_g)
-    bound_attained = c.n_roots == c.degree_bound
+    n_g, n_e, n_poles = ep.n_g, ep.n_channels, int(ep.poles.size)
+    n_roots, rank_sum = int(sr.roots.size), int(ep.ranks.sum())
+    rank_accounting = n_g + rank_sum
+    degree_bound = n_g * (n_poles + 1)
+    all_full_rank = n_poles > 0 and rank_sum == n_poles * n_g
+    bound_attained = n_roots == degree_bound
     return {
-        "measured_roots": c.n_roots,
+        "measured_roots": n_roots,
         "rank_accounting": rank_accounting,
-        "full_degree_count": c.full_degree_count,
-        "linear_count": c.linear_count,
-        "n_poles": c.n_poles,
-        "degree_bound": c.degree_bound,
-        "measured_equals_rank_accounting": bool(c.n_roots == rank_accounting),
-        "degree_bound_attained": bool(bound_attained),
-        "all_residues_full_rank": bool(all_full_rank),
+        "full_degree_count": n_g * (n_e * n_g + 1),
+        "linear_count": (n_e + 1) * n_g,
+        "n_poles": n_poles,
+        "degree_bound": degree_bound,
+        "measured_equals_rank_accounting": n_roots == rank_accounting,
+        "degree_bound_attained": bound_attained,
+        "all_residues_full_rank": all_full_rank,
         "verdicts": [
             "measured = rank accounting: "
-            + ("yes" if c.n_roots == rank_accounting else "NO"),
+            + ("yes" if n_roots == rank_accounting else "NO"),
             "degree bound attained iff all residues full-rank: "
             + ("consistent" if bound_attained == all_full_rank
                else "INCONSISTENT"),

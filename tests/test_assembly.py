@@ -135,7 +135,7 @@ class TestReconstruction:
         # exactly decoupled); the eigenvalue of H left at each such pole
         # must still be recovered, or 6 of 18 go unmatched
         check = check_instance(0, merged_cluster_spec(c2))
-        assert check.exactness_pass
+        assert check.exactness.passed
         # at c2 >= 1e-5 the truncated rank-2 direction, coupled at
         # ~1e-5, leaves state residuals of 2.3e-6 and 3.1e-6
         if c2 < 1e-5:
@@ -157,6 +157,29 @@ class TestReconstruction:
         levels = json.loads((out / "hierarchy.json").read_text())["levels"]
         assert [lv["depth"] for lv in levels] == [1, 2]
         assert all(lv["operator_spectrum_match"]["passed"] for lv in levels)
+
+    def test_verify_fails_on_the_configured_state_residual(self, tmp_path,
+                                                           monkeypatch):
+        # at c2 = 1e-5 the spectrum matches the oracle and the counts
+        # hold, but the truncated rank-2 direction leaves state
+        # residuals of 2.3e-6 > STATE_RESIDUAL_TOL: only the configured
+        # instance's state check can fail the run
+        monkeypatch.setattr(cli, "build_problem",
+                            lambda doc: merged_cluster_spec(1e-5))
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps({"grid": {"n": 6}, "modes": {"count": 3}}))
+        out = tmp_path / "out"
+        assert cli.main(["verify", "--config", str(path), "--instances", "2",
+                         "--out-dir", str(out)]) == 4
+        report = json.loads((out / "verify_report.json").read_text())
+        configured = report["configured_instance"]
+        assert configured["ep_exactness"]["passed"]
+        assert configured["accounting"]["measured_equals_rank_accounting"]
+        assert configured["state_residual_max"] > STATE_RESIDUAL_TOL
+        assert configured["passed"] is False
+        assert report["random_battery"]["all_passed"]
+        checks = json.loads((out / "manifest.json").read_text())["checks"]
+        assert checks["configured_instance"] == "fail"
 
     def test_tail_weight_grows_with_coupling(self):
         gen = np.random.default_rng(2)

@@ -12,7 +12,7 @@ import pytest
 
 import epbeat
 from epbeat import oracle
-from epbeat.cli import main
+from epbeat.cli import build_parser, main
 
 BASE_CONFIG = {
     "grid": {"n": 6, "span": [0.0, 1.0], "boundary": "dirichlet"},
@@ -49,7 +49,8 @@ def test_solve_writes_artifacts(config_path, tmp_path):
         assert (out / name).exists()
     assert manifest["checks"]["beat"] == "not run"
     spectrum = json.loads((out / "spectrum.json").read_text())
-    assert spectrum["counts"]["n_roots"] == 18
+    assert spectrum["accounting"]["measured_roots"] == 18
+    assert "counts" not in spectrum
     assert spectrum["accounting"]["measured_equals_rank_accounting"]
 
 
@@ -462,6 +463,41 @@ class TestExitCodes:
 
     def test_report_empty_dir_numerical_failure(self, tmp_path):
         assert main(["report", "--out-dir", str(tmp_path / "empty")]) == 3
+
+    @pytest.mark.parametrize("argv", [
+        ["solve", "--depth", "3", "--cycles", "7"], ["solve", "--cycles", "0"],
+        ["solve", "--instances", "2"], ["beat", "--depth", "2"],
+        ["verify", "--cycles", "5"], ["verify", "--prob-mode", "born"],
+        ["hierarchy", "--cycles", "5"], ["hierarchy", "--prob-mode", "born"],
+        ["report", "--depth", "0"], ["report", "--seed", "1"]])
+    def test_flag_the_subcommand_does_not_read(self, config_path, tmp_path,
+                                               capsys, argv):
+        out = tmp_path / "o"
+        if argv[0] != "report":
+            argv = argv[:1] + ["--config", config_path] + argv[1:]
+        with pytest.raises(SystemExit) as exc:
+            main(argv + ["--out-dir", str(out)])
+        assert exc.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+        assert not out.exists()
+
+
+@pytest.mark.parametrize("argv,read", [
+    (["solve", "--seed", "1", "--prob-mode", "born"],
+     {"seed": 1, "prob_mode": "born"}),
+    (["beat", "--seed", "1", "--cycles", "5", "--prob-mode", "grouped"],
+     {"seed": 1, "cycles": 5, "prob_mode": "grouped"}),
+    (["verify", "--seed", "1", "--instances", "3"],
+     {"seed": 1, "instances": 3}),
+    (["hierarchy", "--seed", "1", "--depth", "2"], {"seed": 1, "depth": 2}),
+    (["report"], {})])
+def test_each_subcommand_takes_its_flags(argv, read):
+    config = [] if argv[0] == "report" else ["--config", "c.json"]
+    args = build_parser().parse_args(
+        argv[:1] + config + ["--out-dir", "d"] + argv[1:])
+    assert args.out_dir == "d"
+    assert {k: v for k, v in vars(args).items()
+            if k not in ("subcommand", "config", "out_dir")} == read
 
 
 def test_float_seventeen_digit_roundtrip(config_path, tmp_path):

@@ -10,6 +10,7 @@ from epbeat import (ConfigError, CouplingSpec, Grid, PoleProximityError,
                     recurse_ep, reduce_block)
 from epbeat.verification import (random_instance, single_well_instance,
                                  two_well_instance, zero_coupling_instance)
+from epbeat import effective
 from epbeat.effective import POLE_GUARD_FACTOR
 
 
@@ -91,6 +92,24 @@ class TestEvalEP:
         for eta in (ep.poles.min() - 1.3, ep.poles.max() + 0.7):
             m = eval_ep(ep, eta)
             assert np.array_equal(m, m.T)
+
+    def test_batch_matches_the_per_pole_sum(self, monkeypatch):
+        # the reference: h0 + sum_k W_k W_k^T / (eta - p_k), pole by pole
+        _, _, ep = pipeline_upto_ep(random_instance(9))
+        etas = np.concatenate([ep.poles[:-1] + 0.5 * np.diff(ep.poles),
+                               [ep.poles.min() - 1.3, ep.poles.max() + 0.7]])
+        factors = ep.to_dict()["residue_factors"]
+        want = np.array([ep.h0 + sum(f @ f.T / (eta - p)
+                                     for f, p in zip(factors, ep.poles))
+                         for eta in etas])
+        got = eval_ep(ep, etas)
+        assert got.shape == (etas.size, ep.n_g, ep.n_g)
+        assert np.allclose(got, want, rtol=0.0,
+                           atol=1e-12 * np.abs(want).max())
+        assert np.array_equal(got[3], eval_ep(ep, etas[3]))
+        # one eta per pass through the batch loop: the same matrices
+        monkeypatch.setattr(effective, "EP_BATCH_BYTES", 1)
+        assert np.array_equal(eval_ep(ep, etas), got)
 
 
 class TestCharacteristic:

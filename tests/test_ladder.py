@@ -40,7 +40,7 @@ def ladder(request):
 
 def test_measured_roots_equal_rank_accounting(ladder):
     _, result = ladder
-    acc = count_accounting(result.sr)
+    acc = count_accounting(result.ep, result.sr)
     assert acc["measured_roots"] == acc["rank_accounting"] \
         == result.spec.n_tot * result.spec.n_g
     assert result.sr.excluded == ()
@@ -85,6 +85,24 @@ def test_inertia_count_between_roots(ladder):
     mids = 0.5 * (roots[:-1] + roots[1:])
     counts = root_count_below(result.ep, mids)
     assert counts.tolist() == list(range(1, roots.size))
+
+
+def test_inertia_count_builds_no_outer_product_table(ladder):
+    # an (N_g^2, sum of ranks) table of the residue columns' outer
+    # products is 12 MB at 8x60 and 37 MB at 10x80
+    _, result = ladder
+    ep = result.ep
+    roots = np.sort(result.sr.roots)
+    mids = 0.5 * (roots[:-1] + roots[1:])
+    picks = mids[np.linspace(0, mids.size - 1, 8).astype(int)]
+    tracemalloc.start()
+    try:
+        counts = root_count_below(ep, picks)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert counts.tolist() == [int(np.sum(roots < x)) for x in picks]
+    assert peak < ep.n_g ** 2 * ep.w.shape[1] * 8 / 4
 
 
 def test_hierarchy_matches_both_levels(ladder, tmp_path):

@@ -44,6 +44,19 @@ class TestGrid:
         with pytest.raises(ConfigError, match="increasing"):
             Grid(points=[0.0, 0.0, 1.0], weights=[1, 1, 1])
 
+    def test_uneven_points_rejected(self):
+        # hamiltonian_g reads one spacing, points[1] - points[0]
+        with pytest.raises(ConfigError, match="grid.points: .*evenly"):
+            Grid(points=[0.0, 0.1, 0.5, 1.0], weights=[0.05, 0.25, 0.45, 0.25])
+        even = Grid(points=[0.0, 0.1, 0.2, 0.3], weights=[0.05, 0.1, 0.1, 0.05])
+        assert even.spacing == pytest.approx(0.1)
+        for n, boundary in ((2, "dirichlet"), (1000, "dirichlet"),
+                            (7, "periodic")):
+            grid = Grid.uniform(n, (-3.0, 11.0), boundary)
+            assert np.array_equal(grid.points, np.linspace(-3.0, 11.0, n)
+                                  if boundary == "dirichlet"
+                                  else -3.0 + 2.0 * np.arange(n))
+
     def test_unknown_boundary(self):
         with pytest.raises(ConfigError, match="boundary"):
             Grid.uniform(4, (0.0, 1.0), boundary="absorbing")

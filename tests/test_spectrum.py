@@ -139,7 +139,7 @@ class TestFindRoots:
         ep = ep_from_poles(np.array([[0.0]]), [2.0, 5.0, 8.0],
                            np.array([[1.0, 1e-6, 1e-6]]), n_channels=1)
         sr = find_roots(ep)
-        acc = count_accounting(sr)
+        acc = count_accounting(ep, sr)
         assert acc["measured_roots"] == acc["rank_accounting"] == 4
         assert sr.excluded == ()
         assert np.all(np.diff(sr.roots) > 0.0)
@@ -157,14 +157,14 @@ class TestAccounting:
         assert (spec.n_tot, spec.n_g) == (3, 3)
         _, _, ep = pipeline_upto_ep(spec)
         sr = find_roots(ep)
-        acc = count_accounting(sr)
+        acc = count_accounting(ep, sr)
         assert acc["full_degree_count"] == 21
 
     def test_simple_poles_measured_equals_linear_dimension(self):
         spec = random_instance(241)
         v, q, ep = pipeline_upto_ep(spec)
         sr = find_roots(ep)
-        acc = count_accounting(sr)
+        acc = count_accounting(ep, sr)
         assert acc["measured_roots"] == 9 == spec.n_tot * spec.n_g
         assert acc["measured_equals_rank_accounting"]
         assert not acc["degree_bound_attained"]  # rank-1 gap flagged
@@ -173,7 +173,7 @@ class TestAccounting:
     def test_synthetic_degenerate_attains_degree_bound(self):
         ep = synthetic_full_rank_ep(n_e=2, n_g=3)
         sr = find_roots(ep)
-        acc = count_accounting(sr)
+        acc = count_accounting(ep, sr)
         assert acc["full_degree_count"] == 21
         assert acc["measured_roots"] == 21
         assert acc["degree_bound"] == 21
@@ -188,14 +188,14 @@ class TestAccounting:
             spec = random_instance(seed)
             _, _, ep = pipeline_upto_ep(spec)
             sr = find_roots(ep)
-            acc = count_accounting(sr)
+            acc = count_accounting(ep, sr)
             assert acc["measured_roots"] == acc["rank_accounting"]
             assert acc["measured_roots"] <= acc["degree_bound"]
 
     def test_verdict_strings(self):
         spec = random_instance(1)
         _, _, ep = pipeline_upto_ep(spec)
-        acc = count_accounting(find_roots(ep))
+        acc = count_accounting(ep, find_roots(ep))
         assert acc["verdicts"][0].startswith("measured = rank accounting: yes")
         assert "consistent" in acc["verdicts"][1]
 

@@ -36,9 +36,11 @@ import numpy as np
 from . import __version__
 from .assembly import complexity_measure, schmidt_ranks
 from .beat import simulate_beat
+from .blas import threads, threads_for
 from .effective import recurse_ep
 from .errors import ConfigError, NumericalError, VerificationError
-from .model import block_operator, build_problem, project_coupling
+from .model import (ProblemSpec, block_operator, build_problem,
+                    project_coupling)
 from .oracle import check_dimension, compare_spectra
 from .pipeline import mean_intermediate_density, solve_problem
 from .realizations import (PROBABILITY_MODES, mix_density,
@@ -279,11 +281,16 @@ def _config_hash(path: str) -> str:
 
 
 class _Runner:
-    """Collects outputs and writes the manifest last."""
+    """Collects outputs and writes the manifest last.
 
-    def __init__(self, config: str, out_dir: str):
+    blas_threads is the OpenBLAS thread count the command's main work
+    runs with (None without OpenBLAS controls; see blas.threads_for).
+    """
+
+    def __init__(self, config: str, out_dir: str, blas_threads: int | None):
         self.config = config
         self.out_dir = Path(out_dir)
+        self.blas_threads = blas_threads
         self.outputs: list[str] = []
         self.checks: dict = {}
         self.t0 = time.time()
@@ -301,6 +308,7 @@ class _Runner:
             "seed": seed,
             "outputs": self.outputs,
             "checks": self.checks,
+            "blas_threads": self.blas_threads,
             "elapsed_seconds": time.time() - self.t0,
             "timestamp": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
         }
@@ -321,8 +329,7 @@ def _spectrum_payload(result) -> dict:
     }
 
 
-def _solve_and_write(runner: _Runner, doc: dict, run: dict):
-    spec = build_problem(doc)
+def _solve_and_write(runner: _Runner, spec: ProblemSpec, run: dict):
     result = solve_problem(spec, run.get("pr_threshold"))
     mode = run["prob_mode"]
     rs = result.rs
@@ -346,15 +353,15 @@ def _solve_and_write(runner: _Runner, doc: dict, run: dict):
     return result
 
 
-def cmd_solve(runner: _Runner, doc: dict, run: dict) -> int:
-    _solve_and_write(runner, doc, run)
+def cmd_solve(runner: _Runner, spec: ProblemSpec, run: dict, args) -> int:
+    _solve_and_write(runner, spec, run)
     runner.checks["beat"] = "not run"
     runner.finish("solve", run["seed"])
     return EXIT_OK
 
 
-def cmd_beat(runner: _Runner, doc: dict, run: dict) -> int:
-    result = _solve_and_write(runner, doc, run)
+def cmd_beat(runner: _Runner, spec: ProblemSpec, run: dict, args) -> int:
+    result = _solve_and_write(runner, spec, run)
     traj = simulate_beat(result.rs, run["cycles"], run["seed"],
                          run["prob_mode"])
     write_events_csv(runner.path("events.csv"), traj)
@@ -370,11 +377,10 @@ def cmd_beat(runner: _Runner, doc: dict, run: dict) -> int:
     return EXIT_OK
 
 
-def cmd_verify(runner: _Runner, doc: dict, run: dict, args) -> int:
+def cmd_verify(runner: _Runner, spec: ProblemSpec, run: dict, args) -> int:
     if args.instances < 1:
         raise ConfigError(
             f"instances: need K >= 1 random instances, got {args.instances}")
-    spec = build_problem(doc)
     check_dimension("verify", spec)
     check = check_instance(run["seed"], spec, run["pr_threshold"])
     battery = run_battery(n_instances=args.instances, seed0=run["seed"])
@@ -406,8 +412,8 @@ def cmd_verify(runner: _Runner, doc: dict, run: dict, args) -> int:
     return EXIT_OK
 
 
-def cmd_hierarchy(runner: _Runner, doc: dict, run: dict) -> int:
-    spec = build_problem(doc)
+def cmd_hierarchy(runner: _Runner, spec: ProblemSpec, run: dict,
+                  args) -> int:
     # every level's operator is a trailing block of the full one
     check_dimension("hierarchy", spec)
     op = block_operator(spec, project_coupling(spec.modes, spec.coupling,
@@ -486,6 +492,8 @@ SUBCOMMANDS = {
                   ("seed", "depth")),
     "report": ("aggregate JSON summaries from an output dir", ()),
 }
+COMMANDS = {"solve": cmd_solve, "beat": cmd_beat, "verify": cmd_verify,
+            "hierarchy": cmd_hierarchy}
 RUN_FLAGS = {"seed": {"type": int}, "cycles": {"type": int},
              "prob_mode": {"choices": PROBABILITY_MODES},
              "depth": {"type": int}}
@@ -520,16 +528,11 @@ def main(argv=None) -> int:
             return cmd_report(_run_settings({}, args)["out_dir"])
         doc = load_config(args.config)
         run = _run_settings(doc, args)
-        runner = _Runner(args.config, run["out_dir"])
-        if args.subcommand == "solve":
-            return cmd_solve(runner, doc, run)
-        if args.subcommand == "beat":
-            return cmd_beat(runner, doc, run)
-        if args.subcommand == "verify":
-            return cmd_verify(runner, doc, run, args)
-        if args.subcommand == "hierarchy":
-            return cmd_hierarchy(runner, doc, run)
-        raise ConfigError(f"unknown subcommand {args.subcommand!r}")
+        spec = build_problem(doc)
+        command = COMMANDS[args.subcommand]
+        with threads_for(spec.dim):
+            return command(_Runner(args.config, run["out_dir"], threads()),
+                           spec, run, args)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

@@ -29,9 +29,11 @@ MODE_KINDS = ("bumps", "given")
 
 DEFAULT_BUMP_WIDTH_FACTOR = 1.5
 NORMALIZATION_TOL = 1e-10
-# Largest spread of a grid's steps, relative to its first: hamiltonian_g
-# builds the Laplacian from one spacing, so the points must be evenly
-# spaced up to rounding (np.linspace steps differ in the last bits)
+# Largest spread of a grid's steps, and largest deviation of a weight
+# from its trapezoid value, relative to the first step: hamiltonian_g
+# builds the Laplacian from one spacing and every quadrature reads the
+# weights, so both must be even up to rounding (np.linspace steps
+# differ in the last bits)
 SPACING_TOL = 1e-9
 
 
@@ -61,10 +63,16 @@ class Grid:
             raise ConfigError("grid.points: must be evenly spaced")
         if self.weights.shape != self.points.shape:
             raise ConfigError("grid.weights: shape mismatch with points")
-        if np.any(self.weights <= 0):
-            raise ConfigError("grid.weights: must be positive")
         if self.boundary not in BOUNDARIES:
             raise ConfigError(f"grid.boundary: unknown value {self.boundary!r}")
+        h = steps[0]
+        trapezoid = np.full(self.n, h)
+        if self.boundary == "dirichlet":
+            trapezoid[[0, -1]] = h / 2
+        if not np.abs(self.weights - trapezoid).max() <= SPACING_TOL * h:
+            raise ConfigError("grid.weights: must be the trapezoid weights of "
+                              "the points (h/2 at the ends and h inside; h "
+                              "everywhere if periodic)")
 
     @property
     def n(self) -> int:
@@ -211,6 +219,11 @@ class ProblemSpec:
     @property
     def n_tot(self) -> int:
         return self.modes.n_modes
+
+    @property
+    def dim(self) -> int:
+        """Dimension N_tot * N_g of the full coupled operator."""
+        return self.n_tot * self.n_g
 
 
 @dataclass(frozen=True)

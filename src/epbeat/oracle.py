@@ -22,10 +22,9 @@ def check_dimension(caller: str, spec: ProblemSpec) -> None:
     """Refuse a dense solve of the full operator above DIMENSION_CAP,
     read at call time, so every caller follows a cap set on the
     module."""
-    dim = spec.n_tot * spec.n_g
-    if dim > DIMENSION_CAP:
+    if spec.dim > DIMENSION_CAP:
         raise NumericalError(
-            f"{caller}: dimension {dim} exceeds cap {DIMENSION_CAP}")
+            f"{caller}: dimension {spec.dim} exceeds cap {DIMENSION_CAP}")
 
 
 def direct_spectrum(spec: ProblemSpec, v: CouplingMatrices):

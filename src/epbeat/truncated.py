@@ -16,6 +16,9 @@ from .errors import NumericalError
 
 SYMMETRY_TOL = 1e-12
 RECONSTRUCTION_TOL = 1e-9
+# residual columns the reconstruction check holds at once (one block
+# up to n = 1448)
+RECONSTRUCTION_BLOCK_BYTES = 1 << 24
 
 
 def diagonalize_sym(m: np.ndarray):
@@ -24,7 +27,10 @@ def diagonalize_sym(m: np.ndarray):
     Returns (values sorted ascending, orthonormal eigenvector columns).
     Raises NumericalError for non-square or non-symmetric input, or
     if the eigenpairs do not reconstruct the matrix to
-    RECONSTRUCTION_TOL relative to its norm.
+    RECONSTRUCTION_TOL relative to its norm. The error
+    ||V diag(values) V^T - A||_F is summed over column blocks
+    V diag(values) V[J, :]^T - A[:, J] of RECONSTRUCTION_BLOCK_BYTES,
+    so its temporaries stay near that size at any n.
     """
     a = np.asarray(m, dtype=float)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
@@ -33,7 +39,14 @@ def diagonalize_sym(m: np.ndarray):
     if np.linalg.norm(a - a.T) > SYMMETRY_TOL * max(norm, 1.0):
         raise NumericalError("diagonalize_sym: input is not symmetric")
     vals, vecs = np.linalg.eigh(a)
-    recon = np.linalg.norm(a - (vecs * vals) @ vecs.T)
+    n = a.shape[0]
+    step = max(1, RECONSTRUCTION_BLOCK_BYTES // max(a.itemsize * n, 1))
+    sq = 0.0
+    for j in range(0, n, step):
+        r = vecs @ (vecs[j:j + step] * vals).T
+        r -= a[:, j:j + step]
+        sq += float(np.dot(r.ravel(), r.ravel()))
+    recon = np.sqrt(sq)
     if recon > RECONSTRUCTION_TOL * max(norm, np.finfo(float).tiny):
         raise NumericalError(
             f"diagonalize_sym: reconstruction error {recon:.3e} exceeds "

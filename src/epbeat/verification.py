@@ -15,6 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.random import default_rng
 
+from .blas import threads_for
 from .effective import reduce_block
 from .model import (CouplingMatrices, CouplingSpec, Grid, ProblemSpec,
                     block_operator, gaussian_bump_basis, given_mode_basis)
@@ -186,17 +187,20 @@ def max_state_residual(result: PipelineResult, h: np.ndarray) -> float:
 def check_instance(seed: int, spec: ProblemSpec | None = None,
                    pr_threshold: float | None = None) -> InstanceCheck:
     """Run the full battery on one instance (random_instance(seed)
-    unless spec is given)."""
+    unless spec is given), on the BLAS threads its own dimension
+    calls for: a small battery instance runs on one thread even when
+    verify's configured instance is large."""
     if spec is None:
         spec = random_instance(seed)
-    result, h = solve_with_operator(spec, pr_threshold)
-    energies = direct_energies(spec, h)
-    return InstanceCheck(
-        seed=seed, result=result, energies=energies,
-        exactness=compare_spectra(recovered_spectrum(result), energies,
-                                  EP_EXACTNESS_TOL),
-        accounting=count_accounting(result.ep, result.sr),
-        state_residual_max=max_state_residual(result, h))
+    with threads_for(spec.dim):
+        result, h = solve_with_operator(spec, pr_threshold)
+        energies = direct_energies(spec, h)
+        return InstanceCheck(
+            seed=seed, result=result, energies=energies,
+            exactness=compare_spectra(recovered_spectrum(result), energies,
+                                      EP_EXACTNESS_TOL),
+            accounting=count_accounting(result.ep, result.sr),
+            state_residual_max=max_state_residual(result, h))
 
 
 def per_block_reading(check: InstanceCheck) -> dict:

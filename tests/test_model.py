@@ -61,6 +61,21 @@ class TestGrid:
         with pytest.raises(ConfigError, match="boundary"):
             Grid.uniform(4, (0.0, 1.0), boundary="absorbing")
 
+    def test_weights_must_be_trapezoid(self):
+        # every quadrature reads the weights, and hamiltonian_g assumes
+        # the even trapezoid grid they come with
+        for points, weights, boundary in (
+                ([0.0, 0.5, 1.0], [5, 1, 7], "dirichlet"),
+                ([0.0, 0.5, 1.0], [0.25, 0.5, float("nan")], "dirichlet"),
+                ([0.0, 0.5, 1.0], [0.5, 0.5, 0.5], "dirichlet"),
+                ([0.0, 0.5, 1.0], [0.25, 0.5, 0.25], "periodic"),
+                ([0.0, 0.5, 1.0], [-0.25, 0.5, 0.25], "dirichlet")):
+            with pytest.raises(ConfigError, match="grid.weights: .*trapezoid"):
+                Grid(points=points, weights=weights, boundary=boundary)
+        Grid(points=[0.0, 0.5, 1.0], weights=[0.25, 0.5, 0.25])
+        Grid(points=[0.0, 0.5, 1.0], weights=[0.5, 0.5, 0.5],
+             boundary="periodic")
+
 
 class TestHamiltonianG:
     def test_dirichlet_stencil(self):

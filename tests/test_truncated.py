@@ -7,6 +7,7 @@ from epbeat import (ConfigError, CouplingMatrices, CouplingSpec, Grid,
                     NumericalError, ProblemSpec, block_operator,
                     diagonalize_sym, gaussian_bump_basis, given_mode_basis,
                     hamiltonian_g, project_coupling, reduce_block)
+from epbeat import truncated
 
 
 def make_spec(n_tot=3, n_g=5, strength=1.0, seed=1, kind="gaussian_attractive",
@@ -126,6 +127,33 @@ class TestDiagonalizeSym:
         a = 0.5 * (a + a.T)
         vals, _ = diagonalize_sym(a)
         assert np.allclose(vals, np.linalg.eigvalsh(a), atol=1e-10)
+
+    @pytest.mark.parametrize("columns", [1, 3, 10])
+    def test_blocked_reconstruction_check(self, columns, monkeypatch):
+        # an eigenvalue off by delta leaves ||A - V diag(vals) V^T||_F
+        # = delta exactly, whichever column blocks sum it
+        gen = np.random.default_rng(5)
+        a = gen.normal(size=(10, 10))
+        a = 0.5 * (a + a.T)
+        norm = np.linalg.norm(a)
+        monkeypatch.setattr(truncated, "RECONSTRUCTION_BLOCK_BYTES",
+                            8 * 10 * columns)
+        diagonalize_sym(a)
+        eigh = np.linalg.eigh
+
+        def off_by(delta):
+            def wrong(m):
+                vals, vecs = eigh(m)
+                return vals + delta * (np.arange(vals.size) == 9), vecs
+            return wrong
+
+        monkeypatch.setattr(np.linalg, "eigh", off_by(3e-9 * norm))
+        with pytest.raises(NumericalError, match="exceeds") as err:
+            diagonalize_sym(a)
+        recon = float(str(err.value).split("error ")[1].split()[0])
+        assert recon == pytest.approx(3e-9 * norm, rel=1e-3)
+        monkeypatch.setattr(np.linalg, "eigh", off_by(0.5e-9 * norm))
+        diagonalize_sym(a)
 
 
 class TestTruncatedSolution:

@@ -20,7 +20,10 @@ block truncated at RESIDUE_RANK_TOL, and a pole whose residue is below
 DECOUPLED_FACTOR against the strongest, or below the rounding floor
 (eps x span)^2, keeps rank 0. It stores the kept factors as one column
 matrix w = [W_1 ... W_K], which is exactly the border of the
-linearization, so the ranks are the rank accounting. The hierarchy
+linearization, so the ranks are the rank accounting. Lone poles, in
+practice nearly all of them, are copied into w as one array slice;
+only a merged cluster costs a Python step, and only it keeps a lift
+to its raw poles. The hierarchy
 (recurse_ep) is one loop of the same reduction over trailing blocks
 of the operator: level k + 1 reduces level k's L, whose lowest block
 plays the mode-0 role, so level k's raw poles are already the
@@ -59,8 +62,10 @@ class EffectivePotential:
     n_channels the number of eliminated channels, both kept for count
     accounting. span bounds the spectrum of h0 and the poles; every
     root tolerance scales with it. eps0 converts roots to total
-    energies. lifts[k] maps a coupled pole k's r_k border amplitudes to
-    its m_k raw poles (raw_amplitudes).
+    energies. lifts holds one matrix per merged cluster (m_k > 1), in
+    pole order: it maps that pole's border amplitudes, one per column
+    of its factor, to its m_k raw poles (raw_amplitudes). A lone pole
+    needs none: its amplitude is its raw pole's.
     """
 
     h0: np.ndarray
@@ -95,9 +100,10 @@ class EffectivePotential:
         out = np.zeros((y.shape[0], self.raw_pole_count))
         lone = (sizes == 1) & (ranks == 1)
         out[:, first[lone]] = y[:, cols[lone]]
-        for k in np.flatnonzero((sizes > 1) & (ranks > 0)).tolist():
-            out[:, first[k]:first[k] + sizes[k]] = (
-                y[:, cols[k]:cols[k] + ranks[k]] @ self.lifts[k])
+        for k, lift in zip(np.flatnonzero(sizes > 1).tolist(), self.lifts):
+            if ranks[k]:
+                out[:, first[k]:first[k] + sizes[k]] = (
+                    y[:, cols[k]:cols[k] + ranks[k]] @ lift)
         return out
 
     def to_dict(self) -> dict:
@@ -114,42 +120,20 @@ class EffectivePotential:
         }
 
 
-def _merge_poles(poles: np.ndarray, vectors: np.ndarray, tol: float):
-    """Cluster ascending poles within tol and sum their rank-1 residues.
-
-    Returns sorted distinct pole values, per-pole residue factors, each
-    factor's lead (its largest squared column norm), lift and cluster
-    size. One mask splits the poles into clusters; a lone pole keeps
-    its vector as a column view and the lift [[1]]. Only a merged
-    cluster's factor W = V Lambda^{1/2} and lift M = Lambda^{-1/2} V^T C
-    (C = W M) come from the eigendecomposition V Lambda V^T of its
-    summed residue matrix C C^T, truncated at the numerical rank.
-    """
-    starts = np.flatnonzero(~(np.diff(poles, prepend=-np.inf) <= tol))
-    stops = np.append(starts[1:], poles.size)
-    merged = poles[starts]
-    leads = np.sum(vectors * vectors, axis=0)[starts]
-    factors = [vectors[:, k:k + 1] for k in starts.tolist()]
-    lifts = [np.ones((1, 1))] * starts.size
-    for k in np.flatnonzero(stops - starts > 1).tolist():
-        cluster = vectors[:, starts[k]:stops[k]]
-        vals, vecs = np.linalg.eigh(cluster @ cluster.T)
-        keep = vals > RESIDUE_RANK_TOL * max(vals[-1], 0.0)
-        factors[k] = vecs[:, keep] * np.sqrt(vals[keep])
-        lifts[k] = (factors[k].T @ cluster) / vals[keep, None]
-        merged[k] = np.mean(poles[starts[k]:stops[k]])
-        leads[k] = np.max(np.sum(factors[k] * factors[k], axis=0),
-                          initial=0.0)
-    return merged, factors, leads, lifts, stops - starts
-
-
 def ep_from_poles(h0: np.ndarray, poles, residue_vectors, n_channels: int,
                   eps0: float = 0.0) -> EffectivePotential:
     """Effective potential from explicit poles and rank-1 residue vectors.
 
     The one constructor: reduce_block feeds it the eliminated block's
-    eigenvalues and B q_k, tests feed it hand-built poles. Replicated
-    pole values merge into higher-rank residues, which is the route to
+    eigenvalues and B q_k, tests feed it hand-built poles. Ascending
+    poles within POLE_MERGE_FACTOR x span form a cluster. A lone pole
+    keeps its own vector as its factor, copied with the other lone
+    poles' in one array slice, so the Python loop runs over merged
+    clusters alone: a merged cluster's factor W = V Lambda^{1/2} and
+    lift M = Lambda^{-1/2} V^T C (C = W M) come from the
+    eigendecomposition V Lambda V^T of its summed residue matrix
+    C C^T, truncated at the numerical rank. Replicated pole values
+    thus merge into higher-rank residues, which is the route to
     synthetic full-degree instances; decoupled poles keep no column.
     """
     h0 = np.array(h0, dtype=float, ndmin=2)
@@ -163,17 +147,40 @@ def ep_from_poles(h0: np.ndarray, poles, residue_vectors, n_channels: int,
     span = max(float(ends.max() - ends.min()), 1.0)
     order = np.argsort(poles, kind="stable")
     poles, vectors = poles[order], vectors[:, order]
-    merged, factors, leads, lifts, sizes = _merge_poles(
-        poles, vectors, POLE_MERGE_FACTOR * span)
+    starts = np.flatnonzero(
+        ~(np.diff(poles, prepend=-np.inf) <= POLE_MERGE_FACTOR * span))
+    sizes = np.diff(starts, append=poles.size)
+    merged = poles[starts]
+    # each factor's lead: its largest squared column norm
+    leads = np.sum(vectors * vectors, axis=0)[starts]
+    widths = np.ones(starts.size, dtype=int)
+    clusters = np.flatnonzero(sizes > 1).tolist()
+    factors, lifts = [], []
+    for k in clusters:
+        cluster = vectors[:, starts[k]:starts[k] + sizes[k]]
+        vals, vecs = np.linalg.eigh(cluster @ cluster.T)
+        keep = vals > RESIDUE_RANK_TOL * max(vals[-1], 0.0)
+        factors.append(vecs[:, keep] * np.sqrt(vals[keep]))
+        lifts.append((factors[-1].T @ cluster) / vals[keep, None])
+        merged[k] = np.mean(poles[starts[k]:starts[k] + sizes[k]])
+        leads[k] = np.max(np.sum(factors[-1] * factors[-1], axis=0),
+                          initial=0.0)
+        widths[k] = keep.sum()
     # a lead below (eps span)^2 is rounding of B q_k, not coupling, even
     # when every lead is (a hierarchy level whose border cancels)
     coupled = leads > max(DECOUPLED_FACTOR * np.max(leads, initial=0.0),
                           (np.finfo(float).eps * span) ** 2)
-    widths = np.array([f.shape[1] for f in factors], dtype=int)
-    w = np.hstack([np.zeros((h0.shape[0], 0))] + factors)
+    ranks = widths * coupled
+    cols = np.cumsum(ranks) - ranks
+    # column-major: filled a pole's columns at a time
+    w = np.empty((h0.shape[0], int(ranks.sum())), order="F")
+    lone = coupled & (sizes == 1)
+    w[:, cols[lone]] = vectors[:, starts[lone]]
+    for k, factor in zip(clusters, factors):
+        if coupled[k]:
+            w[:, cols[k]:cols[k] + ranks[k]] = factor
     return EffectivePotential(
-        h0=h0, poles=merged, w=w[:, np.repeat(coupled, widths)],
-        ranks=widths * coupled, sizes=sizes, raw_poles=poles,
+        h0=h0, poles=merged, w=w, ranks=ranks, sizes=sizes, raw_poles=poles,
         n_channels=n_channels, span=span, lifts=tuple(lifts),
         eps0=float(eps0))
 

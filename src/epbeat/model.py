@@ -14,6 +14,7 @@ construction.
 
 from __future__ import annotations
 
+import copy
 import numbers
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
@@ -43,9 +44,13 @@ def _freeze(a) -> np.ndarray:
     return arr
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Grid:
-    """Evenly spaced 1-D quadrature grid with trapezoid weights."""
+    """Evenly spaced 1-D quadrature grid with trapezoid weights.
+
+    Grids compare and hash by identity, so a shared grid can key the
+    caches built on it (gaussian_bump_basis).
+    """
 
     points: np.ndarray
     weights: np.ndarray
@@ -90,23 +95,35 @@ class Grid:
         Dirichlet grids include both endpoints and carry trapezoid
         weights (h/2 at the ends). Periodic grids cover one period
         [a, b) with uniform weights h = (b - a)/n. Errors name the
-        config fields field + "n" and field + "span".
+        config fields field + "n" and field + "span". A grid is
+        immutable, so each (n, span, boundary) is built and checked
+        once and then shared: a repeated call returns the same Grid.
         """
         if n < 2:
             raise ConfigError(f"{field}n: need at least 2 points, got {n}")
         a, b = float(span[0]), float(span[1])
         if not b > a:
             raise ConfigError(f"{field}span: upper bound must exceed lower")
-        if boundary == "periodic":
-            h = (b - a) / n
-            pts = a + h * np.arange(n)
-            w = np.full(n, h)
-        else:
-            pts = np.linspace(a, b, n)
-            h = pts[1] - pts[0]
-            w = np.full(n, h)
-            w[0] = w[-1] = h / 2
-        return cls(pts, w, boundary)
+        # keyed by the bits of the span: 0.0 == -0.0, but a -0.0 end
+        # is a different last point
+        return _uniform_grid(cls, n, a.hex(), b.hex(), boundary)
+
+
+@lru_cache(maxsize=64, typed=True)
+def _uniform_grid(cls, n: int, a: str, b: str, boundary: str) -> Grid:
+    """Grid.uniform's grid once its arguments are checked; a and b are
+    the ends of the span as float.hex strings."""
+    a, b = float.fromhex(a), float.fromhex(b)
+    if boundary == "periodic":
+        h = (b - a) / n
+        pts = a + h * np.arange(n)
+        w = np.full(n, h)
+    else:
+        pts = np.linspace(a, b, n)
+        h = pts[1] - pts[0]
+        w = np.full(n, h)
+        w[0] = w[-1] = h / 2
+    return cls(pts, w, boundary)
 
 
 @dataclass(frozen=True)
@@ -148,8 +165,8 @@ class ModeBasis:
         of |sum_n phi_n c_n|^2 and R c the same singular values as the
         weighted q-grid amplitude, without painting onto the q grid.
         """
-        return np.linalg.qr(np.sqrt(self.q_grid.weights)[:, None] * self.phi.T,
-                            mode="r")
+        return _freeze(np.linalg.qr(
+            np.sqrt(self.q_grid.weights)[:, None] * self.phi.T, mode="r"))
 
 
 @dataclass(frozen=True)
@@ -282,6 +299,20 @@ def gaussian_bump_basis(n_modes: int, q_grid: Grid, delta_eps: float,
         raise ConfigError("modes.delta_eps: must be nonnegative")
     if width_factor <= 0:
         raise ConfigError("modes.width_factor: must be positive")
+    # the shared profiles with this basis's energies: phi and the
+    # overlap factor stay the cached basis's, already checked
+    basis = copy.copy(_bump_profiles(n_modes, q_grid, width_factor))
+    object.__setattr__(basis, "eps",
+                       _freeze(delta_eps * np.arange(n_modes, dtype=float)))
+    return basis
+
+
+@lru_cache(maxsize=64, typed=True)
+def _bump_profiles(n_modes: int, q_grid: Grid,
+                   width_factor: float) -> ModeBasis:
+    """gaussian_bump_basis's normalized profiles, with placeholder
+    energies 0..n-1, built once per (n_modes, q grid, width factor)
+    together with their overlap factor, which every copy shares."""
     q = q_grid.points
     lo, hi = q[0], q[-1]
     spacing = (hi - lo) / n_modes
@@ -291,9 +322,10 @@ def gaussian_bump_basis(n_modes: int, q_grid: Grid, delta_eps: float,
     norms = np.sqrt(phi ** 2 @ q_grid.weights)
     if np.any(norms == 0):
         raise ConfigError("modes: bump has zero quadrature norm on this grid")
-    phi = phi / norms[:, None]
-    eps = delta_eps * np.arange(n_modes, dtype=float)
-    return ModeBasis(eps, phi, q_grid)
+    basis = ModeBasis(np.arange(n_modes, dtype=float), phi / norms[:, None],
+                      q_grid)
+    basis.overlap_factor  # computed here, so the copies share it
+    return basis
 
 
 def given_mode_basis(eps: Sequence[float], phi: Sequence[Sequence[float]],

@@ -64,7 +64,7 @@ class ComparisonReport:
         }
 
 
-@np.errstate(invalid="ignore")  # inf - inf: a NaN deviation, which fails
+@np.errstate(invalid="ignore")  # inf / inf: a NaN deviation, which fails
 def compare_spectra(a, b, tol: float) -> ComparisonReport:
     """Greedy nearest matching of two sorted spectra.
 
@@ -77,17 +77,19 @@ def compare_spectra(a, b, tol: float) -> ComparisonReport:
     b = np.asarray(b, dtype=float)
     scale = max(np.max(np.abs(a), initial=0.0),
                 np.max(np.abs(b), initial=0.0), 1e-300)
+    finite = bool(np.isfinite(a).all() and np.isfinite(b).all())
+    a, b = a.tolist(), b.tolist()  # the walk runs on Python floats
     i = j = 0
     devs = []
     unmatched_a, unmatched_b = [], []
-    while i < a.size and j < b.size:
-        left_a, left_b = a.size - i, b.size - j
-        if left_a > left_b and i + 1 < a.size \
+    while i < len(a) and j < len(b):
+        left_a, left_b = len(a) - i, len(b) - j
+        if left_a > left_b and i + 1 < len(a) \
                 and abs(a[i + 1] - b[j]) < abs(a[i] - b[j]):
             unmatched_a.append(a[i])
             i += 1
             continue
-        if left_b > left_a and j + 1 < b.size \
+        if left_b > left_a and j + 1 < len(b) \
                 and abs(a[i] - b[j + 1]) < abs(a[i] - b[j]):
             unmatched_b.append(b[j])
             j += 1
@@ -99,7 +101,6 @@ def compare_spectra(a, b, tol: float) -> ComparisonReport:
     unmatched_b.extend(b[j:])
     max_abs = float(np.max(devs, initial=0.0))
     max_rel = max_abs / scale
-    finite = bool(np.isfinite(a).all() and np.isfinite(b).all())
     passed = (finite and max_rel <= tol
               and not unmatched_a and not unmatched_b)
     return ComparisonReport(max_abs_dev=max_abs, max_rel_dev=max_rel,

@@ -35,7 +35,15 @@ def linearize_ep(ep: EffectivePotential) -> np.ndarray:
     its pole on the diagonal; decoupled poles have no column and are
     reported separately by find_roots.
     """
-    return np.block([[ep.h0, ep.w], [ep.w.T, np.diag(ep.column_poles)]])
+    n_g, w = ep.n_g, ep.w
+    n = n_g + w.shape[1]
+    lin = np.zeros((n, n))
+    lin[:n_g, :n_g] = ep.h0
+    lin[:n_g, n_g:] = w
+    lin[n_g:, :n_g] = w.T
+    border = np.arange(n_g, n)
+    lin[border, border] = ep.column_poles
+    return lin
 
 
 @dataclass(frozen=True)

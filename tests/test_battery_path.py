@@ -3,11 +3,15 @@ replaced.
 
 ref_merge_poles and ref_leads are the per-pole originals, kept as the
 oracle: the batched pole merge must give bitwise the same merged poles
-and residue factors and the same ranks. The shared block operator and
-the eigenvalue-only oracle are checked against operators rebuilt from
-scratch, and the battery's worst deviation must keep a NaN.
+and residue factors, the same ranks, and raw amplitudes equal to the
+per-pole lift products. The battery's instances, which share grids and
+bump profiles, must hash as they did when each built its own. The
+shared block operator and the eigenvalue-only oracle are checked
+against operators rebuilt from scratch, and the battery's worst
+deviation must keep a NaN.
 """
 
+import hashlib
 import json
 import math
 import sys
@@ -29,14 +33,18 @@ from epbeat.effective import (DECOUPLED_FACTOR, POLE_MERGE_FACTOR,
                               RESIDUE_RANK_TOL)
 from epbeat.verification import (max_state_residual, random_instance,
                                  zero_coupling_instance)
+from test_assembly import merged_cluster_spec
 
 
 def ref_merge_poles(poles, vectors, tol):
+    """Merged poles, per-pole residue factors and per-pole lifts (the
+    lone pole's lift is [[1]])."""
     order = np.argsort(poles, kind="stable")
     poles = poles[order]
     vectors = vectors[:, order]
     merged_poles = []
     factors = []
+    lifts = []
     start = 0
     while start < poles.size:
         stop = start + 1
@@ -44,15 +52,30 @@ def ref_merge_poles(poles, vectors, tol):
             stop += 1
         cluster = vectors[:, start:stop]
         if stop - start == 1:
-            factor = cluster
+            factor, lift = cluster, np.ones((1, 1))
         else:
             vals, vecs = np.linalg.eigh(cluster @ cluster.T)
             keep = vals > RESIDUE_RANK_TOL * max(vals[-1], 0.0)
             factor = vecs[:, keep] * np.sqrt(vals[keep])
+            lift = (factor.T @ cluster) / vals[keep, None]
         merged_poles.append(float(np.mean(poles[start:stop])))
         factors.append(factor)
+        lifts.append(lift)
         start = stop
-    return np.asarray(merged_poles), tuple(factors)
+    return np.asarray(merged_poles), tuple(factors), tuple(lifts)
+
+
+def ref_raw_amplitudes(factors, lifts, y):
+    """Border amplitudes y on the raw poles, pole by pole: y_k M_k for
+    a coupled pole k, zeros for the raw poles of a decoupled one."""
+    out, col = [], 0
+    for w, lift in zip(factors, lifts):
+        if w.shape[1]:
+            out.append(y[:, col:col + w.shape[1]] @ lift)
+        else:
+            out.append(np.zeros((y.shape[0], lift.shape[1])))
+        col += w.shape[1]
+    return np.hstack([np.zeros((y.shape[0], 0))] + out)
 
 
 def ref_leads(factors):
@@ -67,8 +90,8 @@ def assert_merge_matches_loop(h0, poles, vectors, n_channels=1):
     poles = np.asarray(poles, dtype=float)
     vectors = np.asarray(vectors, dtype=float)
     ep = ep_from_poles(h0, poles, vectors, n_channels=n_channels)
-    merged, factors = ref_merge_poles(poles, vectors,
-                                      POLE_MERGE_FACTOR * ep.span)
+    merged, factors, lifts = ref_merge_poles(poles, vectors,
+                                             POLE_MERGE_FACTOR * ep.span)
     factors = ref_leads(factors)
     assert ep.poles.dtype == merged.dtype and ep.poles.shape == merged.shape
     assert np.array_equal(ep.poles, merged)
@@ -79,6 +102,13 @@ def assert_merge_matches_loop(h0, poles, vectors, n_channels=1):
         assert np.array_equal(got, want)
     assert np.array_equal(ep.ranks,
                           np.array([w.shape[1] for w in factors], dtype=int))
+    # a lift is kept for each merged cluster only, and the raw
+    # amplitudes are the per-pole lift products
+    assert len(ep.lifts) == np.count_nonzero(ep.sizes > 1)
+    y = np.random.default_rng(3).standard_normal((4, ep.w.shape[1]))
+    got = ep.raw_amplitudes(y)
+    assert got.shape == (4, poles.size)
+    assert np.array_equal(got, ref_raw_amplitudes(factors, lifts, y))
     return ep
 
 
@@ -124,11 +154,76 @@ class TestBatchedMerge:
         ep = assert_merge_matches_loop(np.eye(3), poles, vectors)
         assert ep.poles.size == 2
         assert ep.ranks.tolist() == [2, 1]
+        assert len(ep.lifts) == 1 and ep.lifts[0].shape == (2, 3)
+
+    def test_decoupled_merged_cluster(self):
+        # a merged cluster whose residue is below DECOUPLED_FACTOR keeps
+        # its lift but no column, and its raw poles read zero amplitude
+        vectors = np.array([[1e-9, 1e-9, 1.0], [0.0, 1e-9, 1.0]])
+        ep = assert_merge_matches_loop(np.eye(2), [1.0, 1.0 + 1e-12, 3.0],
+                                       vectors)
+        assert ep.sizes.tolist() == [2, 1] and ep.ranks.tolist() == [0, 1]
+        assert len(ep.lifts) == 1 and ep.lifts[0].shape == (2, 2)
+        assert not ep.raw_amplitudes(np.ones((1, 1)))[:, :2].any()
+
+    @pytest.mark.parametrize("c2", [0.0, 1e-6, 1e-5, 1.0])
+    def test_merged_cluster_family(self, c2):
+        # the battery's instances never merge or decouple a pole; this
+        # family merges the two excited modes' poles pairwise
+        spec = merged_cluster_spec(c2)
+        h0, poles, vectors = reduction_inputs(spec)
+        ep = assert_merge_matches_loop(h0, poles, vectors, n_channels=2)
+        assert np.any(ep.sizes > 1)
 
     def test_empty_pole_list(self):
         ep = assert_merge_matches_loop(np.eye(2), [], np.zeros((2, 0)))
         assert ep.to_dict()["residue_factors"] == [] and ep.ranks.size == 0
         assert ep.w.shape == (2, 0)
+
+
+# sha256 of random_instance(seed)'s arrays and scalars for seeds 0-99,
+# recorded when every instance still built its own grids and bump basis
+BATTERY_INPUTS_SHA256 = (
+    "daa491fa352a70da40b06871dd1b1d1c43d7d50aaa7c76e64c332a667ec3e2b5")
+
+
+def battery_inputs_digest(seeds) -> str:
+    """sha256 over each instance's grids, boundary, coupling, stiffness,
+    potential, mode energies, profiles and overlap factor, shapes
+    included."""
+    digest = hashlib.sha256()
+
+    def put(*arrays):
+        for a in arrays:
+            a = np.ascontiguousarray(a, dtype=float)
+            digest.update(repr(a.shape).encode())
+            digest.update(a.tobytes())
+
+    for seed in seeds:
+        spec = random_instance(seed)
+        for grid in (spec.xi_grid, spec.modes.q_grid):
+            digest.update(grid.boundary.encode())
+            put(grid.points, grid.weights)
+        coupling = spec.coupling
+        digest.update(coupling.kind.encode())
+        put([coupling.strength, coupling.width, spec.g_stiffness],
+            spec.g_potential, spec.modes.eps, spec.modes.phi,
+            spec.modes.overlap_factor)
+    return digest.hexdigest()
+
+
+class TestSharedInputs:
+    """random_instance shares its grids and bump profiles across
+    instances; the instances must be the ones each built alone."""
+
+    def test_instances_match_the_recorded_digest(self):
+        assert battery_inputs_digest(range(100)) == BATTERY_INPUTS_SHA256
+
+    def test_battery_reruns_identically(self):
+        first = verification.run_battery(100)
+        assert verification.run_battery(100) == first
+        # nothing the battery ran wrote into a shared grid or basis
+        assert battery_inputs_digest(range(100)) == BATTERY_INPUTS_SHA256
 
 
 def calls_of(func, run) -> int:

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 import epbeat
-from epbeat import oracle
+from epbeat import build_problem, oracle
 from epbeat.cli import build_parser, main
 
 BASE_CONFIG = {
@@ -438,6 +438,9 @@ class TestExitCodes:
          "modes.phi")])
     def test_malformed_value_names_its_field(self, tmp_path, capsys, section,
                                              key, value, field):
+        # grids and bump profiles are cached on success: a cached
+        # success first must not let a malformed value through
+        build_problem(BASE_CONFIG)
         doc = json.loads(json.dumps(BASE_CONFIG))
         (doc if section is None else doc[section])[key] = value
         path = tmp_path / "bad.json"

@@ -57,6 +57,25 @@ class TestGrid:
                                   if boundary == "dirichlet"
                                   else -3.0 + 2.0 * np.arange(n))
 
+    def test_uniform_grids_are_shared_and_read_only(self):
+        grid = Grid.uniform(8, (0.0, 1.0))
+        assert Grid.uniform(8, [0, 1.0], "dirichlet") is grid
+        assert Grid.uniform(8, (0.0, 1.0), "periodic") is not grid
+        for a in (grid.points, grid.weights):
+            assert not a.flags.writeable
+            with pytest.raises(ValueError, match="read-only"):
+                a[0] = 5.0
+        # 0.0 == -0.0, but a -0.0 end is a different last point
+        minus = Grid.uniform(3, (-1.0, -0.0))
+        assert np.signbit(minus.points[-1])
+        assert not np.signbit(Grid.uniform(3, (-1.0, 0.0)).points[-1])
+        # a cached success does not bypass the checks or their field names
+        with pytest.raises(ConfigError, match=r"^modes\.q_n: "):
+            Grid.uniform(1, (0.0, 1.0), field="modes.q_")
+        with pytest.raises(ConfigError, match=r"^grid\.span: "):
+            Grid.uniform(8, (1.0, 0.0))
+        assert Grid.uniform(8, (0.0, 1.0)) is grid
+
     def test_unknown_boundary(self):
         with pytest.raises(ConfigError, match="boundary"):
             Grid.uniform(4, (0.0, 1.0), boundary="absorbing")
@@ -140,6 +159,20 @@ class TestModeBases:
             norms = basis.phi ** 2 @ q.weights
             assert np.allclose(norms, 1.0, atol=1e-10)
             assert np.allclose(basis.eps, [0.0, 0.5, 1.0, 1.5])
+
+    def test_bump_profiles_are_shared_and_read_only(self):
+        q_grid = Grid.uniform(24, (0.0, 1.0))
+        a = gaussian_bump_basis(4, q_grid, delta_eps=0.5)
+        b = gaussian_bump_basis(4, q_grid, delta_eps=1.25)
+        assert b.phi is a.phi and b.overlap_factor is a.overlap_factor
+        assert np.array_equal(a.eps, 0.5 * np.arange(4))
+        assert np.array_equal(b.eps, 1.25 * np.arange(4))
+        for arr in (a.phi, a.overlap_factor, a.eps):
+            assert not arr.flags.writeable
+            with pytest.raises(ValueError, match="read-only"):
+                arr[(0,) * arr.ndim] = 5.0
+        assert gaussian_bump_basis(4, q_grid, 0.5, 2.0).phi is not a.phi
+        assert gaussian_bump_basis(4, q_grid, 0.5).eps is not a.eps
 
     def test_bump_overlap_converges_to_fine_quadrature(self):
         # refined-quadrature oracle: frozen fine-grid value above

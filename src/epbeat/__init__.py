@@ -11,9 +11,8 @@ chaotic realization-switching beat process.
 __version__ = "0.1.0"
 
 from .model import (Grid, ModeBasis, CouplingSpec, ProblemSpec,
-                    CouplingMatrices, block_operator, build_problem,
-                    hamiltonian_g, gaussian_bump_basis, given_mode_basis,
-                    project_coupling)
+                    block_operator, build_problem, hamiltonian_g,
+                    gaussian_bump_basis, given_mode_basis, project_coupling)
 from .truncated import diagonalize_sym
 from .effective import (EffectivePotential, eval_ep, characteristic,
                         root_count_below, ep_well_alignment, recurse_ep,
@@ -35,8 +34,8 @@ from .errors import (ConfigError, NumericalError, PoleProximityError,
                      VerificationError)
 
 __all__ = [
-    "Grid", "ModeBasis", "CouplingSpec", "ProblemSpec", "CouplingMatrices",
-    "block_operator", "build_problem", "hamiltonian_g", "gaussian_bump_basis",
+    "Grid", "ModeBasis", "CouplingSpec", "ProblemSpec", "block_operator",
+    "build_problem", "hamiltonian_g", "gaussian_bump_basis",
     "given_mode_basis", "project_coupling",
     "diagonalize_sym",
     "EffectivePotential", "eval_ep", "characteristic", "root_count_below",

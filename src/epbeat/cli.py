@@ -390,7 +390,7 @@ def cmd_verify(runner: _Runner, spec: ProblemSpec, run: dict, args) -> int:
         "configured_instance": {
             "ep_exactness": check.exactness.to_dict(),
             "accounting": check.accounting,
-            "zero_coupling_path": bool(np.all(result.v.v == 0.0)),
+            "zero_coupling_path": bool(np.all(result.v == 0.0)),
             "n_realizations": result.rs.n_realizations,
             "per_block_reading": per_block_reading(check),
             "state_residual_max": check.state_residual_max,

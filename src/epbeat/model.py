@@ -26,7 +26,6 @@ from .errors import ConfigError
 
 BOUNDARIES = ("dirichlet", "periodic")
 COUPLING_KINDS = ("gaussian_attractive", "constant", "custom_sampled")
-MODE_KINDS = ("bumps", "given")
 
 DEFAULT_BUMP_WIDTH_FACTOR = 1.5
 NORMALIZATION_TOL = 1e-10
@@ -243,26 +242,6 @@ class ProblemSpec:
         return self.n_tot * self.n_g
 
 
-@dataclass(frozen=True)
-class CouplingMatrices:
-    """Projected coupling V_nn'(xi), indexed (n, n', xi-point)."""
-
-    v: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "v", _freeze(self.v))
-        if self.v.ndim != 3 or self.v.shape[0] != self.v.shape[1]:
-            raise ConfigError("coupling matrices: shape must be (n, n, n_xi)")
-
-    @property
-    def n_modes(self) -> int:
-        return self.v.shape[0]
-
-    @property
-    def n_xi(self) -> int:
-        return self.v.shape[2]
-
-
 def hamiltonian_g(spec: ProblemSpec) -> np.ndarray:
     """Grid-field operator: stiffness * (-d2/dxi2) + diag(potential).
 
@@ -345,34 +324,24 @@ def given_mode_basis(eps: Sequence[float], phi: Sequence[Sequence[float]],
     return ModeBasis(eps, phi / norms[:, None], q_grid)
 
 
-# v[n, n', xi] = sum_q weighted[n, q] kern[q, xi] phi[n', q]
-_PROJECTION = "aq,qx,bq->abx"
-
-
-@lru_cache(maxsize=64)
-def _projection_path(n_modes: int, n_q: int, n_xi: int) -> tuple:
-    """np.einsum's contraction path for the projection, once per shape."""
-    phi, kern = np.empty((n_modes, n_q)), np.empty((n_q, n_xi))
-    return tuple(np.einsum_path(_PROJECTION, phi, kern, phi,
-                                optimize=True)[0])
-
-
 def project_coupling(basis: ModeBasis, coupling: CouplingSpec,
-                     xi_grid: Grid) -> CouplingMatrices:
+                     xi_grid: Grid) -> np.ndarray:
     """Project the kernel onto the mode basis by q-quadrature.
 
-    V_nn'(xi) = sum_q w_q phi_n(q) V(q, xi) phi_n'(q); symmetric in
-    (n, n') because the kernel and modes are real.
+    V_nn'(xi) = sum_q w_q phi_n(q) V(q, xi) phi_n'(q), returned as one
+    read-only array indexed (n, n', xi-point), shape (N_tot, N_tot,
+    N_g). The mode pair products w_q phi_n phi_n' are formed once and
+    contracted with the kernel over q in one GEMM; the result is
+    exactly symmetric in (n, n').
     """
     kern = coupling.kernel(basis.q_grid.points, xi_grid.points)
-    weighted = basis.phi * basis.q_grid.weights[None, :]
-    v = np.einsum(_PROJECTION, weighted, kern, basis.phi,
-                  optimize=_projection_path(*weighted.shape, kern.shape[1]))
-    v = 0.5 * (v + v.transpose(1, 0, 2))  # kill roundoff asymmetry
-    return CouplingMatrices(v)
+    phi, n = basis.phi, basis.n_modes
+    pairs = (phi * basis.q_grid.weights)[:, None, :] * phi  # (n, n, n_q)
+    v = (pairs.reshape(n * n, -1) @ kern).reshape(n, n, -1)
+    return _freeze(0.5 * (v + v.transpose(1, 0, 2)))  # kill roundoff asymmetry
 
 
-def block_operator(spec: ProblemSpec, v: CouplingMatrices) -> np.ndarray:
+def block_operator(spec: ProblemSpec, v: np.ndarray) -> np.ndarray:
     """Coupled-channel operator in the eta scale (eps_0 subtracted).
 
     H[(n, xi), (n', xi')] = delta_nn' (h_g + (eps_n - eps_0) I)
@@ -380,12 +349,13 @@ def block_operator(spec: ProblemSpec, v: CouplingMatrices) -> np.ndarray:
     n*N_g .. (n+1)*N_g - 1. This is the only place that knows the
     layout; the mode-0 block h0, its coupling B to the other modes and
     the truncated operator L are the slices [:N_g, :N_g], [:N_g, N_g:]
-    and [N_g:, N_g:]. Exactly symmetric.
+    and [N_g:, N_g:]. Exactly symmetric. v is project_coupling's
+    array; any shape but (N_tot, N_tot, N_g) is a ConfigError.
     """
     n_tot, n_g = spec.n_tot, spec.n_g
-    if v.n_modes != n_tot or v.n_xi != n_g:
+    if np.shape(v) != (n_tot, n_tot, n_g):
         raise ConfigError("coupling matrices: shape mismatch with spec")
-    shifted = v.v + np.diag(spec.modes.eps - spec.modes.eps[0])[:, :, None]
+    shifted = v + np.diag(spec.modes.eps - spec.modes.eps[0])[:, :, None]
     op = np.zeros((n_tot, n_g, n_tot, n_g))
     xi, modes = np.arange(n_g), np.arange(n_tot)
     op[:, xi, :, xi] = shifted.transpose(2, 0, 1)

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NumericalError
-from .model import CouplingMatrices, ProblemSpec, block_operator
+from .model import ProblemSpec, block_operator
 
 DIMENSION_CAP = 2000
 
@@ -27,10 +27,11 @@ def check_dimension(caller: str, spec: ProblemSpec) -> None:
             f"{caller}: dimension {spec.dim} exceeds cap {DIMENSION_CAP}")
 
 
-def direct_spectrum(spec: ProblemSpec, v: CouplingMatrices):
+def direct_spectrum(spec: ProblemSpec, v: np.ndarray):
     """All eigenpairs of the full operator, total energies ascending.
 
-    The eigenvalues of block_operator (eta scale) shifted by eps_0.
+    The eigenvalues of block_operator(spec, v) (eta scale) shifted by
+    eps_0, where v is project_coupling's (N_tot, N_tot, N_g) array.
     """
     check_dimension("direct_spectrum", spec)
     etas, vectors = np.linalg.eigh(block_operator(spec, v))

@@ -9,26 +9,27 @@ import numpy as np
 from .assembly import StateSet, reconstruct_all
 from .effective import EffectivePotential, reduce_block
 from .errors import NumericalError
-from .model import (CouplingMatrices, ProblemSpec, block_operator,
-                    project_coupling)
+from .model import ProblemSpec, block_operator, project_coupling
 from .realizations import RealizationSet, group_realizations
 from .spectrum import SpectrumResult, find_roots
 
 
 @dataclass(frozen=True)
 class PipelineResult:
-    """Every stage of one solve. It holds no block operator: only the
-    checks read H, and they keep it themselves (solve_with_operator)."""
+    """Every stage of one solve. v is the projected coupling V_nn'(xi),
+    project_coupling's read-only (N_tot, N_tot, N_g) array. It holds no
+    block operator: only the checks read H, and they keep it themselves
+    (solve_with_operator)."""
 
     spec: ProblemSpec
-    v: CouplingMatrices
+    v: np.ndarray
     ep: EffectivePotential
     sr: SpectrumResult
     states: StateSet
     rs: RealizationSet
 
 
-def _after_reduction(spec: ProblemSpec, v: CouplingMatrices, q: np.ndarray,
+def _after_reduction(spec: ProblemSpec, v: np.ndarray, q: np.ndarray,
                      ep: EffectivePotential,
                      pr_threshold: float | None) -> PipelineResult:
     sr = find_roots(ep)

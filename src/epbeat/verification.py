@@ -17,8 +17,8 @@ from numpy.random import default_rng
 
 from .blas import threads_for
 from .effective import reduce_block
-from .model import (CouplingMatrices, CouplingSpec, Grid, ProblemSpec,
-                    block_operator, gaussian_bump_basis, given_mode_basis)
+from .model import (CouplingSpec, Grid, ProblemSpec, block_operator,
+                    gaussian_bump_basis, given_mode_basis)
 from .oracle import ComparisonReport, compare_spectra, direct_energies
 from .pipeline import PipelineResult, solve_with_operator
 from .spectrum import count_accounting, find_roots
@@ -91,21 +91,6 @@ def two_well_instance() -> ProblemSpec:
     coupling = CouplingSpec(kind="custom_sampled", samples=samples)
     return ProblemSpec(xi_grid=xi_grid, modes=basis, coupling=coupling,
                        g_stiffness=0.02, g_potential=np.zeros(n_g))
-
-
-def single_well_instance() -> ProblemSpec:
-    """Attractive instance with one dominant interaction well."""
-    xi_grid = Grid.uniform(9, (0.0, 1.0))
-    q_grid = Grid.uniform(32, (0.0, 1.0))
-    basis = gaussian_bump_basis(2, q_grid, delta_eps=0.6)
-    xi = xi_grid.points
-    q = q_grid.points
-    envelope = _bump(xi, 0.5, 0.08)
-    radial = np.exp(-((q[:, None] - xi[None, :]) ** 2) / (2 * 0.35 ** 2))
-    samples = -5.0 * radial * envelope[None, :]
-    coupling = CouplingSpec(kind="custom_sampled", samples=samples)
-    return ProblemSpec(xi_grid=xi_grid, modes=basis, coupling=coupling,
-                       g_stiffness=0.02, g_potential=np.zeros(9))
 
 
 def zero_coupling_instance() -> ProblemSpec:
@@ -210,12 +195,11 @@ def per_block_reading(check: InstanceCheck) -> dict:
     energies of the coupled operator the check already holds."""
     result = check.result
     spec = result.spec
-    v = result.v.v.copy()
+    v = result.v.copy()
     cross = ~np.eye(spec.n_tot, dtype=bool)
     cross[0, :] = cross[:, 0] = False
     v[cross] = 0.0
-    _, ep = reduce_block(block_operator(spec, CouplingMatrices(v)),
-                         spec.n_g, result.ep.eps0)
+    _, ep = reduce_block(block_operator(spec, v), spec.n_g, result.ep.eps0)
     energies = np.sort(find_roots(ep).energies)
     report = compare_spectra(energies, check.energies, EP_EXACTNESS_TOL)
     return {

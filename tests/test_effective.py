@@ -8,10 +8,25 @@ from epbeat import (ConfigError, CouplingSpec, Grid, PoleProximityError,
                     ep_well_alignment, eval_ep, find_roots, ep_from_poles,
                     gaussian_bump_basis, hamiltonian_g, project_coupling,
                     recurse_ep, reduce_block)
-from epbeat.verification import (random_instance, single_well_instance,
-                                 two_well_instance, zero_coupling_instance)
+from epbeat.verification import (random_instance, two_well_instance,
+                                 zero_coupling_instance)
 from epbeat import effective
 from epbeat.effective import POLE_GUARD_FACTOR
+
+
+def single_well_instance():
+    """Attractive instance with one dominant interaction well."""
+    xi_grid = Grid.uniform(9, (0.0, 1.0))
+    q_grid = Grid.uniform(32, (0.0, 1.0))
+    basis = gaussian_bump_basis(2, q_grid, delta_eps=0.6)
+    xi = xi_grid.points
+    q = q_grid.points
+    envelope = np.exp(-((xi - 0.5) ** 2) / (2 * 0.08 ** 2))
+    radial = np.exp(-((q[:, None] - xi[None, :]) ** 2) / (2 * 0.35 ** 2))
+    samples = -5.0 * radial * envelope[None, :]
+    coupling = CouplingSpec(kind="custom_sampled", samples=samples)
+    return ProblemSpec(xi_grid=xi_grid, modes=basis, coupling=coupling,
+                       g_stiffness=0.02, g_potential=np.zeros(9))
 
 
 def pipeline_upto_ep(spec):

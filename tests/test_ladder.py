@@ -6,8 +6,10 @@ counted, and the dense oracle must match them with only decoupled
 poles added back.
 """
 
+import ast
 import json
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -115,3 +117,19 @@ def test_hierarchy_matches_both_levels(ladder, tmp_path):
     levels = json.loads((out / "hierarchy.json").read_text())["levels"]
     assert [lv["operator_spectrum_match"]["passed"] for lv in levels] \
         == [True, True]
+
+
+def test_readme_library_block_runs():
+    # the ```python block under "## Library entry points", on ladder 3x8;
+    # its last line is the comparison of the solve with the dense oracle
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    section = readme.split("## Library entry points", 1)[1]
+    code = section.split("```python\n", 1)[1].split("\n```", 1)[0]
+    tree = ast.parse(code)
+    last = tree.body.pop()
+    assert isinstance(last, ast.Expr)
+    scope = {"config_dict": ladder_config(3, 8)}
+    exec(compile(tree, "README.md", "exec"), scope)
+    report = eval(compile(ast.Expression(last.value), "README.md", "eval"),
+                  scope)
+    assert report.passed, report.to_dict()

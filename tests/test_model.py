@@ -6,6 +6,7 @@ import pytest
 from epbeat import (ConfigError, CouplingSpec, Grid, ProblemSpec,
                     build_problem, gaussian_bump_basis, given_mode_basis,
                     hamiltonian_g, project_coupling)
+from epbeat.verification import random_instance, two_well_instance
 
 # <phi_0, phi_1> for 3 bump modes on [0,1], frozen from a 16385-point
 # quadrature (8193-point grid agrees to 3.3e-10)
@@ -193,7 +194,7 @@ class TestProjectCoupling:
         v = project_coupling(basis,
                              CouplingSpec(kind="gaussian_attractive",
                                           strength=0.0, width=0.3), xi)
-        assert np.all(v.v == 0.0)
+        assert np.all(v == 0.0)
 
     def test_constant_kernel_orthonormal_modes(self):
         xi = Grid.uniform(5, (0.0, 1.0))
@@ -203,7 +204,7 @@ class TestProjectCoupling:
         for n in range(3):
             for m in range(3):
                 target = -2.0 if n == m else 0.0
-                assert np.allclose(v.v[n, m], target, atol=1e-9)
+                assert np.allclose(v[n, m], target, atol=1e-9)
 
     def test_symmetry_in_mode_indices(self):
         xi = Grid.uniform(6, (0.0, 1.0))
@@ -211,7 +212,7 @@ class TestProjectCoupling:
         v = project_coupling(basis,
                              CouplingSpec(kind="gaussian_attractive",
                                           strength=1.3, width=0.2), xi)
-        assert np.abs(v.v - v.v.transpose(1, 0, 2)).max() < 1e-12
+        assert np.abs(v - v.transpose(1, 0, 2)).max() < 1e-12
 
     def test_gaussian_diag_nonpositive(self):
         xi = Grid.uniform(6, (0.0, 1.0))
@@ -220,7 +221,7 @@ class TestProjectCoupling:
                              CouplingSpec(kind="gaussian_attractive",
                                           strength=0.8, width=0.3), xi)
         for n in range(3):
-            assert np.all(v.v[n, n] <= 1e-15)
+            assert np.all(v[n, n] <= 1e-15)
 
     def test_matches_refined_quadrature(self):
         # 4x-refined oracle, gaussian kernel, N_tot=3, N_g=8
@@ -230,8 +231,8 @@ class TestProjectCoupling:
         n_base = 641
         base = Grid.uniform(n_base, (0.0, 1.0))
         fine = Grid.uniform(4 * (n_base - 1) + 1, (0.0, 1.0))
-        vb = project_coupling(gaussian_bump_basis(3, base, 1.0), coup, xi).v
-        vf = project_coupling(gaussian_bump_basis(3, fine, 1.0), coup, xi).v
+        vb = project_coupling(gaussian_bump_basis(3, base, 1.0), coup, xi)
+        vf = project_coupling(gaussian_bump_basis(3, fine, 1.0), coup, xi)
         assert np.abs(vb - vf).max() < 1e-6
 
     def test_second_order_quadrature_convergence(self):
@@ -240,15 +241,43 @@ class TestProjectCoupling:
                             width=0.25)
         ref = project_coupling(
             gaussian_bump_basis(3, Grid.uniform(3073, (0, 1)), 1.0), coup,
-            xi).v
+            xi)
         errs, hs = [], []
         for n_q in (13, 25, 49, 97):
             g = Grid.uniform(n_q, (0.0, 1.0))
-            vv = project_coupling(gaussian_bump_basis(3, g, 1.0), coup, xi).v
+            vv = project_coupling(gaussian_bump_basis(3, g, 1.0), coup, xi)
             errs.append(np.abs(vv - ref).max())
             hs.append(g.spacing)
         slope = np.polyfit(np.log(hs), np.log(errs), 1)[0]
         assert slope >= 1.9
+
+    @pytest.mark.parametrize("name", ["random_0_99", "two_well", "5x40"])
+    def test_matches_per_q_accumulation(self, name):
+        # sum_q w_q phi_n(q) V(q, xi) phi_m(q), accumulated one q at a time
+        if name == "random_0_99":
+            specs = [random_instance(seed) for seed in range(100)]
+        elif name == "two_well":
+            specs = [two_well_instance()]
+        else:
+            specs = [build_problem({
+                "grid": {"n": 40},
+                "modes": {"count": 5, "delta_eps": 0.7},
+                "coupling": {"kind": "gaussian_attractive", "g": 1.0,
+                             "sigma": 0.2},
+                "hg": {"stiffness": 0.1, "potential": {
+                    "kind": "double_well", "depth": 1, "width": 0.08,
+                    "centers": [0.3, 0.7]}}})]
+        for spec in specs:
+            phi, q_grid = spec.modes.phi, spec.modes.q_grid
+            kern = spec.coupling.kernel(q_grid.points, spec.xi_grid.points)
+            ref = np.zeros((spec.n_tot, spec.n_tot, spec.n_g))
+            for k, w in enumerate(q_grid.weights):
+                ref += w * np.multiply.outer(np.outer(phi[:, k], phi[:, k]),
+                                             kern[k])
+            v = project_coupling(spec.modes, spec.coupling, spec.xi_grid)
+            assert v.shape == ref.shape
+            assert np.abs(v - ref).max() <= 1e-14 * np.abs(ref).max()
+            assert np.array_equal(v, v.transpose(1, 0, 2))
 
     def test_sample_shape_mismatch(self):
         xi = Grid.uniform(5, (0.0, 1.0))
@@ -303,7 +332,7 @@ class TestBuildProblem:
             "hg": {"stiffness": 1.0},
         })
         v = project_coupling(spec.modes, spec.coupling, spec.xi_grid)
-        assert np.all(v.v == 0.0)
+        assert np.all(v == 0.0)
 
     def test_unknown_keys_rejected(self):
         with pytest.raises(ConfigError, match="turbo"):

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from epbeat import (ConfigError, CouplingMatrices, CouplingSpec, Grid,
+from epbeat import (ConfigError, CouplingSpec, Grid,
                     NumericalError, ProblemSpec, block_operator,
                     diagonalize_sym, gaussian_bump_basis, given_mode_basis,
                     hamiltonian_g, project_coupling, reduce_block)
@@ -27,11 +27,11 @@ def reduce_spec(spec, v):
 
 def without_cross(v):
     """v' with V_nm = 0 for n != m >= 1: the per-block reading."""
-    pb = v.v.copy()
-    cross = ~np.eye(v.n_modes, dtype=bool)
+    pb = v.copy()
+    cross = ~np.eye(len(v), dtype=bool)
     cross[0, :] = cross[:, 0] = False
     pb[cross] = 0.0
-    return CouplingMatrices(pb)
+    return pb
 
 
 class TestBlockOperator:
@@ -49,7 +49,7 @@ class TestBlockOperator:
                 for m in range(n_tot):
                     e_nm = np.zeros((n_tot, n_tot))
                     e_nm[n, m] = 1.0
-                    expected += np.kron(e_nm, np.diag(v.v[n, m]))
+                    expected += np.kron(e_nm, np.diag(v[n, m]))
             assert np.abs(op - expected).max() \
                 <= 1e-14 * np.abs(expected).max()
             assert np.array_equal(op, op.T)
@@ -60,7 +60,7 @@ class TestBuildTruncated:
         spec = make_spec(n_tot=2, n_g=4)
         v = project_coupling(spec.modes, spec.coupling, spec.xi_grid)
         mat = block_operator(spec, v)[4:, 4:]
-        expected = (hamiltonian_g(spec) + np.diag(v.v[1, 1])
+        expected = (hamiltonian_g(spec) + np.diag(v[1, 1])
                     + (spec.modes.eps[1] - spec.modes.eps[0]) * np.eye(4))
         assert np.allclose(mat, expected, atol=1e-14)
 
@@ -174,10 +174,22 @@ class TestTruncatedSolution:
 
     def test_requires_two_modes(self):
         spec = make_spec(n_tot=2, n_g=3)
+        n_tot, n_g = spec.n_tot, spec.n_g
         v = project_coupling(spec.modes, spec.coupling, spec.xi_grid)
-        bad_v = type(v)(v.v[:1, :1])
         with pytest.raises(ConfigError):
-            block_operator(spec, bad_v)
+            block_operator(spec, v[:1, :1])
+        # the coupling is one read-only (N_tot, N_tot, N_g) array, and
+        # block_operator takes that shape only
+        assert isinstance(v, np.ndarray)
+        assert v.shape == (n_tot, n_tot, n_g)
+        with pytest.raises(ValueError, match="read-only"):
+            v[0, 0, 0] = 1.0
+        for bad_v in (v[:, :, 0],                          # 2-D
+                      np.zeros((n_tot, n_tot, n_g + 1)),   # one xi too many
+                      v[:-1, :-1],                         # one mode short
+                      v[:, :-1]):                          # not square
+            with pytest.raises(ConfigError, match="shape mismatch"):
+                block_operator(spec, bad_v)
 
     def test_spectrum_invariant_under_mode_reordering(self):
         # degenerate pair n=1,2 swapped: same physics, same spectrum
@@ -211,7 +223,7 @@ class TestTruncatedSolution:
         hg = hamiltonian_g(spec)
         expected = []
         for n in range(1, 4):
-            block = hg + np.diag(v.v[n, n]) \
+            block = hg + np.diag(v[n, n]) \
                 + (spec.modes.eps[n] - spec.modes.eps[0]) * np.eye(4)
             expected.extend(np.linalg.eigvalsh(block))
         assert np.allclose(np.sort(expected), ep.poles, atol=1e-9)

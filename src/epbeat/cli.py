@@ -54,8 +54,9 @@ EXIT_CONFIG = 2
 EXIT_NUMERICAL = 3
 EXIT_VERIFICATION = 4
 
-# ticks per block of events.csv rows built in memory
-EVENTS_CHUNK = 1 << 16
+# ticks per block of events.csv rows built in memory: at 20-40 bytes
+# a row, a block and its keep mask stay in L2
+EVENTS_CHUNK = 1 << 14
 
 # "00".."99", each two ASCII bytes read as one uint16
 _DIGIT_PAIRS = np.array([b"%02d" % i for i in range(100)]).view(np.uint16)
@@ -182,26 +183,35 @@ def write_events_csv(path: Path, traj) -> None:
 
     Each suffix is encoded once into a NUL-padded byte table. Rows are
     built EVENTS_CHUNK ticks at a time, in pieces whose ticks share a
-    digit count d: one take of the ids from the table behind a blank
-    d-byte tick field, which _write_ticks fills. The NULs are then
-    dropped (the output is ASCII, so a NUL is never data); binary mode
-    keeps the newlines exact on every platform.
+    digit count d, inside one row buffer and one keep mask allocated
+    per call for a block at the widest tick. A piece is one take of
+    its ids from the table behind a blank d-byte tick field, which
+    _write_ticks fills. The NULs are then dropped (the output is
+    ASCII, so a NUL is never data) and the compacted piece is written
+    as it is; binary mode keeps the newlines exact on every platform.
     """
     suffixes = [(f",{j},{index},"
                  f"{'nan' if coord != coord else _fmt_float(coord)}\n"
                  ).encode("ascii")
                 for j, (index, coord) in enumerate(traj.centers)]
     table = np.array(suffixes).view(np.uint8).reshape(len(suffixes), -1)
+    size = min(traj.length, EVENTS_CHUNK) * (
+        len(str(traj.length - 1)) + table.shape[1])
+    buffer = np.empty(size, dtype=np.uint8)
+    keep = np.empty(size, dtype=bool)
     with path.open("wb") as fh:
         fh.write(b"tick,realization_id,center_index,center_coord\n")
         a = 0
         while a < traj.length:
             d = len(str(a))
             b = min(traj.length, a + EVENTS_CHUNK, 10 ** d)
-            rows = np.pad(table, ((0, 0), (d, 0))).take(traj.ids[a:b], axis=0)
+            padded = np.pad(table, ((0, 0), (d, 0)))
+            flat = buffer[:(b - a) * padded.shape[1]]
+            rows = flat.reshape(b - a, -1)
+            np.take(padded, traj.ids[a:b], axis=0, out=rows)
             _write_ticks(rows, a, b)
-            flat = rows.ravel()
-            fh.write(flat[flat != 0].tobytes())
+            mask = np.not_equal(flat, 0, out=keep[:flat.size])
+            fh.write(flat[mask])
             a = b
 
 
@@ -235,13 +245,14 @@ def _finite_float(text: str) -> float:
     return value
 
 
-def load_config(path: str) -> dict:
+def read_config(path: str) -> tuple[dict, bytes]:
+    """The config document at path, and the bytes it was parsed from."""
     try:
-        raw = Path(path).read_text(encoding="utf-8")
+        raw = Path(path).read_bytes()
     except OSError as exc:
         raise ConfigError(f"config: cannot read {path}: {exc}") from exc
     try:
-        doc = json.loads(raw, parse_float=_finite_float,
+        doc = json.loads(raw.decode("utf-8"), parse_float=_finite_float,
                          parse_constant=_finite_float)
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config: invalid JSON in {path}: {exc}") from exc
@@ -253,7 +264,12 @@ def load_config(path: str) -> dict:
     for key in run:
         if key not in RUN_CHECKS:
             raise ConfigError(f"run.{key}: unknown key")
-    return doc
+    return doc, raw
+
+
+def load_config(path: str) -> dict:
+    """The config document at path."""
+    return read_config(path)[0]
 
 
 def _run_settings(doc: dict, args) -> dict:
@@ -276,19 +292,17 @@ def _run_settings(doc: dict, args) -> dict:
     return run
 
 
-def _config_hash(path: str) -> str:
-    return hashlib.sha256(Path(path).read_bytes()).hexdigest()
-
-
 class _Runner:
     """Collects outputs and writes the manifest last.
 
+    config is the bytes the run's config was parsed from; the manifest
+    carries their sha256, whatever the file holds by then.
     blas_threads is the OpenBLAS thread count the command's main work
     runs with (None without OpenBLAS controls; see blas.threads_for).
     """
 
-    def __init__(self, config: str, out_dir: str, blas_threads: int | None):
-        self.config = config
+    def __init__(self, config: bytes, out_dir: str, blas_threads: int | None):
+        self.config_sha256 = hashlib.sha256(config).hexdigest()
         self.out_dir = Path(out_dir)
         self.blas_threads = blas_threads
         self.outputs: list[str] = []
@@ -304,7 +318,7 @@ class _Runner:
         manifest = {
             "version": __version__,
             "subcommand": subcommand,
-            "config_sha256": _config_hash(self.config),
+            "config_sha256": self.config_sha256,
             "seed": seed,
             "outputs": self.outputs,
             "checks": self.checks,
@@ -526,12 +540,12 @@ def main(argv=None) -> int:
     try:
         if args.subcommand == "report":
             return cmd_report(_run_settings({}, args)["out_dir"])
-        doc = load_config(args.config)
+        doc, raw = read_config(args.config)
         run = _run_settings(doc, args)
         spec = build_problem(doc)
         command = COMMANDS[args.subcommand]
         with threads_for(spec.dim):
-            return command(_Runner(args.config, run["out_dir"], threads()),
+            return command(_Runner(raw, run["out_dir"], threads()),
                            spec, run, args)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)

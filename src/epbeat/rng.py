@@ -49,9 +49,9 @@ _S11 = np.uint64(11)
 _INV53 = 2.0 ** -53
 
 GUIDE_BITS = 12
-# uniforms per chunk of a categorical draw: 512 KiB of uint64 per
-# SplitMix64 temporary, so the chain stays in cache
-DRAW_CHUNK = 1 << 16
+# uniforms per chunk of a categorical draw: 128 KiB of uint64 per
+# SplitMix64 temporary, so a chunk's temporaries stay in L2
+DRAW_CHUNK = 1 << 14
 
 
 def mix64(z: int) -> int:

@@ -1,6 +1,7 @@
 """Counter-based generator and the stochastic beat process."""
 
 import hashlib
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -51,6 +52,17 @@ def event_rows(traj, tmp_path):
     path = tmp_path / "events.csv"
     write_events_csv(path, traj)
     return [line.split(",") for line in path.read_text().splitlines()[1:]]
+
+
+def traced_peak(fn):
+    """fn's result and the traced allocation peak above entry, in bytes."""
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        result = fn()
+        return result, tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
 
 
 def ref_categorical(seed, start, count, alpha):
@@ -178,7 +190,8 @@ class TestSimulateBeat:
             assert float(coord) == centers[int(index)]
 
     @pytest.mark.parametrize("t", [1, 10, 100, 101, 9_999, 10_000, 10_001,
-                                   EVENTS_CHUNK + 1, 100_003, 1_000_001])
+                                   EVENTS_CHUNK + 1, 65_537, 100_003,
+                                   1_000_001])
     @pytest.mark.parametrize("kind", ["groups", "intermediate"])
     def test_writer_matches_per_line_reference(self, two_well_rs, tmp_path,
                                                t, kind):
@@ -238,6 +251,18 @@ class TestSimulateBeat:
                                              mode="born"))
         digest = hashlib.sha256(path.read_bytes()).hexdigest()
         assert digest == TWO_WELL_BORN_SHA256
+
+    def test_two_well_born_working_set_bounded(self, tmp_path):
+        # a 1e6-tick beat draws and writes in chunk-sized buffers: past
+        # the ids themselves, neither peak grows with T
+        result = solve_problem(two_well_instance())
+        rs = result.rs.with_born(mean_intermediate_density(result))
+        traj, draw_peak = traced_peak(
+            lambda: simulate_beat(rs, 1_000_000, seed=7, mode="born"))
+        assert draw_peak <= traj.ids.nbytes + 0.75 * 2 ** 20
+        _, write_peak = traced_peak(
+            lambda: write_events_csv(tmp_path / "events.csv", traj))
+        assert write_peak <= 1.25 * 2 ** 20
 
     def test_binomial_convergence(self, two_well_rs):
         t = 100_000

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 import epbeat
-from epbeat import build_problem, oracle
+from epbeat import build_problem, cli, oracle
 from epbeat.cli import build_parser, main
 
 BASE_CONFIG = {
@@ -52,6 +52,26 @@ def test_solve_writes_artifacts(config_path, tmp_path):
     assert spectrum["accounting"]["measured_roots"] == 18
     assert "counts" not in spectrum
     assert spectrum["accounting"]["measured_equals_rank_accounting"]
+
+
+def test_manifest_hashes_the_config_bytes_parsed(config_path, tmp_path,
+                                                  monkeypatch):
+    # the config file is rewritten while solve runs
+    original = Path(config_path).read_bytes()
+    solve = cli.solve_problem
+
+    def solve_then_edit(*args, **kwargs):
+        Path(config_path).write_text(json.dumps({**BASE_CONFIG,
+                                                 "run": {"seed": 8}}))
+        return solve(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "solve_problem", solve_then_edit)
+    out = tmp_path / "out"
+    assert main(["solve", "--config", config_path,
+                 "--out-dir", str(out)]) == 0
+    assert Path(config_path).read_bytes() != original
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["config_sha256"] == hashlib.sha256(original).hexdigest()
 
 
 def test_density_csv_shape(config_path, tmp_path):

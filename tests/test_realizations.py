@@ -234,11 +234,11 @@ def painted_densities(rs, states):
     return tuple(out)
 
 
-def ladder_spec(n_tot, n_g, stiffness):
+def ladder_spec(n_tot, n_g, stiffness, g=1.0):
     return build_problem({
         "grid": {"n": n_g},
         "modes": {"count": n_tot, "delta_eps": 0.7},
-        "coupling": {"kind": "gaussian_attractive", "g": 1.0, "sigma": 0.2},
+        "coupling": {"kind": "gaussian_attractive", "g": g, "sigma": 0.2},
         "hg": {"stiffness": stiffness,
                "potential": {"kind": "double_well", "depth": 1,
                              "width": 0.08, "centers": [0.3, 0.7]}}})
@@ -268,3 +268,22 @@ class TestRealizationDensities:
             assert rho.shape == ref.shape
             assert np.abs(rho - ref).max() <= 1e-13 * np.abs(ref).max()
             assert rho.min() >= 0.0
+
+
+@pytest.fixture(scope="module")
+def localized_5x40():
+    return solve_problem(ladder_spec(5, 40, 0.002))
+
+
+@pytest.mark.parametrize("sign", [-1, 1])
+def test_groups_unchanged_by_relative_change_of_g(localized_5x40, sign):
+    # metamorphic: scaling the coupling by 1 +- 1e-13 moves the roots,
+    # but no state across the localization threshold or to another center
+    base = localized_5x40
+    result = solve_problem(ladder_spec(5, 40, 0.002, 1.0 + sign * 1e-13))
+    assert not np.array_equal(result.sr.roots, base.sr.roots)
+    assert len(base.rs.groups) == 19
+    assert len(base.rs.intermediate) == 166
+    assert [(g.center_index, g.members) for g in result.rs.groups] == \
+        [(g.center_index, g.members) for g in base.rs.groups]
+    assert result.rs.intermediate == base.rs.intermediate

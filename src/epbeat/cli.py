@@ -252,7 +252,11 @@ def read_config(path: str) -> tuple[dict, bytes]:
     except OSError as exc:
         raise ConfigError(f"config: cannot read {path}: {exc}") from exc
     try:
-        doc = json.loads(raw.decode("utf-8"), parse_float=_finite_float,
+        text = raw.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"config: {path} is not UTF-8: {exc}") from exc
+    try:
+        doc = json.loads(text, parse_float=_finite_float,
                          parse_constant=_finite_float)
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config: invalid JSON in {path}: {exc}") from exc

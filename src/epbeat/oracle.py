@@ -38,11 +38,11 @@ def direct_spectrum(spec: ProblemSpec, v: np.ndarray):
     return etas + spec.modes.eps[0], vectors
 
 
-def direct_energies(spec: ProblemSpec, op: np.ndarray) -> np.ndarray:
-    """Eigenvalues only of op = block_operator(spec, v), total energies
-    ascending; the same DIMENSION_CAP as direct_spectrum."""
+def direct_energies(spec: ProblemSpec, v: np.ndarray) -> np.ndarray:
+    """direct_spectrum's eigenvalues only (eigvalsh), from an operator
+    it builds itself after the same DIMENSION_CAP check."""
     check_dimension("direct_energies", spec)
-    return np.linalg.eigvalsh(op) + spec.modes.eps[0]
+    return np.linalg.eigvalsh(block_operator(spec, v)) + spec.modes.eps[0]
 
 
 @dataclass(frozen=True)

@@ -18,8 +18,8 @@ from .spectrum import SpectrumResult, find_roots
 class PipelineResult:
     """Every stage of one solve. v is the projected coupling V_nn'(xi),
     project_coupling's read-only (N_tot, N_tot, N_g) array. It holds no
-    block operator: only the checks read H, and they keep it themselves
-    (solve_with_operator)."""
+    block operator: the checks apply H from v and h_g, and the dense
+    oracle builds its own."""
 
     spec: ProblemSpec
     v: np.ndarray
@@ -27,15 +27,6 @@ class PipelineResult:
     sr: SpectrumResult
     states: StateSet
     rs: RealizationSet
-
-
-def _after_reduction(spec: ProblemSpec, v: np.ndarray, q: np.ndarray,
-                     ep: EffectivePotential,
-                     pr_threshold: float | None) -> PipelineResult:
-    sr = find_roots(ep)
-    states = reconstruct_all(sr, ep, q, spec.modes, spec.xi_grid)
-    rs = group_realizations(states, pr_threshold)
-    return PipelineResult(spec=spec, v=v, ep=ep, sr=sr, states=states, rs=rs)
 
 
 def solve_problem(spec: ProblemSpec,
@@ -48,18 +39,10 @@ def solve_problem(spec: ProblemSpec,
     v = project_coupling(spec.modes, spec.coupling, spec.xi_grid)
     q, ep = reduce_block(block_operator(spec, v), spec.n_g,
                          float(spec.modes.eps[0]))
-    return _after_reduction(spec, v, q, ep, pr_threshold)
-
-
-def solve_with_operator(spec: ProblemSpec, pr_threshold: float | None = None
-                        ) -> tuple[PipelineResult, np.ndarray]:
-    """solve_problem, plus the block operator (model.block_operator, eta
-    scale) that it reduced, read-only so the checks can share it."""
-    v = project_coupling(spec.modes, spec.coupling, spec.xi_grid)
-    op = block_operator(spec, v)
-    op.setflags(write=False)
-    q, ep = reduce_block(op, spec.n_g, float(spec.modes.eps[0]))
-    return _after_reduction(spec, v, q, ep, pr_threshold), op
+    sr = find_roots(ep)
+    states = reconstruct_all(sr, ep, q, spec.modes, spec.xi_grid)
+    rs = group_realizations(states, pr_threshold)
+    return PipelineResult(spec=spec, v=v, ep=ep, sr=sr, states=states, rs=rs)
 
 
 def mean_intermediate_density(result: PipelineResult) -> np.ndarray:

@@ -4,8 +4,9 @@ Random instances cover N_tot in {2..5}, N_g in {2..8}; the battery
 checks, per instance, that the effective-potential route reproduces
 the direct dense spectrum, that the root count obeys the rank
 accounting, and that every reconstructed state satisfies the full
-coupled operator to tolerance. `verify` runs its configured instance
-through the same check_instance.
+coupled operator, applied from its factors and not from the block
+operator that the reduction and the oracle read, to tolerance.
+`verify` runs its configured instance through the same check_instance.
 """
 
 from __future__ import annotations
@@ -18,9 +19,9 @@ from numpy.random import default_rng
 from .blas import threads_for
 from .effective import reduce_block
 from .model import (CouplingSpec, Grid, ProblemSpec, block_operator,
-                    gaussian_bump_basis, given_mode_basis)
+                    gaussian_bump_basis, given_mode_basis, hamiltonian_g)
 from .oracle import ComparisonReport, compare_spectra, direct_energies
-from .pipeline import PipelineResult, solve_with_operator
+from .pipeline import PipelineResult, solve_problem
 from .spectrum import count_accounting, find_roots
 
 EP_EXACTNESS_TOL = 1e-7
@@ -109,8 +110,9 @@ def zero_coupling_instance() -> ProblemSpec:
 @dataclass(frozen=True)
 class InstanceCheck:
     """The battery's verdicts on one instance, with what they read:
-    the solve, the dense oracle's energies (ascending) and the
-    comparison of the two, and count_accounting."""
+    the solve, the dense oracle's energies (ascending, from its own
+    operator) and the comparison of the two, count_accounting, and
+    max_state_residual (H applied from its factors)."""
 
     seed: int
     result: PipelineResult
@@ -155,18 +157,21 @@ def recovered_spectrum(result: PipelineResult) -> np.ndarray:
     return result.sr.eigenvalues() + result.ep.eps0
 
 
-def max_state_residual(result: PipelineResult, h: np.ndarray) -> float:
-    """Worst ||(H - eta_i) Psi_i|| over unit channel vectors.
+def max_state_residual(result: PipelineResult) -> float:
+    """Worst ||(H - eta_i) Psi_i|| / ||Psi_i|| over the states, in the
+    eta scale, eta_i = E_i - eps_0.
 
-    h is the block operator the solve reduced, in the eta scale
-    (solve_with_operator), eta_i = E_i - eps_0; all states go through
-    one product H C^T - C^T diag(eta).
+    H is applied from its factors to each state C (N_tot x N_g):
+    H C = C h_g + (eps - eps_0) C + V(xi) C, the last term a per-cell
+    contraction over modes. No n x n array is formed.
     """
-    states = result.states
-    c = states.channels.reshape(len(states), -1).T
-    c = c / np.linalg.norm(c, axis=0)
-    eta = states.energies - result.spec.modes.eps[0]
-    return float(np.linalg.norm(h @ c - c * eta, axis=0).max(initial=0.0))
+    spec, states = result.spec, result.states
+    eps, c = spec.modes.eps, states.channels
+    eta = states.energies - eps[0]
+    hc = c @ hamiltonian_g(spec) + np.einsum("nmx,kmx->knx", result.v, c)
+    hc += ((eps - eps[0])[:, None] - eta[:, None, None]) * c
+    resid = np.linalg.norm(hc, axis=(1, 2)) / np.linalg.norm(c, axis=(1, 2))
+    return float(resid.max(initial=0.0))
 
 
 def check_instance(seed: int, spec: ProblemSpec | None = None,
@@ -178,14 +183,14 @@ def check_instance(seed: int, spec: ProblemSpec | None = None,
     if spec is None:
         spec = random_instance(seed)
     with threads_for(spec.dim):
-        result, h = solve_with_operator(spec, pr_threshold)
-        energies = direct_energies(spec, h)
+        result = solve_problem(spec, pr_threshold)
+        energies = direct_energies(spec, result.v)
         return InstanceCheck(
             seed=seed, result=result, energies=energies,
             exactness=compare_spectra(recovered_spectrum(result), energies,
                                       EP_EXACTNESS_TOL),
             accounting=count_accounting(result.ep, result.sr),
-            state_residual_max=max_state_residual(result, h))
+            state_residual_max=max_state_residual(result))
 
 
 def per_block_reading(check: InstanceCheck) -> dict:

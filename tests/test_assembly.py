@@ -10,8 +10,7 @@ from epbeat import (CouplingSpec, Grid, ProblemSpec, StateSet,
                     block_operator, compare_spectra, complexity_measure,
                     direct_energies, find_roots, gaussian_bump_basis,
                     given_mode_basis, participation_ratio, reconstruct_all,
-                    reduce_block, schmidt_ranks, solve_problem,
-                    solve_with_operator)
+                    reduce_block, schmidt_ranks, solve_problem)
 from epbeat.verification import (EP_EXACTNESS_TOL, STATE_RESIDUAL_TOL,
                                  check_instance, max_state_residual,
                                  random_instance, recovered_spectrum,
@@ -109,12 +108,14 @@ class TestReconstruction:
         # rank 2
         n_g = 6
         spec = merged_cluster_spec()
-        result, h = solve_with_operator(spec)
+        result = solve_problem(spec)
+        h = block_operator(spec, result.v)
         assert result.ep.ranks.tolist() == [2] * n_g
         assert result.ep.raw_pole_count == 2 * n_g
-        assert max_state_residual(result, h) <= STATE_RESIDUAL_TOL
+        assert max_state_residual(result) <= STATE_RESIDUAL_TOL
         report = compare_spectra(recovered_spectrum(result),
-                                 direct_energies(spec, h), EP_EXACTNESS_TOL)
+                                 direct_energies(spec, result.v),
+                                 EP_EXACTNESS_TOL)
         assert report.passed
         # resolvent oracle over the raw poles, away from them
         lvals, lvecs = np.linalg.eigh(h[n_g:, n_g:])

@@ -6,11 +6,14 @@ oracle: the batched pole merge must give bitwise the same merged poles
 and residue factors, the same ranks, and raw amplitudes equal to the
 per-pole lift products. The battery's instances, which share grids and
 bump profiles, must hash as they did when each built its own. The
-shared block operator and the eigenvalue-only oracle are checked
-against operators rebuilt from scratch, and the battery's worst
-deviation must keep a NaN.
+state residual, which applies H from its factors, and the
+eigenvalue-only oracle are checked against operators rebuilt from
+scratch; a layout error shared by the reduction and the oracle must
+fail the state residual; and the battery's worst deviation must keep
+a NaN.
 """
 
+import dataclasses
 import hashlib
 import json
 import math
@@ -24,16 +27,17 @@ import epbeat.model as model
 import epbeat.oracle as oracle
 import epbeat.pipeline as pipeline
 import epbeat.verification as verification
-from epbeat import (NumericalError, block_operator, diagonalize_sym,
-                    direct_energies, direct_spectrum, ep_from_poles,
-                    find_roots, project_coupling, solve_problem,
-                    solve_with_operator)
+from epbeat import (NumericalError, StateSet, block_operator,
+                    build_problem, diagonalize_sym, direct_energies,
+                    direct_spectrum, ep_from_poles, find_roots,
+                    project_coupling, reduce_block, solve_problem)
 from epbeat.cli import main
 from epbeat.effective import (DECOUPLED_FACTOR, POLE_MERGE_FACTOR,
                               RESIDUE_RANK_TOL)
 from epbeat.verification import (max_state_residual, random_instance,
-                                 zero_coupling_instance)
+                                 two_well_instance, zero_coupling_instance)
 from test_assembly import merged_cluster_spec
+from test_ladder import ladder_config
 
 
 def ref_merge_poles(poles, vectors, tol):
@@ -244,13 +248,37 @@ def calls_of(func, run) -> int:
     return len(calls)
 
 
+def dense_state_residual(result, h) -> float:
+    """max_state_residual's quantity through the dense operator h:
+    max_i ||(h - eta_i) c_i|| over unit channel vectors c_i."""
+    states = result.states
+    c = states.channels.reshape(len(states), -1).T
+    c = c / np.linalg.norm(c, axis=0)
+    eta = states.energies - result.spec.modes.eps[0]
+    return float(np.linalg.norm(h @ c - c * eta, axis=0).max(initial=0.0))
+
+
 class TestSharedOperator:
-    def test_operator_is_read_only_and_the_block_operator(self):
-        result, op = solve_with_operator(random_instance(4))
-        assert not op.flags.writeable
+    """Each check builds what it reads: the reduction and the dense
+    oracle one block operator each, the state residual none."""
+
+    def test_operator_is_read_only_and_the_block_operator(self,
+                                                           monkeypatch):
+        """The operator the reduction read is block_operator of the
+        result's read-only v, so the oracle rebuilds that same one."""
+        seen = []
+
+        def reduce(op, n_g, eps0):
+            seen.append(op.copy())
+            return reduce_block(op, n_g, eps0)
+
+        monkeypatch.setattr(pipeline, "reduce_block", reduce)
+        result = pipeline.solve_problem(random_instance(4))
+        assert not result.v.flags.writeable
         with pytest.raises(ValueError):
-            op[0, 0] = 1.0
-        assert np.array_equal(op, block_operator(result.spec, result.v))
+            result.v[0, 0, 0] = 1.0
+        assert len(seen) == 1
+        assert np.array_equal(seen[0], block_operator(result.spec, result.v))
 
     def test_solve_frees_the_operator_before_the_roots(self, monkeypatch):
         built, alive = [], []
@@ -269,13 +297,20 @@ class TestSharedOperator:
         result = pipeline.solve_problem(random_instance(4))
         assert alive == [False]
         assert not hasattr(result, "operator")
-        _, op = pipeline.solve_with_operator(random_instance(4))
-        assert alive == [False, True] and built[-1]() is op
 
     def test_check_instance_builds_the_operator_once(self):
-        checks = []
+        """Once for the reduction and once in the oracle; the state
+        residual builds none."""
+        spec = random_instance(4)
+        results, checks = [], []
+        assert calls_of(model.block_operator, lambda: results.append(
+            solve_problem(spec))) == 1
+        assert calls_of(model.block_operator,
+                        lambda: direct_energies(spec, results[0].v)) == 1
+        assert calls_of(model.block_operator,
+                        lambda: max_state_residual(results[0])) == 0
         assert calls_of(model.block_operator, lambda: checks.append(
-            verification.check_instance(4))) == 1
+            verification.check_instance(4))) == 2
         assert checks[0].passed
 
     def test_grid_operator_built_once_per_solve(self):
@@ -283,21 +318,35 @@ class TestSharedOperator:
                         lambda: solve_problem(random_instance(4))) == 1
 
     def test_state_residual_against_rebuilt_operator(self):
+        gen = np.random.default_rng(3)
         for seed in range(20):
-            result, h = solve_with_operator(random_instance(seed))
-            rebuilt = block_operator(result.spec, result.v)
-            assert (max_state_residual(result, h)
-                    == max_state_residual(result, rebuilt))
+            result = solve_problem(random_instance(seed))
+            spec, states = result.spec, result.states
+            h = block_operator(spec, result.v)
+            scale = np.abs(h).max()
+            assert (abs(max_state_residual(result)
+                        - dense_state_residual(result, h))
+                    <= 1e-14 * scale)
+            # states far from eigenstates, one at a time, so each
+            # residual is O(||H||) and compared on its own
+            for _ in range(3):
+                trial = StateSet(
+                    channels=gen.normal(size=(1, spec.n_tot, spec.n_g)),
+                    energies=gen.uniform(-1.0, 1.0, 1) * scale,
+                    basis=states.basis, xi_grid=states.xi_grid)
+                moved = dataclasses.replace(result, states=trial)
+                assert max_state_residual(moved) == pytest.approx(
+                    dense_state_residual(moved, h), rel=1e-12)
 
     def test_eigenvalue_only_oracle(self):
         spec = random_instance(7)
-        result, h = solve_with_operator(spec)
+        result = solve_problem(spec)
         pair = direct_spectrum(spec, result.v)
         assert isinstance(pair, tuple) and len(pair) == 2
         energies, vectors = pair
         dim = spec.n_tot * spec.n_g
         assert energies.shape == (dim,) and vectors.shape == (dim, dim)
-        only = direct_energies(spec, h)
+        only = direct_energies(spec, result.v)
         assert np.allclose(only, energies, rtol=0.0,
                            atol=1e-12 * np.abs(energies).max())
 
@@ -313,14 +362,49 @@ class TestSharedOperator:
 
     def test_both_oracles_read_the_cap_at_call_time(self, monkeypatch):
         spec = random_instance(13)
-        result, h = solve_with_operator(spec)
+        result = solve_problem(spec)
         monkeypatch.setattr(oracle, "DIMENSION_CAP", 3)
         with pytest.raises(NumericalError,
                            match=r"^direct_spectrum: .* exceeds cap 3$"):
             direct_spectrum(spec, result.v)
-        with pytest.raises(NumericalError,
-                           match=r"^direct_energies: .* exceeds cap 3$"):
-            direct_energies(spec, h)
+
+        def energies():
+            with pytest.raises(NumericalError,
+                               match=r"^direct_energies: .* exceeds cap 3$"):
+                direct_energies(spec, result.v)
+
+        # the cap is checked before the operator is built
+        assert calls_of(model.block_operator, energies) == 0
+
+
+MUTANT_INSTANCES = {
+    "ladder_5x40": lambda: build_problem(ladder_config(5, 40)),
+    "two_well": two_well_instance,
+    "random_7": lambda: random_instance(7),
+}
+
+
+@pytest.mark.parametrize("name", MUTANT_INSTANCES)
+def test_mirrored_xi_mutant_fails_the_state_residual_alone(name,
+                                                           monkeypatch):
+    """A layout error that the reduction and the dense oracle share
+    (block_operator reading V at mirrored xi) leaves their spectra in
+    agreement, so only the state residual, which applies H from its
+    factors, can see it."""
+    spec = MUTANT_INSTANCES[name]()
+    check = verification.check_instance(0, spec)
+    assert check.passed
+
+    def mirrored(spec, v):
+        return block_operator(spec, v[:, :, ::-1])
+
+    for module in (model, pipeline, oracle, verification):
+        monkeypatch.setattr(module, "block_operator", mirrored)
+    check = verification.check_instance(0, spec)
+    assert check.exactness.passed
+    assert check.accounting["measured_equals_rank_accounting"]
+    assert not check.residual_pass
+    assert not check.passed
 
 
 def test_battery_worst_values_keep_a_nan(monkeypatch):
@@ -339,8 +423,8 @@ def test_battery_worst_values_keep_a_nan(monkeypatch):
             energies[-1] = math.nan
         return energies
 
-    def state_residual(result, h):
-        return math.nan if len(calls) == 2 else residual(result, h)
+    def state_residual(result):
+        return math.nan if len(calls) == 2 else residual(result)
 
     monkeypatch.setattr(verification, "recovered_spectrum", recovered)
     monkeypatch.setattr(verification, "max_state_residual", state_residual)

@@ -82,13 +82,13 @@ def test_nested_uses_restore_in_order(fake):
 def test_battery_instance_runs_on_one_thread_inside_a_large_command(
         fake, monkeypatch):
     seen = []
-    solve = verification.solve_with_operator
+    solve = verification.solve_problem
 
     def recording(spec, pr_threshold=None):
         seen.append(fake.count)
         return solve(spec, pr_threshold)
 
-    monkeypatch.setattr(verification, "solve_with_operator", recording)
+    monkeypatch.setattr(verification, "solve_problem", recording)
     with threads_for(PARALLEL_MIN_DIM):
         assert verification.check_instance(0).passed
         assert fake.count == 2

@@ -386,6 +386,15 @@ class TestExitCodes:
         assert main(["solve", "--config", str(path),
                      "--out-dir", str(tmp_path / "o")]) == 2
 
+    def test_config_not_utf8(self, tmp_path, capsys):
+        path = tmp_path / "bad.json"
+        path.write_bytes(b'{"grid": {"n": 4}, "modes": {"count": 2},'
+                         b' "note": "\xff"}')
+        assert main(["solve", "--config", str(path),
+                     "--out-dir", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err
+        assert str(path) in err and "not UTF-8" in err
+
     def test_verify_needs_an_instance(self, config_path, tmp_path, capsys):
         for k in ("0", "-3"):
             assert main(["verify", "--config", config_path,

@@ -12,7 +12,7 @@ __version__ = "0.1.0"
 
 from .model import (Grid, ModeBasis, CouplingSpec, ProblemSpec,
                     block_operator, build_problem, hamiltonian_g,
-                    gaussian_bump_basis, given_mode_basis, project_coupling)
+                    gaussian_bump_basis, project_coupling)
 from .truncated import diagonalize_sym
 from .effective import (EffectivePotential, eval_ep, characteristic,
                         root_count_below, ep_well_alignment, recurse_ep,
@@ -35,7 +35,7 @@ from .errors import (ConfigError, NumericalError, PoleProximityError,
 __all__ = [
     "Grid", "ModeBasis", "CouplingSpec", "ProblemSpec", "block_operator",
     "build_problem", "hamiltonian_g", "gaussian_bump_basis",
-    "given_mode_basis", "project_coupling",
+    "project_coupling",
     "diagonalize_sym",
     "EffectivePotential", "eval_ep", "characteristic", "root_count_below",
     "ep_well_alignment", "recurse_ep", "ep_from_poles", "reduce_block",

@@ -8,15 +8,18 @@ for q. The coupling kernel V(q, xi) is projected onto the mode basis,
     V_nn'(xi) = sum_q w_q phi_n(q) V(q, xi) phi_n'(q),
 
 which eliminates q in favor of the mode index n. Everything here is
-real and dimensionless; all containers are immutable after
+real and dimensionless. A Grid computes its points and weights from
+(n, span, boundary), and a ModeBasis normalizes the samples it is
+given, each in its constructor; all containers are immutable after
 construction.
 """
 
 from __future__ import annotations
 
 import copy
+import dataclasses
 import numbers
-from dataclasses import dataclass
+from dataclasses import InitVar, dataclass
 from functools import cached_property, lru_cache
 from typing import Mapping, Sequence
 
@@ -28,12 +31,11 @@ BOUNDARIES = ("dirichlet", "periodic")
 COUPLING_KINDS = ("gaussian_attractive", "constant", "custom_sampled")
 
 DEFAULT_BUMP_WIDTH_FACTOR = 1.5
-NORMALIZATION_TOL = 1e-10
-# Largest spread of a grid's steps, and largest deviation of a weight
-# from its trapezoid value, relative to the first step: hamiltonian_g
-# builds the Laplacian from one spacing and every quadrature reads the
-# weights, so both must be even up to rounding (np.linspace steps
-# differ in the last bits)
+# Largest spread of a grid's computed steps, relative to the first:
+# hamiltonian_g builds the Laplacian from one spacing, so the points
+# must be even up to rounding (np.linspace steps differ in the last
+# bits); a span far from the origin for its width, or one that
+# overflows or is subnormal, cannot meet it
 SPACING_TOL = 1e-9
 
 
@@ -45,42 +47,51 @@ def _freeze(a) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class Grid:
-    """Evenly spaced 1-D quadrature grid with trapezoid weights.
+    """Evenly spaced 1-D quadrature grid of n points over span.
 
-    Grids compare and hash by identity, so a shared grid can key the
-    caches built on it (gaussian_bump_basis).
+    Dirichlet grids include both ends of span and carry trapezoid
+    weights (h/2 at the ends, h inside). Periodic grids cover one
+    period [a, b) with uniform weights h = (b - a)/n. The constructor
+    computes points and weights from (n, span, boundary), read-only,
+    and refuses a span whose points come out non-finite or unevenly
+    spaced. Errors name the config fields field + "n" and
+    field + "span". Grids compare and hash by identity, so a shared
+    grid can key the caches built on it (gaussian_bump_basis).
     """
 
-    points: np.ndarray
-    weights: np.ndarray
+    n: int
+    span: tuple
     boundary: str = "dirichlet"
+    field: InitVar[str] = "grid."
+    points: np.ndarray = dataclasses.field(init=False)
+    weights: np.ndarray = dataclasses.field(init=False)
 
-    def __post_init__(self):
-        object.__setattr__(self, "points", _freeze(self.points))
-        object.__setattr__(self, "weights", _freeze(self.weights))
-        if self.points.ndim != 1 or self.points.size < 2:
-            raise ConfigError("grid: need at least 2 points")
-        steps = np.diff(self.points)
-        if np.any(steps <= 0):
-            raise ConfigError("grid.points: must be strictly increasing")
-        if np.ptp(steps) > SPACING_TOL * steps[0]:
-            raise ConfigError("grid.points: must be evenly spaced")
-        if self.weights.shape != self.points.shape:
-            raise ConfigError("grid.weights: shape mismatch with points")
-        if self.boundary not in BOUNDARIES:
-            raise ConfigError(f"grid.boundary: unknown value {self.boundary!r}")
-        h = steps[0]
-        trapezoid = np.full(self.n, h)
-        if self.boundary == "dirichlet":
-            trapezoid[[0, -1]] = h / 2
-        if not np.abs(self.weights - trapezoid).max() <= SPACING_TOL * h:
-            raise ConfigError("grid.weights: must be the trapezoid weights of "
-                              "the points (h/2 at the ends and h inside; h "
-                              "everywhere if periodic)")
-
-    @property
-    def n(self) -> int:
-        return self.points.size
+    def __post_init__(self, field):
+        n, boundary = self.n, self.boundary
+        if n < 2:
+            raise ConfigError(f"{field}n: need at least 2 points, got {n}")
+        if boundary not in BOUNDARIES:
+            raise ConfigError(f"grid.boundary: unknown value {boundary!r}")
+        a, b = float(self.span[0]), float(self.span[1])
+        if not b > a:
+            raise ConfigError(f"{field}span: upper bound must exceed lower")
+        if boundary == "periodic":
+            h = (b - a) / n
+            pts = a + h * np.arange(n)
+            w = np.full(n, h)
+        else:
+            pts = np.linspace(a, b, n)
+            h = pts[1] - pts[0]
+            w = np.full(n, h)
+            w[0] = w[-1] = h / 2
+        steps = np.diff(pts)
+        if not (np.all(np.isfinite(pts)) and np.all(steps > 0)
+                and np.ptp(steps) <= SPACING_TOL * steps[0]):
+            raise ConfigError(f"{field}span: {n} points over it are not "
+                              "finite and evenly spaced")
+        object.__setattr__(self, "span", (a, b))
+        object.__setattr__(self, "points", _freeze(pts))
+        object.__setattr__(self, "weights", _freeze(w))
 
     @property
     def spacing(self) -> float:
@@ -89,49 +100,33 @@ class Grid:
     @classmethod
     def uniform(cls, n: int, span: Sequence[float],
                 boundary: str = "dirichlet", field: str = "grid.") -> "Grid":
-        """Evenly spaced grid over span.
-
-        Dirichlet grids include both endpoints and carry trapezoid
-        weights (h/2 at the ends). Periodic grids cover one period
-        [a, b) with uniform weights h = (b - a)/n. Errors name the
-        config fields field + "n" and field + "span". A grid is
-        immutable, so each (n, span, boundary) is built and checked
-        once and then shared: a repeated call returns the same Grid.
-        """
-        if n < 2:
-            raise ConfigError(f"{field}n: need at least 2 points, got {n}")
-        a, b = float(span[0]), float(span[1])
-        if not b > a:
-            raise ConfigError(f"{field}span: upper bound must exceed lower")
+        """Grid(n, span, boundary), shared: a grid is immutable, so
+        each (n, span, boundary) is built and checked once, and a
+        repeated call returns the same Grid. A failed check is not
+        cached and raises again."""
         # keyed by the bits of the span: 0.0 == -0.0, but a -0.0 end
         # is a different last point
-        return _uniform_grid(cls, n, a.hex(), b.hex(), boundary)
+        return _uniform_grid(cls, n, float(span[0]).hex(),
+                             float(span[1]).hex(), boundary, field)
 
 
 @lru_cache(maxsize=64, typed=True)
-def _uniform_grid(cls, n: int, a: str, b: str, boundary: str) -> Grid:
-    """Grid.uniform's grid once its arguments are checked; a and b are
-    the ends of the span as float.hex strings."""
-    a, b = float.fromhex(a), float.fromhex(b)
-    if boundary == "periodic":
-        h = (b - a) / n
-        pts = a + h * np.arange(n)
-        w = np.full(n, h)
-    else:
-        pts = np.linspace(a, b, n)
-        h = pts[1] - pts[0]
-        w = np.full(n, h)
-        w[0] = w[-1] = h / 2
-    return cls(pts, w, boundary)
+def _uniform_grid(cls, n: int, a: str, b: str, boundary: str,
+                  field: str) -> Grid:
+    """Grid.uniform's grid; a and b are the ends of the span as
+    float.hex strings."""
+    return cls(n, (float.fromhex(a), float.fromhex(b)), boundary, field)
 
 
 @dataclass(frozen=True)
 class ModeBasis:
-    """Mode energies eps_n and normalized amplitude samples phi_n(q).
+    """Mode energies eps_n and amplitude samples phi_n(q), normalized.
 
-    phi is indexed (mode, q-point); each row has unit quadrature norm
-    sum_q w_q phi_n(q)^2 = 1. Energies are nondecreasing with eps_0
-    the ground value.
+    phi is indexed (mode, q-point). The constructor divides each row
+    by its quadrature norm, so sum_q w_q phi_n(q)^2 = 1 up to
+    rounding; a row whose squared norm is zero, subnormal or not
+    finite cannot be scaled to unit norm and is refused. Energies are
+    nondecreasing with eps_0 the ground value.
     """
 
     eps: np.ndarray
@@ -140,16 +135,20 @@ class ModeBasis:
 
     def __post_init__(self):
         object.__setattr__(self, "eps", _freeze(self.eps))
-        object.__setattr__(self, "phi", _freeze(self.phi))
+        phi = np.asarray(self.phi, dtype=float)
         if self.eps.ndim != 1 or self.eps.size < 2:
             raise ConfigError("modes.eps: need at least 2 modes")
         if np.any(np.diff(self.eps) < 0):
             raise ConfigError("modes.eps: must be nondecreasing")
-        if self.phi.shape != (self.eps.size, self.q_grid.n):
+        if phi.shape != (self.eps.size, self.q_grid.n):
             raise ConfigError("modes.phi: shape must be (n_modes, n_q)")
-        norms = self.phi ** 2 @ self.q_grid.weights
-        if np.any(np.abs(norms - 1.0) > NORMALIZATION_TOL):
-            raise ConfigError("modes.phi: rows must be quadrature-normalized")
+        sq_norms = phi ** 2 @ self.q_grid.weights
+        if not np.all(np.isfinite(sq_norms)
+                      & (sq_norms >= np.finfo(float).tiny)):
+            raise ConfigError("modes.phi: a mode's quadrature norm on the "
+                              "q grid is zero or out of floating-point range")
+        object.__setattr__(self, "phi",
+                           _freeze(phi / np.sqrt(sq_norms)[:, None]))
 
     @property
     def n_modes(self) -> int:
@@ -265,12 +264,15 @@ def hamiltonian_g(spec: ProblemSpec) -> np.ndarray:
 
 def gaussian_bump_basis(n_modes: int, q_grid: Grid, delta_eps: float,
                         width_factor: float = DEFAULT_BUMP_WIDTH_FACTOR) -> ModeBasis:
-    """Overlapping normalized Gaussian bumps at evenly spaced centers.
+    """Overlapping Gaussian bumps at evenly spaced centers.
 
     Centers sit at the midpoints of n_modes equal subdivisions of the
     q span; the bump width is width_factor times the center spacing,
     wide enough that neighboring modes overlap and cross couplings
-    survive projection. Energies are eps_n = n * delta_eps.
+    survive projection. ModeBasis normalizes the bumps, and refuses
+    one too narrow to have a quadrature norm on q_grid. Energies are
+    eps_n = n * delta_eps. Bases on the same (n_modes, q_grid,
+    width_factor) share one read-only phi and overlap factor.
     """
     if n_modes < 2:
         raise ConfigError(f"modes.count: need at least 2 modes, got {n_modes}")
@@ -289,39 +291,19 @@ def gaussian_bump_basis(n_modes: int, q_grid: Grid, delta_eps: float,
 @lru_cache(maxsize=64, typed=True)
 def _bump_profiles(n_modes: int, q_grid: Grid,
                    width_factor: float) -> ModeBasis:
-    """gaussian_bump_basis's normalized profiles, with placeholder
-    energies 0..n-1, built once per (n_modes, q grid, width factor)
-    together with their overlap factor, which every copy shares."""
+    """gaussian_bump_basis's profiles, normalized by ModeBasis, with
+    placeholder energies 0..n-1, built once per (n_modes, q grid,
+    width factor) together with their overlap factor, which every
+    copy shares."""
     q = q_grid.points
     lo, hi = q[0], q[-1]
     spacing = (hi - lo) / n_modes
     centers = lo + spacing * (np.arange(n_modes) + 0.5)
     width = width_factor * spacing
     phi = np.exp(-((q[None, :] - centers[:, None]) ** 2) / (2 * width ** 2))
-    norms = np.sqrt(phi ** 2 @ q_grid.weights)
-    if np.any(norms == 0):
-        raise ConfigError("modes: bump has zero quadrature norm on this grid")
-    basis = ModeBasis(np.arange(n_modes, dtype=float), phi / norms[:, None],
-                      q_grid)
+    basis = ModeBasis(np.arange(n_modes, dtype=float), phi, q_grid)
     basis.overlap_factor  # computed here, so the copies share it
     return basis
-
-
-def given_mode_basis(eps: Sequence[float], phi: Sequence[Sequence[float]],
-                     q_grid: Grid) -> ModeBasis:
-    """Pass-through basis from declared energies and samples.
-
-    Samples are renormalized to unit quadrature norm; an all-zero
-    declared mode is unnormalizable and rejected.
-    """
-    eps = np.asarray(eps, dtype=float)
-    phi = np.asarray(phi, dtype=float)
-    if phi.ndim != 2 or phi.shape != (eps.size, q_grid.n):
-        raise ConfigError("modes.phi: shape must be (n_modes, n_q)")
-    norms = np.sqrt(phi ** 2 @ q_grid.weights)
-    if np.any(norms == 0):
-        raise ConfigError("modes.phi: all-zero mode sample is unnormalizable")
-    return ModeBasis(eps, phi / norms[:, None], q_grid)
 
 
 def project_coupling(basis: ModeBasis, coupling: CouplingSpec,
@@ -433,6 +415,8 @@ def _named_potential(doc: Mapping, grid: Grid) -> np.ndarray:
                     path)
         depth = _number(doc, "depth", 1.0, path)
         width = _number(doc, "width", 0.1 * (xi[-1] - xi[0]), path)
+        if not width > 0:
+            raise ConfigError("hg.potential.width: must be positive")
         centers = _array(doc.get("centers"), path + "centers", (2,))
         detune = _number(doc, "detune", 0.0, path)
         depths = (depth, depth + detune)
@@ -476,8 +460,8 @@ def build_problem(config: Mapping) -> ProblemSpec:
     elif kind == "given":
         if "eps" not in mdoc or "phi" not in mdoc:
             raise ConfigError("modes.eps/modes.phi: required for kind 'given'")
-        basis = given_mode_basis(_array(mdoc["eps"], "modes.eps"),
-                                 _array(mdoc["phi"], "modes.phi"), q_grid)
+        basis = ModeBasis(_array(mdoc["eps"], "modes.eps"),
+                          _array(mdoc["phi"], "modes.phi"), q_grid)
         if basis.n_modes != n_tot:
             raise ConfigError("modes.count: does not match declared eps length")
     else:

@@ -45,18 +45,18 @@ class RealizationSet:
 
     groups: tuple
     intermediate: tuple
-    n_realizations: int
     xi_grid: Grid
     pr_threshold: float
     alphas: dict
 
     @property
-    def group_counts(self) -> tuple:
-        return tuple(len(g.members) for g in self.groups)
+    def n_realizations(self) -> int:
+        """Regular groups, or 1 (the intermediate set) if none."""
+        return len(self.groups) or 1
 
     @property
-    def centers(self) -> tuple:
-        return tuple(g.center_index for g in self.groups)
+    def group_counts(self) -> tuple:
+        return tuple(len(g.members) for g in self.groups)
 
     def cells(self) -> np.ndarray:
         """Nearest-center cell index of every grid point (ties go to
@@ -124,11 +124,9 @@ def group_realizations(states: StateSet,
                          members=tuple(np.flatnonzero(
                              localized & (centers == c)).tolist()))
         for c in sorted(set(centers[localized].tolist())))
-    n_realizations = len(groups) if groups else 1
     intermediate = tuple(np.flatnonzero(~localized).tolist())
     rs = RealizationSet(groups=groups, intermediate=intermediate,
-                        n_realizations=n_realizations, xi_grid=xi_grid,
-                        pr_threshold=tau, alphas={})
+                        xi_grid=xi_grid, pr_threshold=tau, alphas={})
     alphas = {"uniform": probabilities(rs, "uniform"),
               "grouped": probabilities(rs, "grouped")}
     return replace(rs, alphas=alphas)

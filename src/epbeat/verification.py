@@ -18,8 +18,8 @@ from numpy.random import default_rng
 
 from .blas import threads_for
 from .effective import reduce_block
-from .model import (CouplingSpec, Grid, ProblemSpec, block_operator,
-                    gaussian_bump_basis, given_mode_basis, hamiltonian_g)
+from .model import (CouplingSpec, Grid, ModeBasis, ProblemSpec,
+                    block_operator, gaussian_bump_basis, hamiltonian_g)
 from .oracle import ComparisonReport, compare_spectra, direct_energies
 from .pipeline import PipelineResult, solve_problem
 from .spectrum import count_accounting, find_roots
@@ -77,7 +77,7 @@ def two_well_instance() -> ProblemSpec:
     q_grid = Grid.uniform(48, (0.0, 1.0))
     q = q_grid.points
     phi = np.array([np.ones_like(q), np.cos(np.pi * q)])
-    basis = given_mode_basis([0.0, 0.25], phi, q_grid)
+    basis = ModeBasis([0.0, 0.25], phi, q_grid)
     xi = xi_grid.points
     c1 = float(xi[TWO_WELL_CENTERS[0]])
     c2 = float(xi[TWO_WELL_CENTERS[1]])

@@ -141,8 +141,7 @@ def test_criterion_5_generalized_born_rule(two_well_result):
                                     center_coord=float(sym_grid.points[c]),
                                     members=(j,))
                    for j, c in enumerate((1, 6)))
-    sym_rs = RealizationSet(groups=groups, intermediate=(),
-                            n_realizations=2, xi_grid=sym_grid,
+    sym_rs = RealizationSet(groups=groups, intermediate=(), xi_grid=sym_grid,
                             pr_threshold=2.0, alphas={})
     psi = np.ones(8) / np.sqrt(sym_grid.weights.sum())
     _, alpha_h = born_match(sym_rs, psi)

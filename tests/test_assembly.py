@@ -6,10 +6,10 @@ import numpy as np
 import pytest
 
 import epbeat.cli as cli
-from epbeat import (CouplingSpec, Grid, ProblemSpec, StateSet,
+from epbeat import (CouplingSpec, Grid, ModeBasis, ProblemSpec, StateSet,
                     block_operator, compare_spectra, complexity_measure,
                     direct_energies, find_roots, gaussian_bump_basis,
-                    given_mode_basis, participation_ratio, reconstruct_all,
+                    participation_ratio, reconstruct_all,
                     reduce_block, schmidt_ranks, solve_problem)
 from epbeat.verification import (EP_EXACTNESS_TOL, STATE_RESIDUAL_TOL,
                                  check_instance, max_state_residual,
@@ -20,7 +20,7 @@ from epbeat.verification import (EP_EXACTNESS_TOL, STATE_RESIDUAL_TOL,
 def toy_states(phi, channels, q_grid, xi_grid):
     """One hand-built state: mode samples phi (n_modes, n_q) and channel
     amplitudes (n_modes, n_xi), so Psi = phi^T channels."""
-    basis = given_mode_basis(np.arange(len(phi), dtype=float), phi, q_grid)
+    basis = ModeBasis(np.arange(len(phi), dtype=float), phi, q_grid)
     return StateSet(channels=np.asarray(channels, dtype=float)[None],
                     energies=np.zeros(1), basis=basis, xi_grid=xi_grid)
 
@@ -38,7 +38,7 @@ def merged_cluster_spec(c2=1.0):
     q_grid = Grid.uniform(n_q, (0.0, 1.0), "periodic")
     qq = 2 * np.pi * q_grid.points
     phi = [np.ones(n_q), np.sqrt(2.0) * np.cos(qq), np.sqrt(2.0) * np.sin(qq)]
-    basis = given_mode_basis([0.0, 0.8, 0.8], phi, q_grid)
+    basis = ModeBasis([0.0, 0.8, 0.8], phi, q_grid)
     xi_grid = Grid.uniform(n_g, (0.0, 1.0))
     xi = xi_grid.points
     f = 1.0 + np.cos(np.pi * xi)
@@ -96,7 +96,7 @@ class TestReconstruction:
         assert 2.0 in sr.roots and 2.0 in ep.poles
         q_grid = Grid.uniform(4, (0.0, 1.0), "periodic")
         phi = [np.ones(4), np.sqrt(2.0) * np.cos(2 * np.pi * q_grid.points)]
-        basis = given_mode_basis([0.0, 1.0], phi, q_grid)
+        basis = ModeBasis([0.0, 1.0], phi, q_grid)
         states = reconstruct_all(sr, ep, q, basis, Grid.uniform(n_g, (0, 1)))
         c = states.channels.reshape(len(states), -1).T
         c = c / np.linalg.norm(c, axis=0)

@@ -464,7 +464,14 @@ class TestExitCodes:
         (None, "modes", dict(GIVEN_MODES, phi=[[1, 1], [True, -1]]),
          "modes.phi"),
         (None, "modes", dict(GIVEN_MODES, phi=[[1, 1], ["1", -1]]),
-         "modes.phi")])
+         "modes.phi"),
+        (None, "modes", dict(GIVEN_MODES, phi=[[1, 1], [0, 0]]), "modes.phi"),
+        ("grid", "span", [0, 1e-320], "grid.span"),
+        ("modes", "q_span", [1e6, 1e6 + 1e-6], "modes.q_span"),
+        ("hg", "potential", {"kind": "double_well", "width": 0,
+                             "centers": [0.3, 0.7]}, "hg.potential.width"),
+        ("hg", "potential", {"kind": "double_well", "width": -0.08,
+                             "centers": [0.3, 0.7]}, "hg.potential.width")])
     def test_malformed_value_names_its_field(self, tmp_path, capsys, section,
                                              key, value, field):
         # grids and bump profiles are cached on success: a cached

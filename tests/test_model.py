@@ -3,9 +3,9 @@
 import numpy as np
 import pytest
 
-from epbeat import (ConfigError, CouplingSpec, Grid, ProblemSpec,
-                    build_problem, gaussian_bump_basis, given_mode_basis,
-                    hamiltonian_g, project_coupling)
+from epbeat import (ConfigError, CouplingSpec, Grid, ModeBasis, ProblemSpec,
+                    build_problem, gaussian_bump_basis, hamiltonian_g,
+                    project_coupling)
 from epbeat.verification import random_instance, two_well_instance
 
 # <phi_0, phi_1> for 3 bump modes on [0,1], frozen from a 16385-point
@@ -18,8 +18,7 @@ def orthonormal_cosine_basis(n_modes, q_grid):
     phi = [np.ones_like(q)]
     for n in range(1, n_modes):
         phi.append(np.cos(n * np.pi * q))
-    return given_mode_basis(np.arange(n_modes, dtype=float), np.array(phi),
-                            q_grid)
+    return ModeBasis(np.arange(n_modes, dtype=float), np.array(phi), q_grid)
 
 
 class TestGrid:
@@ -38,25 +37,53 @@ class TestGrid:
         assert np.allclose(g.weights, 1.0)
 
     def test_bad_sizes(self):
-        with pytest.raises(ConfigError, match="n"):
+        with pytest.raises(ConfigError, match=r"^grid\.n: "):
             Grid.uniform(0, (0.0, 1.0))
-        with pytest.raises(ConfigError):
-            Grid.uniform(1, (0.0, 1.0))
-        with pytest.raises(ConfigError, match="increasing"):
-            Grid(points=[0.0, 0.0, 1.0], weights=[1, 1, 1])
+        with pytest.raises(ConfigError, match=r"^grid\.n: "):
+            Grid(1, (0.0, 1.0))
+        with pytest.raises(ConfigError, match=r"^modes\.q_n: "):
+            Grid(1, (0.0, 1.0), field="modes.q_")
+        for span in ((1.0, 0.0), (0.5, 0.5)):
+            with pytest.raises(ConfigError, match=r"^grid\.span: "):
+                Grid(3, span)
+            with pytest.raises(ConfigError, match=r"^modes\.q_span: "):
+                Grid(3, span, field="modes.q_")
+        with pytest.raises(ConfigError, match=r"^grid\.boundary: "):
+            Grid(4, (0.0, 1.0), "absorbing")
 
     def test_uneven_points_rejected(self):
-        # hamiltonian_g reads one spacing, points[1] - points[0]
-        with pytest.raises(ConfigError, match="grid.points: .*evenly"):
-            Grid(points=[0.0, 0.1, 0.5, 1.0], weights=[0.05, 0.25, 0.45, 0.25])
-        even = Grid(points=[0.0, 0.1, 0.2, 0.3], weights=[0.05, 0.1, 0.1, 0.05])
-        assert even.spacing == pytest.approx(0.1)
-        for n, boundary in ((2, "dirichlet"), (1000, "dirichlet"),
-                            (7, "periodic")):
-            grid = Grid.uniform(n, (-3.0, 11.0), boundary)
-            assert np.array_equal(grid.points, np.linspace(-3.0, 11.0, n)
-                                  if boundary == "dirichlet"
-                                  else -3.0 + 2.0 * np.arange(n))
+        # hamiltonian_g reads one spacing, points[1] - points[0]: a span
+        # whose computed points are not finite and evenly spaced (far
+        # from the origin for its width, overflowing, subnormal) is
+        # refused, naming the span's field
+        with np.errstate(over="ignore", invalid="ignore"):
+            for span in ((1e6, 1e6 + 1e-6), (-1e308, 1e308), (0.0, 1e-320)):
+                with pytest.raises(ConfigError, match=r"^grid\.span: "):
+                    Grid(8, span)
+                with pytest.raises(ConfigError, match=r"^modes\.q_span: "):
+                    Grid.uniform(8, span, field="modes.q_")
+        assert Grid(8, (1e6, 2e6)).spacing == pytest.approx(1e6 / 7)
+
+    @pytest.mark.parametrize("boundary", ("dirichlet", "periodic"))
+    @pytest.mark.parametrize("n", (2, 8, 1000))
+    @pytest.mark.parametrize("span", ((-3.0, 11.0), (-1.0, -0.0),
+                                      (-0.0, 1.0)))
+    def test_arrays_are_the_trapezoid_formulas(self, n, span, boundary):
+        # reference: the even trapezoid grid, written out
+        a, b = span
+        if boundary == "periodic":
+            h = (b - a) / n
+            points, weights = a + h * np.arange(n), np.full(n, h)
+        else:
+            points = np.linspace(a, b, n)
+            h = points[1] - points[0]
+            weights = np.full(n, h)
+            weights[0] = weights[-1] = h / 2
+        grid = Grid(n, span, boundary)
+        assert grid.n == n and grid.span == span
+        # bit for bit, the sign of a zero included
+        assert grid.points.tobytes() == points.tobytes()
+        assert grid.weights.tobytes() == weights.tobytes()
 
     def test_uniform_grids_are_shared_and_read_only(self):
         grid = Grid.uniform(8, (0.0, 1.0))
@@ -80,21 +107,6 @@ class TestGrid:
     def test_unknown_boundary(self):
         with pytest.raises(ConfigError, match="boundary"):
             Grid.uniform(4, (0.0, 1.0), boundary="absorbing")
-
-    def test_weights_must_be_trapezoid(self):
-        # every quadrature reads the weights, and hamiltonian_g assumes
-        # the even trapezoid grid they come with
-        for points, weights, boundary in (
-                ([0.0, 0.5, 1.0], [5, 1, 7], "dirichlet"),
-                ([0.0, 0.5, 1.0], [0.25, 0.5, float("nan")], "dirichlet"),
-                ([0.0, 0.5, 1.0], [0.5, 0.5, 0.5], "dirichlet"),
-                ([0.0, 0.5, 1.0], [0.25, 0.5, 0.25], "periodic"),
-                ([0.0, 0.5, 1.0], [-0.25, 0.5, 0.25], "dirichlet")):
-            with pytest.raises(ConfigError, match="grid.weights: .*trapezoid"):
-                Grid(points=points, weights=weights, boundary=boundary)
-        Grid(points=[0.0, 0.5, 1.0], weights=[0.25, 0.5, 0.25])
-        Grid(points=[0.0, 0.5, 1.0], weights=[0.5, 0.5, 0.5],
-             boundary="periodic")
 
 
 class TestHamiltonianG:
@@ -146,12 +158,35 @@ class TestModeBases:
         norms = basis.phi ** 2 @ q.weights
         assert np.allclose(norms, 1.0, atol=1e-10)
 
+    def test_rows_are_divided_by_their_quadrature_norm(self):
+        q = Grid.uniform(24, (0.0, 1.0))
+        phi = np.random.default_rng(2).uniform(-3.0, 3.0, (3, 24))
+        given = phi.copy()
+        basis = ModeBasis([0.0, 1.0, 1.0], given, q)
+        want = phi / np.sqrt(phi ** 2 @ q.weights)[:, None]
+        assert basis.phi.tobytes() == want.tobytes()
+        assert np.array_equal(given, phi)  # the input is not rescaled
+        assert not basis.phi.flags.writeable
+        assert np.allclose(basis.phi ** 2 @ q.weights, 1.0, rtol=0,
+                           atol=8 * np.finfo(float).eps)
+
     def test_all_zero_mode_rejected(self):
+        # a row whose squared norm is zero, subnormal or overflows has
+        # no norm to divide out
         q = Grid.uniform(8, (0.0, 1.0))
-        phi = np.zeros((2, 8))
-        phi[0] = 1.0
-        with pytest.raises(ConfigError, match="zero"):
-            given_mode_basis([0.0, 1.0], phi, q)
+        for scale in (0.0, 1e-170, 1e-160, 1e200):
+            phi = np.ones((2, 8))
+            phi[1] *= scale
+            with np.errstate(over="ignore"), pytest.raises(
+                    ConfigError, match=r"^modes\.phi: .*zero"):
+                ModeBasis([0.0, 1.0], phi, q)
+        # a bump far narrower than the q spacing vanishes on every
+        # point, or reads 0/0 = NaN on a point at its center
+        for n_modes, n_q in ((3, 32), (2, 5)):
+            with np.errstate(divide="ignore", invalid="ignore"), \
+                    pytest.raises(ConfigError, match=r"^modes\.phi: .*zero"):
+                gaussian_bump_basis(n_modes, Grid.uniform(n_q, (0.0, 1.0)),
+                                    1.0, width_factor=1e-300)
 
     def test_bump_normalization_contract(self):
         for n_q in (17, 33, 65):

@@ -22,14 +22,12 @@ def synthetic_set(n_g=8, centers=(2, 6), span=(0.0, 1.0), counts=(1, 1)):
                                        center_coord=float(grid.points[c]),
                                        members=tuple(range(idx, idx + k))))
         idx += k
-    rs = RealizationSet(groups=tuple(groups), intermediate=(),
-                        n_realizations=len(groups), xi_grid=grid,
+    rs = RealizationSet(groups=tuple(groups), intermediate=(), xi_grid=grid,
                         pr_threshold=2.0, alphas={})
     alphas = {"uniform": probabilities(rs, "uniform"),
               "grouped": probabilities(rs, "grouped")}
     return RealizationSet(groups=rs.groups, intermediate=rs.intermediate,
-                          n_realizations=rs.n_realizations, xi_grid=grid,
-                          pr_threshold=2.0, alphas=alphas)
+                          xi_grid=grid, pr_threshold=2.0, alphas=alphas)
 
 
 class TestGrouping:

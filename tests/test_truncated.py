@@ -3,10 +3,10 @@
 import numpy as np
 import pytest
 
-from epbeat import (ConfigError, CouplingSpec, Grid,
+from epbeat import (ConfigError, CouplingSpec, Grid, ModeBasis,
                     NumericalError, ProblemSpec, block_operator,
-                    diagonalize_sym, gaussian_bump_basis, given_mode_basis,
-                    hamiltonian_g, project_coupling, reduce_block)
+                    diagonalize_sym, gaussian_bump_basis, hamiltonian_g,
+                    project_coupling, reduce_block)
 from epbeat import truncated
 
 
@@ -70,7 +70,7 @@ class TestBuildTruncated:
                         np.cos(2 * np.pi * q.points)])
         spec = ProblemSpec(
             xi_grid=Grid.uniform(4, (0.0, 1.0)),
-            modes=given_mode_basis([0.0, 1.0, 2.0], phi, q),
+            modes=ModeBasis([0.0, 1.0, 2.0], phi, q),
             coupling=CouplingSpec(kind="constant", strength=1.0),
             g_stiffness=0.3, g_potential=np.zeros(4))
         v = project_coupling(spec.modes, spec.coupling, spec.xi_grid)
@@ -206,7 +206,7 @@ class TestTruncatedSolution:
         for p in (phi, phi_swapped):
             specs.append(ProblemSpec(
                 xi_grid=Grid.uniform(5, (0.0, 1.0)),
-                modes=given_mode_basis(eps, p, q),
+                modes=ModeBasis(eps, p, q),
                 coupling=CouplingSpec(kind="gaussian_attractive",
                                       strength=1.0, width=0.2),
                 g_stiffness=0.3, g_potential=pot))

@@ -39,9 +39,9 @@ from .beat import simulate_beat
 from .blas import threads, threads_for
 from .effective import recurse_ep
 from .errors import ConfigError, NumericalError, VerificationError
-from .model import (ProblemSpec, block_operator, build_problem,
+from .model import (ProblemSpec, _check_keys, block_operator, build_problem,
                     project_coupling)
-from .oracle import check_dimension, compare_spectra
+from .oracle import check_dimension, compare_spectra, direct_energies
 from .pipeline import mean_intermediate_density, solve_problem
 from .realizations import (PROBABILITY_MODES, mix_density,
                            realization_densities)
@@ -219,21 +219,21 @@ def write_events_csv(path: Path, traj) -> None:
 # Config and run plumbing
 
 
-def _is_int(x) -> bool:
-    return isinstance(x, int) and not isinstance(x, bool)
-
-
-# run key -> (accepts the value, what it must be)
-RUN_CHECKS = {
-    "seed": (lambda x: _is_int(x) and 0 <= x < 1 << 64, "in [0, 2^64)"),
-    "cycles": (lambda x: _is_int(x) and x >= 1, "an integer >= 1"),
-    "prob_mode": (lambda x: x in PROBABILITY_MODES,
+# run key -> (default, accepts the value, what it must be); out_dir's
+# default is a callable, called when the run starts. Values come from
+# JSON or argparse, so an exact type() test keeps booleans out.
+RUN_KEYS = {
+    "seed": (0, lambda x: type(x) is int and 0 <= x < 1 << 64,
+             "in [0, 2^64)"),
+    "cycles": (10_000, lambda x: type(x) is int and x >= 1,
+               "an integer >= 1"),
+    "prob_mode": ("uniform", lambda x: x in PROBABILITY_MODES,
                   "one of " + ", ".join(PROBABILITY_MODES)),
-    "depth": (lambda x: _is_int(x) and x >= 1, "an integer >= 1"),
-    "pr_threshold": (lambda x: x is None or (isinstance(x, (int, float))
-                                             and not isinstance(x, bool)),
+    "depth": (2, lambda x: type(x) is int and x >= 1, "an integer >= 1"),
+    "pr_threshold": (None, lambda x: x is None or type(x) in (int, float),
                      "a number or null"),
-    "out_dir": (lambda x: isinstance(x, str), "a path string"),
+    "out_dir": (lambda: os.environ.get("EPBEAT_OUT_DIR", "out"),
+                lambda x: isinstance(x, str), "a path string"),
 }
 
 
@@ -262,12 +262,6 @@ def read_config(path: str) -> tuple[dict, bytes]:
         raise ConfigError(f"config: invalid JSON in {path}: {exc}") from exc
     if not isinstance(doc, dict):
         raise ConfigError("config: top level must be an object")
-    run = doc.get("run", {})
-    if not isinstance(run, dict):
-        raise ConfigError("run: must be an object")
-    for key in run:
-        if key not in RUN_CHECKS:
-            raise ConfigError(f"run.{key}: unknown key")
     return doc, raw
 
 
@@ -277,27 +271,28 @@ def load_config(path: str) -> dict:
 
 
 def _run_settings(doc: dict, args) -> dict:
-    """Run keys: a command-line flag wins over the config's run block,
-    which wins over the default. Every value is checked here, before
-    any artifact is written."""
-    run = dict(doc.get("run", {}))
-    for key in ("seed", "cycles", "prob_mode", "depth", "out_dir"):
-        if getattr(args, key, None) is not None:
-            run[key] = getattr(args, key)
-    run.setdefault("seed", 0)
-    run.setdefault("cycles", 10_000)
-    run.setdefault("prob_mode", "uniform")
-    run.setdefault("depth", 2)
-    run.setdefault("out_dir", os.environ.get("EPBEAT_OUT_DIR", "out"))
-    run.setdefault("pr_threshold", None)
-    for key, (accepts, what) in RUN_CHECKS.items():
-        if not accepts(run[key]):
-            raise ConfigError(f"run.{key}: must be {what}, got {run[key]!r}")
+    """The config's run block, the only reader of it: each key of
+    RUN_KEYS from its command-line flag, else from the block, else
+    from its default. Unknown keys and every value are checked here,
+    before any artifact is written."""
+    block = doc.get("run", {})
+    _check_keys(block, RUN_KEYS, "run.")
+    run = {}
+    for key, (default, accepts, what) in RUN_KEYS.items():
+        value = getattr(args, key, None)
+        if value is None:
+            value = block.get(key, default)
+        if callable(value):
+            value = value()
+        if not accepts(value):
+            raise ConfigError(f"run.{key}: must be {what}, got {value!r}")
+        run[key] = value
     return run
 
 
 class _Runner:
-    """Collects outputs and writes the manifest last.
+    """Collects outputs and writes the manifest last, with the checks
+    the command returned.
 
     config is the bytes the run's config was parsed from; the manifest
     carries their sha256, whatever the file holds by then.
@@ -310,7 +305,6 @@ class _Runner:
         self.out_dir = Path(out_dir)
         self.blas_threads = blas_threads
         self.outputs: list[str] = []
-        self.checks: dict = {}
         self.t0 = time.time()
 
     def path(self, name: str) -> Path:
@@ -318,14 +312,14 @@ class _Runner:
         self.outputs.append(name)
         return self.out_dir / name
 
-    def finish(self, subcommand: str, seed) -> None:
+    def finish(self, subcommand: str, seed, checks: dict) -> None:
         manifest = {
             "version": __version__,
             "subcommand": subcommand,
             "config_sha256": self.config_sha256,
             "seed": seed,
             "outputs": self.outputs,
-            "checks": self.checks,
+            "checks": checks,
             "blas_threads": self.blas_threads,
             "elapsed_seconds": time.time() - self.t0,
             "timestamp": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
@@ -348,7 +342,7 @@ def _spectrum_payload(result) -> dict:
 
 
 def _solve_and_write(runner: _Runner, spec: ProblemSpec, run: dict):
-    result = solve_problem(spec, run.get("pr_threshold"))
+    result = solve_problem(spec, run["pr_threshold"])
     mode = run["prob_mode"]
     rs = result.rs
     if mode == "born":
@@ -371,14 +365,12 @@ def _solve_and_write(runner: _Runner, spec: ProblemSpec, run: dict):
     return result
 
 
-def cmd_solve(runner: _Runner, spec: ProblemSpec, run: dict, args) -> int:
+def cmd_solve(runner: _Runner, spec: ProblemSpec, run: dict, args) -> dict:
     _solve_and_write(runner, spec, run)
-    runner.checks["beat"] = "not run"
-    runner.finish("solve", run["seed"])
-    return EXIT_OK
+    return {"beat": "not run"}
 
 
-def cmd_beat(runner: _Runner, spec: ProblemSpec, run: dict, args) -> int:
+def cmd_beat(runner: _Runner, spec: ProblemSpec, run: dict, args) -> dict:
     result = _solve_and_write(runner, spec, run)
     traj = simulate_beat(result.rs, run["cycles"], run["seed"],
                          run["prob_mode"])
@@ -390,12 +382,10 @@ def cmd_beat(runner: _Runner, spec: ProblemSpec, run: dict, args) -> int:
         "alpha": np.asarray(result.rs.alphas[traj.mode]),
         "empirical": np.asarray(traj.empirical),
     })
-    runner.checks["beat"] = "run"
-    runner.finish("beat", run["seed"])
-    return EXIT_OK
+    return {"beat": "run"}
 
 
-def cmd_verify(runner: _Runner, spec: ProblemSpec, run: dict, args) -> int:
+def cmd_verify(runner: _Runner, spec: ProblemSpec, run: dict, args) -> dict:
     if args.instances < 1:
         raise ConfigError(
             f"instances: need K >= 1 random instances, got {args.instances}")
@@ -421,26 +411,18 @@ def cmd_verify(runner: _Runner, spec: ProblemSpec, run: dict, args) -> int:
                     "measured_equals_rank_accounting"],
                 "configured_instance": check.passed,
                 "random_battery": battery["all_passed"]}
-    runner.checks.update({name: "pass" if ok else "fail"
-                          for name, ok in verdicts.items()})
-    runner.finish("verify", run["seed"])
-    if not all(verdicts.values()):
-        raise VerificationError("verify: one or more checks failed; see "
-                                "verify_report.json")
-    return EXIT_OK
+    return {name: "pass" if ok else "fail" for name, ok in verdicts.items()}
 
 
 def cmd_hierarchy(runner: _Runner, spec: ProblemSpec, run: dict,
-                  args) -> int:
-    # every level's operator is a trailing block of the full one
-    check_dimension("hierarchy", spec)
-    op = block_operator(spec, project_coupling(spec.modes, spec.coupling,
-                                               spec.xi_grid))
-    levels = recurse_ep(spec, op, run["depth"])
-    # level 1 against a dense solve of the full operator; level k + 1's
-    # operator is level k's L, whose eigenvalues level k's reduction has
-    # already computed (behind its reconstruction check) as its raw poles
-    spectra = [np.linalg.eigvalsh(op)] + [ep.raw_poles for ep in levels[:-1]]
+                  args) -> dict:
+    v = project_coupling(spec.modes, spec.coupling, spec.xi_grid)
+    # level 1 against the dense oracle (eta scale), capped before any
+    # reduction; level k + 1 reduces level k's L, whose eigenvalues that
+    # reduction already computed, behind its checks, as its raw poles
+    reference = direct_energies(spec, v) - spec.modes.eps[0]
+    levels = recurse_ep(spec, block_operator(spec, v), run["depth"])
+    spectra = [reference] + [ep.raw_poles for ep in levels[:-1]]
     payload = {"levels": []}
     for depth, (ep, spectrum) in enumerate(zip(levels, spectra), start=1):
         sr = find_roots(ep)
@@ -452,14 +434,9 @@ def cmd_hierarchy(runner: _Runner, spec: ProblemSpec, run: dict,
             "operator_spectrum_match": report.to_dict(),
         })
     write_json(runner.path("hierarchy.json"), payload)
-    runner.checks["hierarchy"] = (
-        "pass" if all(l["operator_spectrum_match"]["passed"]
-                      for l in payload["levels"]) else "fail")
-    runner.finish("hierarchy", run["seed"])
-    if runner.checks["hierarchy"] != "pass":
-        raise VerificationError("hierarchy: level roots do not reproduce the "
-                                "operator spectrum")
-    return EXIT_OK
+    passed = all(level["operator_spectrum_match"]["passed"]
+                 for level in payload["levels"])
+    return {"hierarchy": "pass" if passed else "fail"}
 
 
 def cmd_report(out_dir: str) -> int:
@@ -510,6 +487,8 @@ SUBCOMMANDS = {
                   ("seed", "depth")),
     "report": ("aggregate JSON summaries from an output dir", ()),
 }
+# each command writes its artifacts and returns its checks, name ->
+# "pass", "fail" or a note, which main records in the manifest
 COMMANDS = {"solve": cmd_solve, "beat": cmd_beat, "verify": cmd_verify,
             "hierarchy": cmd_hierarchy}
 RUN_FLAGS = {"seed": {"type": int}, "cycles": {"type": int},
@@ -547,10 +526,15 @@ def main(argv=None) -> int:
         doc, raw = read_config(args.config)
         run = _run_settings(doc, args)
         spec = build_problem(doc)
-        command = COMMANDS[args.subcommand]
         with threads_for(spec.dim):
-            return command(_Runner(raw, run["out_dir"], threads()),
-                           spec, run, args)
+            runner = _Runner(raw, run["out_dir"], threads())
+            checks = COMMANDS[args.subcommand](runner, spec, run, args)
+        runner.finish(args.subcommand, run["seed"], checks)
+        failed = [name for name, verdict in checks.items() if verdict == "fail"]
+        if failed:  # the last output is the command's report
+            raise VerificationError(f"{args.subcommand}: {', '.join(failed)} "
+                                    f"failed; see {runner.outputs[-1]}")
+        return EXIT_OK
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

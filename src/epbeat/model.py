@@ -35,7 +35,8 @@ DEFAULT_BUMP_WIDTH_FACTOR = 1.5
 # hamiltonian_g builds the Laplacian from one spacing, so the points
 # must be even up to rounding (np.linspace steps differ in the last
 # bits); a span far from the origin for its width, or one that
-# overflows or is subnormal, cannot meet it
+# overflows or is subnormal, cannot meet it. The Laplacian's scale
+# 1/h^2 must also be finite, which refuses a spacing below ~7.5e-155.
 SPACING_TOL = 1e-9
 
 
@@ -54,8 +55,8 @@ class Grid:
     period [a, b) with uniform weights h = (b - a)/n. The constructor
     computes points and weights from (n, span, boundary), read-only,
     and refuses a span whose points come out non-finite or unevenly
-    spaced. Errors name the config fields field + "n" and
-    field + "span". Grids compare and hash by identity, so a shared
+    spaced, or whose spacing h has no finite 1/h^2. Errors name the
+    config fields field + "n" and field + "span". Grids compare and hash by identity, so a shared
     grid can key the caches built on it (gaussian_bump_basis).
     """
 
@@ -66,6 +67,8 @@ class Grid:
     points: np.ndarray = dataclasses.field(init=False)
     weights: np.ndarray = dataclasses.field(init=False)
 
+    # an overflowing span or spacing reads inf or NaN, which is refused
+    @np.errstate(over="ignore", invalid="ignore", divide="ignore")
     def __post_init__(self, field):
         n, boundary = self.n, self.boundary
         if n < 2:
@@ -86,9 +89,11 @@ class Grid:
             w[0] = w[-1] = h / 2
         steps = np.diff(pts)
         if not (np.all(np.isfinite(pts)) and np.all(steps > 0)
-                and np.ptp(steps) <= SPACING_TOL * steps[0]):
+                and np.ptp(steps) <= SPACING_TOL * steps[0]
+                and np.isfinite(1.0 / (steps[0] * steps[0]))):
             raise ConfigError(f"{field}span: {n} points over it are not "
-                              "finite and evenly spaced")
+                              "finite and evenly spaced, or their spacing h "
+                              "has no finite 1/h^2")
         object.__setattr__(self, "span", (a, b))
         object.__setattr__(self, "points", _freeze(pts))
         object.__setattr__(self, "weights", _freeze(w))
@@ -142,7 +147,8 @@ class ModeBasis:
             raise ConfigError("modes.eps: must be nondecreasing")
         if phi.shape != (self.eps.size, self.q_grid.n):
             raise ConfigError("modes.phi: shape must be (n_modes, n_q)")
-        sq_norms = phi ** 2 @ self.q_grid.weights
+        with np.errstate(over="ignore"):  # an overflow is refused
+            sq_norms = phi ** 2 @ self.q_grid.weights
         if not np.all(np.isfinite(sq_norms)
                       & (sq_norms >= np.finfo(float).tiny)):
             raise ConfigError("modes.phi: a mode's quadrature norm on the "
@@ -289,6 +295,8 @@ def gaussian_bump_basis(n_modes: int, q_grid: Grid, delta_eps: float,
 
 
 @lru_cache(maxsize=64, typed=True)
+# a width that underflows reads x/0 or 0/0; ModeBasis refuses the rows
+@np.errstate(divide="ignore", invalid="ignore")
 def _bump_profiles(n_modes: int, q_grid: Grid,
                    width_factor: float) -> ModeBasis:
     """gaussian_bump_basis's profiles, normalized by ModeBasis, with

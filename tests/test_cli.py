@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 import epbeat
-from epbeat import build_problem, cli, oracle
+from epbeat import build_problem, cli, oracle, truncated
 from epbeat.cli import build_parser, main
 
 BASE_CONFIG = {
@@ -226,6 +226,20 @@ def test_hierarchy_subcommand(config_path, tmp_path):
         assert lv["operator_spectrum_match"]["passed"]
 
 
+def test_hierarchy_mismatch_is_a_verification_failure(config_path, tmp_path,
+                                                       monkeypatch, capsys):
+    # no deviation clears a negative tolerance
+    monkeypatch.setattr(cli, "EP_EXACTNESS_TOL", -1.0)
+    out = tmp_path / "out"
+    assert main(["hierarchy", "--config", config_path,
+                 "--out-dir", str(out)]) == 4
+    assert "hierarchy: hierarchy failed; see hierarchy.json" \
+        in capsys.readouterr().err
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["checks"] == {"hierarchy": "fail"}
+    assert manifest["outputs"] == ["hierarchy.json"]
+
+
 def test_hierarchy_adds_back_decoupled_poles(tmp_path):
     # with no coupling every pole at both levels is decoupled: it is an
     # eigenvalue of the level operator but never a root
@@ -281,7 +295,18 @@ def test_hierarchy_depth_n_tot_is_a_config_error(tmp_path, capsys):
 
 def test_hierarchy_refuses_dense_solve_above_cap(tmp_path, monkeypatch,
                                                  capsys):
-    # the same DIMENSION_CAP as verify: 4x32 has dimension 128
+    # the same DIMENSION_CAP as verify: 4x32 has dimension 128. The cap
+    # is the oracle's, called before any reduction: no eigensolve runs
+    solve, calls = truncated.diagonalize_sym, []
+
+    def counted(*args):
+        calls.append(args[0].shape)
+        return solve(*args)
+
+    for module in [m for name, m in sys.modules.items()
+                   if name.startswith("epbeat")]:
+        if getattr(module, "diagonalize_sym", None) is solve:
+            monkeypatch.setattr(module, "diagonalize_sym", counted)
     monkeypatch.setattr(oracle, "DIMENSION_CAP", 127)
     doc = {"grid": {"n": 32}, "modes": {"count": 4, "delta_eps": 0.7},
            "coupling": {"kind": "gaussian_attractive", "g": 1.0,
@@ -296,6 +321,12 @@ def test_hierarchy_refuses_dense_solve_above_cap(tmp_path, monkeypatch,
                  "--depth", "2"]) == 3
     assert "dimension 128 exceeds cap 127" in capsys.readouterr().err
     assert not (out / "hierarchy.json").exists()
+    assert calls == []
+    # at the cap the same run reduces, through the counted eigensolver
+    monkeypatch.setattr(oracle, "DIMENSION_CAP", 128)
+    assert main(["hierarchy", "--config", str(path), "--out-dir", str(out),
+                 "--depth", "2"]) == 0
+    assert (3 * 32, 3 * 32) in calls
 
 
 # prints the heavy modules loaded by the import, the exit code of a
@@ -471,7 +502,11 @@ class TestExitCodes:
         ("hg", "potential", {"kind": "double_well", "width": 0,
                              "centers": [0.3, 0.7]}, "hg.potential.width"),
         ("hg", "potential", {"kind": "double_well", "width": -0.08,
-                             "centers": [0.3, 0.7]}, "hg.potential.width")])
+                             "centers": [0.3, 0.7]}, "hg.potential.width"),
+        # evenly spaced, but h * h underflows: no finite 1/h^2
+        ("grid", "span", [0, 1e-200], "grid.span"),
+        (None, "grid", {"n": 6, "span": [0, 1e-320], "boundary": "periodic"},
+         "grid.span")])
     def test_malformed_value_names_its_field(self, tmp_path, capsys, section,
                                              key, value, field):
         # grids and bump profiles are cached on success: a cached
@@ -519,6 +554,47 @@ class TestExitCodes:
         assert exc.value.code == 2
         assert "unrecognized arguments" in capsys.readouterr().err
         assert not out.exists()
+
+
+# run key -> (its documented default, a config value, a flag value)
+RUN_KEY_VALUES = {
+    "seed": (0, 5, 9),
+    "cycles": (10_000, 300, 40),
+    "prob_mode": ("uniform", "born", "grouped"),
+    "depth": (2, 1, 3),
+    "pr_threshold": (None, 2.5, None),
+    "out_dir": ("out", "from_config", "from_flag"),
+}
+
+
+@pytest.mark.parametrize("key", cli.RUN_KEYS)
+def test_run_key_flag_over_config_over_default(key, monkeypatch):
+    default, in_config, in_flag = RUN_KEY_VALUES[key]
+    # the first subcommand that takes the key's flag (all take --out-dir)
+    name = next((name for name, (_, flags) in cli.SUBCOMMANDS.items()
+                 if name != "report" and key in flags + ("out_dir",)), None)
+
+    def read(flag, block):
+        args = build_parser().parse_args(
+            [name or "solve", "--config", "c.json"] + flag)
+        return cli._run_settings({} if block is None else {"run": block},
+                                 args)[key]
+
+    monkeypatch.delenv("EPBEAT_OUT_DIR", raising=False)
+    assert read([], None) == default
+    assert read([], {}) == default
+    assert read([], {key: in_config}) == in_config
+    if name is None:
+        # only pr_threshold has no flag: the config has the last word
+        assert key == "pr_threshold"
+    else:
+        flag = ["--" + key.replace("_", "-"), str(in_flag)]
+        assert read(flag, {key: in_config}) == in_flag
+    if key == "out_dir":
+        # the environment is read as the run starts, under the config
+        monkeypatch.setenv("EPBEAT_OUT_DIR", "from_env")
+        assert read([], None) == "from_env"
+        assert read([], {key: in_config}) == in_config
 
 
 @pytest.mark.parametrize("argv,read", [

@@ -56,12 +56,11 @@ class TestGrid:
         # whose computed points are not finite and evenly spaced (far
         # from the origin for its width, overflowing, subnormal) is
         # refused, naming the span's field
-        with np.errstate(over="ignore", invalid="ignore"):
-            for span in ((1e6, 1e6 + 1e-6), (-1e308, 1e308), (0.0, 1e-320)):
-                with pytest.raises(ConfigError, match=r"^grid\.span: "):
-                    Grid(8, span)
-                with pytest.raises(ConfigError, match=r"^modes\.q_span: "):
-                    Grid.uniform(8, span, field="modes.q_")
+        for span in ((1e6, 1e6 + 1e-6), (-1e308, 1e308), (0.0, 1e-320)):
+            with pytest.raises(ConfigError, match=r"^grid\.span: "):
+                Grid(8, span)
+            with pytest.raises(ConfigError, match=r"^modes\.q_span: "):
+                Grid.uniform(8, span, field="modes.q_")
         assert Grid(8, (1e6, 2e6)).spacing == pytest.approx(1e6 / 7)
 
     @pytest.mark.parametrize("boundary", ("dirichlet", "periodic"))
@@ -177,14 +176,12 @@ class TestModeBases:
         for scale in (0.0, 1e-170, 1e-160, 1e200):
             phi = np.ones((2, 8))
             phi[1] *= scale
-            with np.errstate(over="ignore"), pytest.raises(
-                    ConfigError, match=r"^modes\.phi: .*zero"):
+            with pytest.raises(ConfigError, match=r"^modes\.phi: .*zero"):
                 ModeBasis([0.0, 1.0], phi, q)
         # a bump far narrower than the q spacing vanishes on every
         # point, or reads 0/0 = NaN on a point at its center
         for n_modes, n_q in ((3, 32), (2, 5)):
-            with np.errstate(divide="ignore", invalid="ignore"), \
-                    pytest.raises(ConfigError, match=r"^modes\.phi: .*zero"):
+            with pytest.raises(ConfigError, match=r"^modes\.phi: .*zero"):
                 gaussian_bump_basis(n_modes, Grid.uniform(n_q, (0.0, 1.0)),
                                     1.0, width_factor=1e-300)
 

@@ -8,9 +8,9 @@ gain, and in fresh processes it sometimes stalls a small call by about
 threads against 5.4 s at one. So the thread count follows the
 problem's dimension N_tot * N_g (see PARALLEL_MIN_DIM).
 
-The OpenBLAS controls are looked up with ctypes in the libraries the
-process has mapped, on first use and not at import. Without them (an
-MKL or Accelerate build, or no /proc) the policy does nothing.
+The OpenBLAS controls are looked up on first use through numpy's
+linalg extension, whose linked libraries include the BLAS numpy calls.
+Without them (an MKL or Accelerate build) the policy does nothing.
 """
 
 from __future__ import annotations
@@ -18,6 +18,8 @@ from __future__ import annotations
 import ctypes
 import functools
 from contextlib import contextmanager
+
+from numpy.linalg import _umath_linalg
 
 # Dimension from which epbeat solve is faster at the host's default
 # thread count. Median wall time on a 2-core host, two threads against
@@ -37,28 +39,19 @@ _CONTROLS = (("scipy_openblas_get_num_threads64_",
 
 @functools.cache
 def control():
-    """(get, set) thread-count functions of the loaded OpenBLAS, or None.
-
-    numpy's own copy comes first when scipy has mapped another one.
-    """
+    """(get, set) thread-count functions of numpy's OpenBLAS, or None.
+    A lookup on the handle of numpy's linalg extension searches it and
+    the libraries it links, never another copy (scipy's, say)."""
     try:
-        with open("/proc/self/maps", encoding="utf-8") as fh:
-            paths = {line.split()[-1] for line in fh
-                     if "openblas" in line.lower()
-                     and line.split()[-1].startswith("/")}
-    except OSError:
+        lib = ctypes.CDLL(_umath_linalg.__file__)
+    except OSError:  # no dynamic loading of the extension
         return None
-    for path in sorted(paths, key=lambda p: ("numpy" not in p, p)):
-        try:
-            lib = ctypes.CDLL(path)
-        except OSError:
-            continue
-        for names in _CONTROLS:
-            get, set_ = (getattr(lib, name, None) for name in names)
-            if get is not None and set_ is not None:
-                get.restype, get.argtypes = ctypes.c_int, []
-                set_.restype, set_.argtypes = None, [ctypes.c_int]
-                return get, set_
+    for names in _CONTROLS:
+        get, set_ = (getattr(lib, name, None) for name in names)
+        if get is not None and set_ is not None:
+            get.restype, get.argtypes = ctypes.c_int, []
+            set_.restype, set_.argtypes = None, [ctypes.c_int]
+            return get, set_
     return None
 
 

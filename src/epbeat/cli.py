@@ -5,7 +5,8 @@ plus a simulated event stream), verify (oracle comparisons and count
 accounting), hierarchy (recursive potentials to any depth below
 N_tot, each level checked against its operator's spectrum), report
 (aggregate existing JSON summaries). Exit codes: 0 success, 2 config
-error, 3 numerical/I-O failure, 4 verification failure.
+error, 3 numerical/I-O failure or out of memory, 4 verification
+failure.
 
 Every floating-point value is written with 17 significant digits so
 outputs round-trip exactly; identical config and seed reproduce
@@ -33,7 +34,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import __version__
+from . import __version__, rng
 from .assembly import complexity_measure, schmidt_ranks
 from .beat import simulate_beat
 from .blas import threads, threads_for
@@ -46,17 +47,12 @@ from .pipeline import mean_intermediate_density, solve_problem
 from .realizations import (PROBABILITY_MODES, mix_density,
                            realization_densities)
 from .spectrum import count_accounting, find_roots
-from .verification import (EP_EXACTNESS_TOL, check_instance,
-                           per_block_reading, run_battery)
+from .verification import check_instance, per_block_reading, run_battery
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_NUMERICAL = 3
 EXIT_VERIFICATION = 4
-
-# ticks per block of events.csv rows built in memory: at 20-40 bytes
-# a row, a block and its keep mask stay in L2
-EVENTS_CHUNK = 1 << 14
 
 # "00".."99", each two ASCII bytes read as one uint16
 _DIGIT_PAIRS = np.array([b"%02d" % i for i in range(100)]).view(np.uint16)
@@ -182,7 +178,7 @@ def write_events_csv(path: Path, traj) -> None:
     """One row per tick: the tick, then the suffix of the realization drawn.
 
     Each suffix is encoded once into a NUL-padded byte table. Rows are
-    built EVENTS_CHUNK ticks at a time, in pieces whose ticks share a
+    built rng.DRAW_CHUNK ticks at a time, in pieces whose ticks share a
     digit count d, inside one row buffer and one keep mask allocated
     per call for a block at the widest tick. A piece is one take of
     its ids from the table behind a blank d-byte tick field, which
@@ -195,7 +191,8 @@ def write_events_csv(path: Path, traj) -> None:
                  ).encode("ascii")
                 for j, (index, coord) in enumerate(traj.centers)]
     table = np.array(suffixes).view(np.uint8).reshape(len(suffixes), -1)
-    size = min(traj.length, EVENTS_CHUNK) * (
+    chunk = rng.DRAW_CHUNK  # at 20-40 bytes a row, a block stays in L2
+    size = min(traj.length, chunk) * (
         len(str(traj.length - 1)) + table.shape[1])
     buffer = np.empty(size, dtype=np.uint8)
     keep = np.empty(size, dtype=bool)
@@ -204,7 +201,7 @@ def write_events_csv(path: Path, traj) -> None:
         a = 0
         while a < traj.length:
             d = len(str(a))
-            b = min(traj.length, a + EVENTS_CHUNK, 10 ** d)
+            b = min(traj.length, a + chunk, 10 ** d)
             padded = np.pad(table, ((0, 0), (d, 0)))
             flat = buffer[:(b - a) * padded.shape[1]]
             rows = flat.reshape(b - a, -1)
@@ -426,7 +423,7 @@ def cmd_hierarchy(runner: _Runner, spec: ProblemSpec, run: dict,
     payload = {"levels": []}
     for depth, (ep, spectrum) in enumerate(zip(levels, spectra), start=1):
         sr = find_roots(ep)
-        report = compare_spectra(sr.eigenvalues(), spectrum, EP_EXACTNESS_TOL)
+        report = compare_spectra(sr.eigenvalues(), spectrum)
         payload["levels"].append({
             "depth": depth,
             "roots": sr.roots,
@@ -520,6 +517,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
+    spec = None
     try:
         if args.subcommand == "report":
             return cmd_report(_run_settings({}, args)["out_dir"])
@@ -543,6 +541,13 @@ def main(argv=None) -> int:
         return EXIT_VERIFICATION
     except (NumericalError, OSError, ValueError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
+        return EXIT_NUMERICAL
+    except MemoryError as exc:  # spec is None while the config is read
+        size = "" if spec is None else (
+            f" at N_tot*N_g = {spec.n_tot}*{spec.n_g} = {spec.dim}")
+        detail = f" ({exc})" if exc.args else ""
+        print(f"numerical failure: {args.subcommand}: out of memory{size}"
+              f"{detail}", file=sys.stderr)
         return EXIT_NUMERICAL
 
 

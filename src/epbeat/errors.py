@@ -1,7 +1,8 @@
 """Exception taxonomy shared across the package.
 
 The CLI maps these onto process exit codes: ConfigError -> 2,
-NumericalError (and I/O trouble) -> 3, VerificationError -> 4.
+NumericalError (and I/O trouble or MemoryError) -> 3,
+VerificationError -> 4.
 """
 
 

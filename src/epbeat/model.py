@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import copy
 import dataclasses
+import math
 import numbers
 from dataclasses import InitVar, dataclass
 from functools import cached_property, lru_cache
@@ -435,6 +436,32 @@ def _named_potential(doc: Mapping, grid: Grid) -> np.ndarray:
     raise ConfigError(f"hg.potential.kind: unknown value {kind!r}")
 
 
+def _check_scale(spec: ProblemSpec, energies_field: str) -> None:
+    """Refuse an operator whose squares overflow. Its Gershgorin radius
+    G bounds every eigenvalue, pole and root, and the solve squares
+    the span 2G and Frobenius norms up to sqrt(dim) 2G, so dim (2G)^2
+    must be finite. G is at most the sum of the terms below (|V_nn'|
+    <= max |kernel| over unit modes); the largest names the field, the
+    Laplacian's by the larger of stiffness and 1/h^2."""
+    h, samples = spec.xi_grid.spacing, spec.coupling.samples
+    h2 = h * h  # Python floats: inf on overflow, where ** raises
+    kernel = (spec.coupling.strength if samples is None
+              else float(np.max(np.abs(samples), initial=0.0)))
+    terms = {
+        "hg.stiffness" if spec.g_stiffness * h2 >= 1 else "grid.span":
+            4 * spec.g_stiffness / h2,
+        "hg.potential": float(np.max(np.abs(spec.g_potential))),
+        energies_field: float(spec.modes.eps[-1]) - float(spec.modes.eps[0]),
+        "coupling.g" if samples is None else "coupling.samples":
+            spec.n_tot * kernel,
+    }
+    bound = sum(terms.values())
+    if not math.isfinite(spec.dim * 4 * bound * bound):
+        raise ConfigError(f"{max(terms, key=terms.get)}: operator scale "
+                          f"{bound:.3e} overflows when squared at dimension "
+                          f"{spec.dim}")
+
+
 def build_problem(config: Mapping) -> ProblemSpec:
     """Validate a structured config document and build a ProblemSpec.
 
@@ -493,6 +520,8 @@ def build_problem(config: Mapping) -> ProblemSpec:
     else:
         potential = _array(pot, "hg.potential", (xi_grid.n,))
 
-    return ProblemSpec(xi_grid=xi_grid, modes=basis, coupling=coupling,
+    spec = ProblemSpec(xi_grid=xi_grid, modes=basis, coupling=coupling,
                        g_stiffness=_number(hdoc, "stiffness", 1.0, "hg."),
                        g_potential=potential)
+    _check_scale(spec, "modes.delta_eps" if kind == "bumps" else "modes.eps")
+    return spec

@@ -16,6 +16,8 @@ from .errors import NumericalError
 from .model import ProblemSpec, block_operator
 
 DIMENSION_CAP = 2000
+# compare_spectra's bound on the worst deviation over the spectral scale
+EP_EXACTNESS_TOL = 1e-7
 
 
 def check_dimension(caller: str, spec: ProblemSpec) -> None:
@@ -66,13 +68,14 @@ class ComparisonReport:
 
 
 @np.errstate(invalid="ignore")  # inf / inf: a NaN deviation, which fails
-def compare_spectra(a, b, tol: float) -> ComparisonReport:
+def compare_spectra(a, b) -> ComparisonReport:
     """Greedy nearest matching of two sorted spectra.
 
     Relative deviation is measured against the overall spectral scale
     max(|a|, |b|) (the natural scale for eigenvalue perturbations);
     passes iff both spectra are finite, the worst matched deviation
-    clears tol and nothing is left unmatched.
+    clears EP_EXACTNESS_TOL, read at call time, and nothing is left
+    unmatched.
     """
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
@@ -102,7 +105,7 @@ def compare_spectra(a, b, tol: float) -> ComparisonReport:
     unmatched_b.extend(b[j:])
     max_abs = float(np.max(devs, initial=0.0))
     max_rel = max_abs / scale
-    passed = (finite and max_rel <= tol
+    passed = (finite and max_rel <= EP_EXACTNESS_TOL
               and not unmatched_a and not unmatched_b)
     return ComparisonReport(max_abs_dev=max_abs, max_rel_dev=max_rel,
                             matched_pairs=len(devs),

@@ -16,9 +16,6 @@ from .errors import NumericalError
 
 SYMMETRY_TOL = 1e-12
 RECONSTRUCTION_TOL = 1e-9
-# residual columns the reconstruction check holds at once (one block
-# up to n = 1448)
-RECONSTRUCTION_BLOCK_BYTES = 1 << 24
 
 
 def diagonalize_sym(m: np.ndarray):
@@ -28,9 +25,8 @@ def diagonalize_sym(m: np.ndarray):
     Raises NumericalError for non-square or non-symmetric input, or
     if the eigenpairs do not reconstruct the matrix to
     RECONSTRUCTION_TOL relative to its norm. The error
-    ||V diag(values) V^T - A||_F is summed over column blocks
-    V diag(values) V[J, :]^T - A[:, J] of RECONSTRUCTION_BLOCK_BYTES,
-    so its temporaries stay near that size at any n.
+    ||V (V diag(values))^T - A||_F is one product, whose two n x n
+    temporaries stay below the ~3.2 n^2 workspace of LAPACK's eigh.
     """
     a = np.asarray(m, dtype=float)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
@@ -39,14 +35,9 @@ def diagonalize_sym(m: np.ndarray):
     if np.linalg.norm(a - a.T) > SYMMETRY_TOL * max(norm, 1.0):
         raise NumericalError("diagonalize_sym: input is not symmetric")
     vals, vecs = np.linalg.eigh(a)
-    n = a.shape[0]
-    step = max(1, RECONSTRUCTION_BLOCK_BYTES // max(a.itemsize * n, 1))
-    sq = 0.0
-    for j in range(0, n, step):
-        r = vecs @ (vecs[j:j + step] * vals).T
-        r -= a[:, j:j + step]
-        sq += float(np.dot(r.ravel(), r.ravel()))
-    recon = np.sqrt(sq)
+    r = vecs @ (vecs * vals).T
+    r -= a
+    recon = np.linalg.norm(r)
     if recon > RECONSTRUCTION_TOL * max(norm, np.finfo(float).tiny):
         raise NumericalError(
             f"diagonalize_sym: reconstruction error {recon:.3e} exceeds "

@@ -24,7 +24,6 @@ from epbeat.verification import (check_instance, two_well_instance,
                                  zero_coupling_instance)
 
 N_INSTANCES = 100
-EXACTNESS_TOL = 1e-7
 RESIDUAL_TOL = 1e-6
 
 
@@ -236,7 +235,7 @@ def test_criterion_10_hierarchy_depth_2():
         levels = recurse_ep(spec, op, depth=2)
         sr2 = find_roots(levels[1])
         direct = np.linalg.eigvalsh(op[n_g:, n_g:])
-        report = compare_spectra(np.sort(sr2.roots), direct, EXACTNESS_TOL)
+        report = compare_spectra(np.sort(sr2.roots), direct)
         assert report.passed, f"hierarchy mismatch at N_g={n_g}"
         worst = max(worst, report.max_rel_dev)
     verdict(10, True, f"level-2 roots reproduce the truncated spectrum for "

@@ -9,9 +9,9 @@ from scipy import stats
 
 from epbeat import (ConfigError, empirical_freqs, mean_intermediate_density,
                     simulate_beat, solve_problem)
-from epbeat import cli, rng
+from epbeat import rng
 from epbeat.beat import BeatTrajectory
-from epbeat.cli import EVENTS_CHUNK, _fmt_float, _write_ticks, write_events_csv
+from epbeat.cli import _fmt_float, _write_ticks, write_events_csv
 from epbeat.verification import two_well_instance, zero_coupling_instance
 
 # Published SplitMix64 reference outputs for seed 0
@@ -190,7 +190,7 @@ class TestSimulateBeat:
             assert float(coord) == centers[int(index)]
 
     @pytest.mark.parametrize("t", [1, 10, 100, 101, 9_999, 10_000, 10_001,
-                                   EVENTS_CHUNK + 1, 65_537, 100_003,
+                                   rng.DRAW_CHUNK + 1, 65_537, 100_003,
                                    1_000_001])
     @pytest.mark.parametrize("kind", ["groups", "intermediate"])
     def test_writer_matches_per_line_reference(self, two_well_rs, tmp_path,
@@ -210,9 +210,9 @@ class TestSimulateBeat:
     def test_writer_matches_reference_at_any_chunk_start(
             self, two_well_rs, tmp_path, monkeypatch, chunk, t):
         # chunk starts on every residue mod 100, pieces that end inside
-        # a 100-tick block
-        monkeypatch.setattr(cli, "EVENTS_CHUNK", chunk)
+        # a 100-tick block; the writer reads the chunk at call time
         traj = simulate_beat(two_well_rs, t, seed=chunk, mode="uniform")
+        monkeypatch.setattr(rng, "DRAW_CHUNK", chunk)
         path = tmp_path / "events.csv"
         write_events_csv(path, traj)
         assert path.read_bytes() == reference_events_csv(traj)

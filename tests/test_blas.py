@@ -1,7 +1,10 @@
 """The BLAS thread policy: one thread below PARALLEL_MIN_DIM, restored."""
 
+import ctypes
 import json
+import os
 
+import numpy
 import pytest
 
 from epbeat import blas, verification
@@ -17,6 +20,30 @@ LADDER_3X8 = {"grid": {"n": 8}, "modes": {"count": 3, "delta_eps": 0.7},
 
 openblas = pytest.mark.skipif(blas.control() is None,
                               reason="numpy is not linked to OpenBLAS")
+
+
+def scanned_numpy_openblas():
+    """(get, set) of an OpenBLAS that /proc/self/maps lists under numpy's
+    install, or None: the lookup blas.control made before it resolved
+    the controls through numpy's linalg extension, kept as a reference.
+    The prefix .../numpy also covers the wheel's .../numpy.libs."""
+    prefix = os.path.dirname(numpy.__file__)
+    try:
+        with open("/proc/self/maps", encoding="utf-8") as fh:
+            paths = sorted({line.split()[-1] for line in fh
+                            if "openblas" in line.lower()
+                            and line.split()[-1].startswith(prefix)})
+    except OSError:
+        return None
+    for path in paths:
+        lib = ctypes.CDLL(path)
+        for names in blas._CONTROLS:
+            get, set_ = (getattr(lib, name, None) for name in names)
+            if get is not None and set_ is not None:
+                get.restype, get.argtypes = ctypes.c_int, []
+                set_.restype, set_.argtypes = None, [ctypes.c_int]
+                return get, set_
+    return None
 
 
 class FakeBlas:
@@ -127,3 +154,21 @@ def test_cli_solve_records_one_thread_and_restores(tmp_path):
     manifest = json.loads((out / "manifest.json").read_text())
     assert manifest["blas_threads"] == 1
     assert threads() == entry
+
+
+@pytest.mark.skipif(scanned_numpy_openblas() is None,
+                    reason="no OpenBLAS mapped under numpy's install")
+def test_controls_are_the_openblas_numpy_maps():
+    get, set_ = scanned_numpy_openblas()
+    entry = get()
+    try:
+        for count in (2, 1):  # the library caps a count above its cores
+            set_(count)
+            assert threads() == get()
+        set_(2)
+        before = get()
+        with threads_for(10):
+            assert get() == 1
+        assert get() == before
+    finally:
+        set_(entry)

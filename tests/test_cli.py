@@ -229,7 +229,7 @@ def test_hierarchy_subcommand(config_path, tmp_path):
 def test_hierarchy_mismatch_is_a_verification_failure(config_path, tmp_path,
                                                        monkeypatch, capsys):
     # no deviation clears a negative tolerance
-    monkeypatch.setattr(cli, "EP_EXACTNESS_TOL", -1.0)
+    monkeypatch.setattr(oracle, "EP_EXACTNESS_TOL", -1.0)
     out = tmp_path / "out"
     assert main(["hierarchy", "--config", config_path,
                  "--out-dir", str(out)]) == 4
@@ -506,7 +506,15 @@ class TestExitCodes:
         # evenly spaced, but h * h underflows: no finite 1/h^2
         ("grid", "span", [0, 1e-200], "grid.span"),
         (None, "grid", {"n": 6, "span": [0, 1e-320], "boundary": "periodic"},
-         "grid.span")])
+         "grid.span"),
+        ("hg", "potential", {"kind": "double_well", "centers": [0.3, 0.7],
+                             "detune": "x"}, "hg.potential.detune"),
+        # operator scales whose squares overflow (model._check_scale)
+        ("hg", "potential", [1e200, 0, 0, 0, 0, 0], "hg.potential"),
+        ("modes", "delta_eps", 1e200, "modes.delta_eps"),
+        ("hg", "stiffness", 1e300, "hg.stiffness"),
+        ("grid", "span", [0, 1e-150], "grid.span"),
+        ("coupling", "g", 1e200, "coupling.g")])
     def test_malformed_value_names_its_field(self, tmp_path, capsys, section,
                                              key, value, field):
         # grids and bump profiles are cached on success: a cached
@@ -537,6 +545,29 @@ class TestExitCodes:
 
     def test_report_empty_dir_numerical_failure(self, tmp_path):
         assert main(["report", "--out-dir", str(tmp_path / "empty")]) == 3
+
+    def test_large_stiffness_in_range_solves(self, tmp_path):
+        # 4 stiffness / h^2 = 1e142: dimension 18 x (2 x scale)^2 is finite
+        doc = json.loads(json.dumps(BASE_CONFIG))
+        doc["hg"]["stiffness"] = 1e140
+        path = tmp_path / "stiff.json"
+        path.write_text(json.dumps(doc))
+        assert main(["solve", "--config", str(path),
+                     "--out-dir", str(tmp_path / "o")]) == 0
+
+    def test_out_of_memory_is_a_numerical_failure(self, config_path, tmp_path,
+                                                  monkeypatch, capsys):
+        def exhausted(*args, **kwargs):
+            raise MemoryError("Unable to allocate 32.0 GiB")
+
+        monkeypatch.setattr(cli, "solve_problem", exhausted)
+        out = tmp_path / "o"
+        assert main(["solve", "--config", config_path,
+                     "--out-dir", str(out)]) == 3
+        assert capsys.readouterr().err == (
+            "numerical failure: solve: out of memory at N_tot*N_g = 3*6 = 18 "
+            "(Unable to allocate 32.0 GiB)\n")
+        assert not (out / "manifest.json").exists()
 
     @pytest.mark.parametrize("argv", [
         ["solve", "--depth", "3", "--cycles", "7"], ["solve", "--cycles", "0"],

@@ -18,8 +18,8 @@ from epbeat import (build_problem, count_accounting, direct_spectrum,
                     realization_densities, root_count_below, solve_problem)
 from epbeat.cli import main
 from epbeat.oracle import compare_spectra
-from epbeat.verification import (EP_EXACTNESS_TOL, STATE_RESIDUAL_TOL,
-                                 max_state_residual, recovered_spectrum)
+from epbeat.verification import (STATE_RESIDUAL_TOL, max_state_residual,
+                                 recovered_spectrum)
 
 
 def ladder_config(n_tot, n_g):
@@ -54,7 +54,7 @@ def test_oracle_exact_with_only_decoupled_poles_added(ladder):
         [sr.energies, np.asarray(sr.decoupled_poles) + result.ep.eps0])
     assert np.array_equal(np.sort(recovered), recovered_spectrum(result))
     energies, _ = direct_spectrum(result.spec, result.v)
-    report = compare_spectra(np.sort(recovered), energies, EP_EXACTNESS_TOL)
+    report = compare_spectra(np.sort(recovered), energies)
     assert report.passed, report.to_dict()
 
 

@@ -391,3 +391,27 @@ class TestBuildProblem:
         pot = spec.g_potential
         assert pot[2] < -2.5 and pot[6] < -2.5
         assert pot[4] > -0.5
+
+    def test_double_well_detune_deepens_the_second_well(self):
+        # the centers are grid points 2 and 6; detune adds to the depth
+        # of the second well only: the asymmetric twin of the ladder
+        def potential(**detune):
+            return build_problem({
+                "grid": {"n": 9, "span": [0.0, 1.0]},
+                "modes": {"count": 2, "q_n": 16},
+                "coupling": {"kind": "constant", "g": 0.5},
+                "hg": {"stiffness": 0.1,
+                       "potential": {"kind": "double_well", "depth": 3.0,
+                                     "width": 0.08, "centers": [0.25, 0.75],
+                                     **detune}},
+            }).g_potential
+
+        plain = potential()
+        assert plain[2] == plain[6]
+        for zero in (0, 0.0):
+            assert np.array_equal(potential(detune=zero), plain)
+        detuned = potential(detune=0.4)
+        assert detuned[6] - plain[6] == pytest.approx(-0.4, rel=1e-12)
+        assert detuned[6] - detuned[2] == pytest.approx(-0.4, rel=1e-6)
+        # the second well's tail at the first center
+        assert 0 < plain[2] - detuned[2] < 1e-8

@@ -6,7 +6,7 @@ import pytest
 from epbeat import (CouplingSpec, Grid, NumericalError, ProblemSpec,
                     block_operator, compare_spectra, direct_spectrum,
                     gaussian_bump_basis, hamiltonian_g, project_coupling)
-from epbeat import oracle
+from epbeat import oracle, verification
 from epbeat.verification import random_instance
 
 
@@ -52,32 +52,42 @@ class TestDirectSpectrum:
 
 class TestCompareSpectra:
     def test_identical_lists(self):
-        r = compare_spectra([1.0, 2.0, 3.0], [1.0, 2.0, 3.0], 1e-12)
+        r = compare_spectra([1.0, 2.0, 3.0], [1.0, 2.0, 3.0])
         assert r.passed
         assert r.max_abs_dev == 0.0
         assert r.matched_pairs == 3
         assert not r.unmatched_a and not r.unmatched_b
 
     def test_within_tolerance(self):
-        r = compare_spectra([1.0, 2.0], [1.0 + 1e-9, 2.0], 1e-7)
+        r = compare_spectra([1.0, 2.0], [1.0 + 1e-9, 2.0])
         assert r.passed
         assert r.max_abs_dev == pytest.approx(1e-9)
 
     def test_different_lengths_fail(self):
-        r = compare_spectra([1.0, 2.0, 3.0], [1.0, 3.0], 1e-6)
+        r = compare_spectra([1.0, 2.0, 3.0], [1.0, 3.0])
         assert not r.passed
         assert r.matched_pairs == 2
         assert list(r.unmatched_a) == [2.0]
 
     def test_exceeding_tolerance_fails(self):
-        r = compare_spectra([1.0, 2.0], [1.0, 2.1], 1e-7)
+        r = compare_spectra([1.0, 2.0], [1.0, 2.1])
         assert not r.passed
+
+    def test_reads_its_tolerance_at_call_time(self, monkeypatch):
+        # deviation 1e-9 over the scale 2: inside EP_EXACTNESS_TOL, and
+        # outside a tolerance set on the module
+        assert oracle.EP_EXACTNESS_TOL == verification.EP_EXACTNESS_TOL == 1e-7
+        a, b = [1.0, 2.0], [1.0, 2.0 + 2e-9]
+        assert compare_spectra(a, b).passed
+        monkeypatch.setattr(oracle, "EP_EXACTNESS_TOL", 0.5e-9)
+        r = compare_spectra(a, b)
+        assert r.max_rel_dev == pytest.approx(1e-9) and not r.passed
 
     @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
     def test_non_finite_fails_equal_length(self, bad):
         for a, b in [([1.0, 2.0], [1.0, bad]), ([1.0, bad], [1.0, 2.0]),
                      ([bad, 2.0], [bad, 2.0])]:
-            r = compare_spectra(a, b, 1e-7)
+            r = compare_spectra(a, b)
             assert not r.passed
             assert r.max_abs_dev != 0.0  # a NaN deviation is not dropped
 
@@ -85,5 +95,5 @@ class TestCompareSpectra:
     def test_non_finite_fails_greedy(self, bad):
         for a, b in [([1.0, bad, 3.0], [1.0, 3.0]),
                      ([1.0, 3.0], [1.0, 2.0, bad])]:
-            r = compare_spectra(a, b, 1e-7)
+            r = compare_spectra(a, b)
             assert not r.passed

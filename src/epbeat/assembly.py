@@ -50,9 +50,9 @@ class StateSet:
     def __post_init__(self):
         c = np.asarray(self.channels, dtype=float)
         rc = self.basis.overlap_factor @ c
-        masses = self.xi_grid.weights * np.sum(rc * rc, axis=1)
+        masses = self.xi_grid.weights * (rc * rc).sum(axis=1)
         norm2 = masses.sum(axis=1)
-        if np.any(norm2 == 0.0):
+        if (norm2 == 0.0).any():
             raise NumericalError("reconstructed state has zero amplitude")
         object.__setattr__(self, "channels",
                            c / np.sqrt(norm2)[:, None, None])
@@ -69,13 +69,13 @@ def participation_ratio(p: np.ndarray):
     a uniform distribution.
     """
     p = np.asarray(p, dtype=float)
-    if np.any(p < -1e-12):
+    if (p < -1e-12).any():
         raise ValueError("participation_ratio: negative mass")
     total = p.sum(axis=-1)
-    if np.any(np.abs(total - 1.0) > 1e-6):
+    if (np.abs(total - 1.0) > 1e-6).any():
         raise ValueError(
             f"participation_ratio: distribution sums to {total}, not 1")
-    return 1.0 / np.sum(p * p, axis=-1)
+    return 1.0 / (p * p).sum(axis=-1)
 
 
 def schmidt_ranks(states: StateSet, tol: float = SCHMIDT_TOL) -> np.ndarray:

@@ -20,10 +20,11 @@ block truncated at RESIDUE_RANK_TOL, and a pole whose residue is below
 DECOUPLED_FACTOR against the strongest, or below the rounding floor
 (eps x span)^2, keeps rank 0. It stores the kept factors as one column
 matrix w = [W_1 ... W_K], which is exactly the border of the
-linearization, so the ranks are the rank accounting. Lone poles, in
-practice nearly all of them, are copied into w as one array slice;
-only a merged cluster costs a Python step, and only it keeps a lift
-to its raw poles. The hierarchy
+linearization, so the ranks are the rank accounting. When no poles
+merge, as in practice, w is the coupled columns of the residue
+vectors and the cluster work is skipped; otherwise lone poles are
+copied into w as one array slice, only a merged cluster costs a
+Python step, and only it keeps a lift to its raw poles. The hierarchy
 (recurse_ep) is one loop of the same reduction over trailing blocks
 of the operator: level k + 1 reduces level k's L, whose lowest block
 plays the mode-0 role, so level k's raw poles are already the
@@ -96,8 +97,11 @@ class EffectivePotential:
         """Border amplitudes y (a column per column of w) on the raw
         poles in ascending order: y_k M_k per pole, 0 if decoupled."""
         ranks, sizes = self.ranks, self.sizes
-        cols, first = np.cumsum(ranks) - ranks, np.cumsum(sizes) - sizes
         out = np.zeros((y.shape[0], self.raw_pole_count))
+        if not self.lifts:  # every pole lone: a column per coupled pole
+            out[:, ranks > 0] = y
+            return out
+        cols, first = np.cumsum(ranks) - ranks, np.cumsum(sizes) - sizes
         lone = (sizes == 1) & (ranks == 1)
         out[:, first[lone]] = y[:, cols[lone]]
         for k, lift in zip(np.flatnonzero(sizes > 1).tolist(), self.lifts):
@@ -126,25 +130,37 @@ def ep_from_poles(h0: np.ndarray, poles, residue_vectors, n_channels: int,
 
     The one constructor: reduce_block feeds it the eliminated block's
     eigenvalues and B q_k, tests feed it hand-built poles. Ascending
-    poles within POLE_MERGE_FACTOR x span form a cluster. A lone pole
-    keeps its own vector as its factor, copied with the other lone
-    poles' in one array slice, so the Python loop runs over merged
-    clusters alone: a merged cluster's factor W = V Lambda^{1/2} and
-    lift M = Lambda^{-1/2} V^T C (C = W M) come from the
-    eigendecomposition V Lambda V^T of its summed residue matrix
-    C C^T, truncated at the numerical rank. Replicated pole values
-    thus merge into higher-rank residues, which is the route to
-    synthetic full-degree instances; decoupled poles keep no column.
+    poles within POLE_MERGE_FACTOR x span form a cluster. When no two
+    poles do (the poles reduce_block passes are ascending, and in
+    practice none merge), every pole is lone: w is the coupled columns
+    of the residue vectors, and the ranks follow from the coupled mask.
+    Otherwise the poles are sorted, and a lone pole keeps its own
+    vector as its factor, copied with the other lone poles' in one
+    array slice, so the Python loop runs over merged clusters alone: a
+    merged cluster's factor W = V Lambda^{1/2} and lift
+    M = Lambda^{-1/2} V^T C (C = W M) come from the eigendecomposition
+    V Lambda V^T of its summed residue matrix C C^T, truncated at the
+    numerical rank. Replicated pole values thus merge into higher-rank
+    residues, which is the route to synthetic full-degree instances;
+    decoupled poles keep no column.
     """
     h0 = np.array(h0, dtype=float, ndmin=2)
-    poles = np.asarray(poles, dtype=float)
+    poles = np.array(poles, dtype=float)
     vectors = np.asarray(residue_vectors, dtype=float)
     if vectors.ndim != 2 or vectors.shape != (h0.shape[0], poles.size):
         raise ConfigError("residue_vectors: shape must be (n_g, n_poles)")
-    diag = np.diagonal(h0)
-    radius = np.sum(np.abs(h0), axis=1) - np.abs(diag)
+    diag = h0.diagonal()
+    radius = np.abs(h0).sum(axis=1) - np.abs(diag)
     ends = np.concatenate([diag - radius, diag + radius, poles])
     span = max(float(ends.max() - ends.min()), 1.0)
+    if (poles[1:] - poles[:-1] > POLE_MERGE_FACTOR * span).all():
+        # ascending, and no two poles merge: every pole is lone
+        coupled = _coupled((vectors * vectors).sum(axis=0), span)
+        return EffectivePotential(
+            h0=h0, poles=poles, w=vectors[:, coupled],
+            ranks=coupled.astype(int), sizes=np.ones(poles.size, dtype=int),
+            raw_poles=poles, n_channels=n_channels, span=span, lifts=(),
+            eps0=float(eps0))
     order = np.argsort(poles, kind="stable")
     poles, vectors = poles[order], vectors[:, order]
     starts = np.flatnonzero(
@@ -166,10 +182,7 @@ def ep_from_poles(h0: np.ndarray, poles, residue_vectors, n_channels: int,
         leads[k] = np.max(np.sum(factors[-1] * factors[-1], axis=0),
                           initial=0.0)
         widths[k] = keep.sum()
-    # a lead below (eps span)^2 is rounding of B q_k, not coupling, even
-    # when every lead is (a hierarchy level whose border cancels)
-    coupled = leads > max(DECOUPLED_FACTOR * np.max(leads, initial=0.0),
-                          (np.finfo(float).eps * span) ** 2)
+    coupled = _coupled(leads, span)
     ranks = widths * coupled
     cols = np.cumsum(ranks) - ranks
     # column-major: filled a pole's columns at a time
@@ -183,6 +196,14 @@ def ep_from_poles(h0: np.ndarray, poles, residue_vectors, n_channels: int,
         h0=h0, poles=merged, w=w, ranks=ranks, sizes=sizes, raw_poles=poles,
         n_channels=n_channels, span=span, lifts=tuple(lifts),
         eps0=float(eps0))
+
+
+def _coupled(leads: np.ndarray, span: float) -> np.ndarray:
+    """Which poles keep their factor, from each factor's lead. A lead
+    below (eps span)^2 is rounding of B q_k, not coupling, even when
+    every lead is (a hierarchy level whose border cancels)."""
+    return leads > max(DECOUPLED_FACTOR * leads.max(initial=0.0),
+                       (np.finfo(float).eps * span) ** 2)
 
 
 def reduce_block(op: np.ndarray, n_g: int,

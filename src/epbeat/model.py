@@ -174,6 +174,22 @@ class ModeBasis:
             np.sqrt(self.q_grid.weights)[:, None] * self.phi.T, mode="r"))
 
 
+def _check_gaussian_width(width: float, field: str) -> None:
+    """Refuse the width w of a Gaussian exp(-d^2 / (2 w^2)) unless w > 0
+    and 2 w^2, computed as the Gaussian computes it, is a positive
+    finite float: where it underflows to 0 the center reads 0/0, and
+    where it overflows, ** raises OverflowError."""
+    if not width > 0:
+        raise ConfigError(f"{field}: must be positive")
+    try:
+        denominator = 2 * width ** 2
+    except OverflowError:
+        denominator = math.inf
+    if not 0 < denominator < math.inf:
+        raise ConfigError(f"{field}: 2 x {width!r}^2 is not a positive "
+                          "finite float")
+
+
 @dataclass(frozen=True)
 class CouplingSpec:
     """Coupling kernel between the mode field (q) and the grid field (xi).
@@ -193,8 +209,8 @@ class CouplingSpec:
             raise ConfigError(f"coupling.kind: unknown value {self.kind!r}")
         if self.strength < 0:
             raise ConfigError("coupling.g: must be nonnegative")
-        if self.kind == "gaussian_attractive" and self.width <= 0:
-            raise ConfigError("coupling.sigma: must be positive")
+        if self.kind == "gaussian_attractive":
+            _check_gaussian_width(self.width, "coupling.sigma")
         if self.kind == "custom_sampled":
             if self.samples is None:
                 raise ConfigError("coupling.samples: required for custom_sampled")
@@ -247,6 +263,13 @@ class ProblemSpec:
         """Dimension N_tot * N_g of the full coupled operator."""
         return self.n_tot * self.n_g
 
+    @cached_property
+    def h_g(self) -> np.ndarray:
+        """hamiltonian_g(self), built on first use and read-only, so
+        the solve, the dense oracle and the state residual of one
+        problem read one array."""
+        return _freeze(hamiltonian_g(self))
+
 
 def hamiltonian_g(spec: ProblemSpec) -> np.ndarray:
     """Grid-field operator: stiffness * (-d2/dxi2) + diag(potential).
@@ -290,14 +313,16 @@ def gaussian_bump_basis(n_modes: int, q_grid: Grid, delta_eps: float,
     # the shared profiles with this basis's energies: phi and the
     # overlap factor stay the cached basis's, already checked
     basis = copy.copy(_bump_profiles(n_modes, q_grid, width_factor))
-    object.__setattr__(basis, "eps",
-                       _freeze(delta_eps * np.arange(n_modes, dtype=float)))
+    with np.errstate(over="ignore"):  # an inf energy: build_problem refuses
+        eps = delta_eps * np.arange(n_modes, dtype=float)
+    object.__setattr__(basis, "eps", _freeze(eps))
     return basis
 
 
 @lru_cache(maxsize=64, typed=True)
-# a width that underflows reads x/0 or 0/0; ModeBasis refuses the rows
-@np.errstate(divide="ignore", invalid="ignore")
+# a width that underflows reads x/0 or 0/0, a span that overflows inf;
+# ModeBasis refuses the rows
+@np.errstate(divide="ignore", invalid="ignore", over="ignore")
 def _bump_profiles(n_modes: int, q_grid: Grid,
                    width_factor: float) -> ModeBasis:
     """gaussian_bump_basis's profiles, normalized by ModeBasis, with
@@ -348,9 +373,10 @@ def block_operator(spec: ProblemSpec, v: np.ndarray) -> np.ndarray:
         raise ConfigError("coupling matrices: shape mismatch with spec")
     shifted = v + np.diag(spec.modes.eps - spec.modes.eps[0])[:, :, None]
     op = np.zeros((n_tot, n_g, n_tot, n_g))
-    xi, modes = np.arange(n_g), np.arange(n_tot)
-    op[:, xi, :, xi] = shifted.transpose(2, 0, 1)
-    op[modes, :, modes, :] += hamiltonian_g(spec)
+    # writeable einsum views: the xi-diagonal of every (n, n') block,
+    # then the diagonal blocks n = n'
+    np.einsum("nxmx->nmx", op)[...] = shifted
+    np.einsum("nxny->nxy", op)[...] += spec.h_g
     return op.reshape(n_tot * n_g, n_tot * n_g)
 
 
@@ -407,6 +433,9 @@ def _array(value, path: str, shape=None) -> np.ndarray:
     return arr
 
 
+# a potential past the float range reads inf or NaN (0 x inf), which
+# _check_scale refuses
+@np.errstate(over="ignore", invalid="ignore")
 def _named_potential(doc: Mapping, grid: Grid) -> np.ndarray:
     kind = doc.get("kind")
     xi = grid.points
@@ -424,8 +453,7 @@ def _named_potential(doc: Mapping, grid: Grid) -> np.ndarray:
                     path)
         depth = _number(doc, "depth", 1.0, path)
         width = _number(doc, "width", 0.1 * (xi[-1] - xi[0]), path)
-        if not width > 0:
-            raise ConfigError("hg.potential.width: must be positive")
+        _check_gaussian_width(width, "hg.potential.width")
         centers = _array(doc.get("centers"), path + "centers", (2,))
         detune = _number(doc, "detune", 0.0, path)
         depths = (depth, depth + detune)
@@ -457,7 +485,10 @@ def _check_scale(spec: ProblemSpec, energies_field: str) -> None:
     }
     bound = sum(terms.values())
     if not math.isfinite(spec.dim * 4 * bound * bound):
-        raise ConfigError(f"{max(terms, key=terms.get)}: operator scale "
+        # a NaN term (0 x inf in a named potential) is named first
+        field = max(terms, key=lambda f: math.inf if math.isnan(terms[f])
+                    else terms[f])
+        raise ConfigError(f"{field}: operator scale "
                           f"{bound:.3e} overflows when squared at dimension "
                           f"{spec.dim}")
 

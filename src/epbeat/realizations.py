@@ -125,11 +125,12 @@ def group_realizations(states: StateSet,
                              localized & (centers == c)).tolist()))
         for c in sorted(set(centers[localized].tolist())))
     intermediate = tuple(np.flatnonzero(~localized).tolist())
+    alphas = {}  # filled from the set's groups before it is returned
     rs = RealizationSet(groups=groups, intermediate=intermediate,
-                        xi_grid=xi_grid, pr_threshold=tau, alphas={})
-    alphas = {"uniform": probabilities(rs, "uniform"),
-              "grouped": probabilities(rs, "grouped")}
-    return replace(rs, alphas=alphas)
+                        xi_grid=xi_grid, pr_threshold=tau, alphas=alphas)
+    for mode in ("uniform", "grouped"):
+        alphas[mode] = probabilities(rs, mode)
+    return rs
 
 
 def _cell_masses(rs: RealizationSet, values: np.ndarray) -> np.ndarray:

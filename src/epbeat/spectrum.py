@@ -88,8 +88,9 @@ def find_roots(ep: EffectivePotential) -> SpectrumResult:
     vals, vecs = diagonalize_sym(linearize_ep(ep))
     n_g = ep.n_g
     x = vecs[:n_g]
-    resid = np.linalg.norm(ep.h0 @ x + ep.w @ vecs[n_g:] - x * vals, axis=0)
-    nx = np.linalg.norm(x, axis=0)
+    r = ep.h0 @ x + ep.w @ vecs[n_g:] - x * vals
+    # column norms, as np.linalg.norm(., axis=0) sums them
+    resid, nx = np.sqrt((r * r).sum(axis=0)), np.sqrt((x * x).sum(axis=0))
     bound = ROOT_RESIDUAL_FACTOR * ep.span
     failed = np.flatnonzero(resid > bound * nx)
     if failed.size:

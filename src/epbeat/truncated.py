@@ -10,6 +10,8 @@ spectrum.find_roots applies it to the bordered linearization.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from .errors import NumericalError
@@ -31,15 +33,23 @@ def diagonalize_sym(m: np.ndarray):
     a = np.asarray(m, dtype=float)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise NumericalError("diagonalize_sym: matrix must be square")
-    norm = np.linalg.norm(a)
-    if np.linalg.norm(a - a.T) > SYMMETRY_TOL * max(norm, 1.0):
+    norm = _frobenius(a)
+    if _frobenius(a - a.T) > SYMMETRY_TOL * max(norm, 1.0):
         raise NumericalError("diagonalize_sym: input is not symmetric")
     vals, vecs = np.linalg.eigh(a)
     r = vecs @ (vecs * vals).T
     r -= a
-    recon = np.linalg.norm(r)
+    recon = _frobenius(r)
     if recon > RECONSTRUCTION_TOL * max(norm, np.finfo(float).tiny):
         raise NumericalError(
             f"diagonalize_sym: reconstruction error {recon:.3e} exceeds "
             f"tolerance")
     return vals, vecs
+
+
+def _frobenius(a: np.ndarray) -> float:
+    """np.linalg.norm(a) of a float array, bit for bit: the square root
+    of the dot product of a, raveled in memory order, with itself,
+    without norm's dispatch on ord and axis."""
+    flat = a.ravel(order="K")
+    return math.sqrt(flat.dot(flat))

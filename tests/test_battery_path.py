@@ -4,8 +4,13 @@ replaced.
 ref_merge_poles and ref_leads are the per-pole originals, kept as the
 oracle: the batched pole merge must give bitwise the same merged poles
 and residue factors, the same ranks, and raw amplitudes equal to the
-per-pole lift products. The battery's instances, which share grids and
-bump profiles, must hash as they did when each built its own. The
+per-pole lift products. ref_ep_from_poles, the constructor that ran the
+cluster work on every input, and ref_compare_spectra, the greedy walk
+that paired spectra of every length, are kept the same way: the
+constructor's lone-pole path and the elementwise pairing of equal
+lengths must reproduce them bit for bit. The battery's instances,
+which share grids and bump profiles, must hash as they did when each
+built its own. The
 state residual, which applies H from its factors, and the
 eigenvalue-only oracle are checked against operators rebuilt from
 scratch; a layout error shared by the reduction and the oracle must
@@ -27,13 +32,13 @@ import epbeat.model as model
 import epbeat.oracle as oracle
 import epbeat.pipeline as pipeline
 import epbeat.verification as verification
-from epbeat import (NumericalError, StateSet, block_operator,
+from epbeat import (NumericalError, StateSet, block_operator, compare_spectra,
                     build_problem, diagonalize_sym, direct_energies,
                     direct_spectrum, ep_from_poles, find_roots,
                     project_coupling, reduce_block, solve_problem)
 from epbeat.cli import main
 from epbeat.effective import (DECOUPLED_FACTOR, POLE_MERGE_FACTOR,
-                              RESIDUE_RANK_TOL)
+                              RESIDUE_RANK_TOL, EffectivePotential)
 from epbeat.verification import (max_state_residual, random_instance,
                                  two_well_instance, zero_coupling_instance)
 from test_assembly import merged_cluster_spec
@@ -90,10 +95,99 @@ def ref_leads(factors):
                  for w, lead in zip(factors, leads))
 
 
+def ref_ep_from_poles(h0, poles, residue_vectors, n_channels, eps0=0.0):
+    """ep_from_poles as it ran the sort, the cluster scan, the lone mask
+    and the column scatter on every input."""
+    h0 = np.array(h0, dtype=float, ndmin=2)
+    poles = np.asarray(poles, dtype=float)
+    vectors = np.asarray(residue_vectors, dtype=float)
+    diag = np.diagonal(h0)
+    radius = np.sum(np.abs(h0), axis=1) - np.abs(diag)
+    ends = np.concatenate([diag - radius, diag + radius, poles])
+    span = max(float(ends.max() - ends.min()), 1.0)
+    order = np.argsort(poles, kind="stable")
+    poles, vectors = poles[order], vectors[:, order]
+    starts = np.flatnonzero(
+        ~(np.diff(poles, prepend=-np.inf) <= POLE_MERGE_FACTOR * span))
+    sizes = np.diff(starts, append=poles.size)
+    merged = poles[starts]
+    leads = np.sum(vectors * vectors, axis=0)[starts]
+    widths = np.ones(starts.size, dtype=int)
+    clusters = np.flatnonzero(sizes > 1).tolist()
+    factors, lifts = [], []
+    for k in clusters:
+        cluster = vectors[:, starts[k]:starts[k] + sizes[k]]
+        vals, vecs = np.linalg.eigh(cluster @ cluster.T)
+        keep = vals > RESIDUE_RANK_TOL * max(vals[-1], 0.0)
+        factors.append(vecs[:, keep] * np.sqrt(vals[keep]))
+        lifts.append((factors[-1].T @ cluster) / vals[keep, None])
+        merged[k] = np.mean(poles[starts[k]:starts[k] + sizes[k]])
+        leads[k] = np.max(np.sum(factors[-1] * factors[-1], axis=0),
+                          initial=0.0)
+        widths[k] = keep.sum()
+    coupled = leads > max(DECOUPLED_FACTOR * np.max(leads, initial=0.0),
+                          (np.finfo(float).eps * span) ** 2)
+    ranks = widths * coupled
+    cols = np.cumsum(ranks) - ranks
+    w = np.empty((h0.shape[0], int(ranks.sum())), order="F")
+    lone = coupled & (sizes == 1)
+    w[:, cols[lone]] = vectors[:, starts[lone]]
+    for k, factor in zip(clusters, factors):
+        if coupled[k]:
+            w[:, cols[k]:cols[k] + ranks[k]] = factor
+    return EffectivePotential(
+        h0=h0, poles=merged, w=w, ranks=ranks, sizes=sizes, raw_poles=poles,
+        n_channels=n_channels, span=span, lifts=tuple(lifts),
+        eps0=float(eps0))
+
+
+def ref_raw_amplitudes_scatter(ep, y):
+    """EffectivePotential.raw_amplitudes as it scattered lone poles
+    through cumulative column and raw-pole offsets on every input."""
+    ranks, sizes = ep.ranks, ep.sizes
+    cols, first = np.cumsum(ranks) - ranks, np.cumsum(sizes) - sizes
+    out = np.zeros((y.shape[0], ep.raw_pole_count))
+    lone = (sizes == 1) & (ranks == 1)
+    out[:, first[lone]] = y[:, cols[lone]]
+    for k, lift in zip(np.flatnonzero(sizes > 1).tolist(), ep.lifts):
+        if ranks[k]:
+            out[:, first[k]:first[k] + sizes[k]] = (
+                y[:, cols[k]:cols[k] + ranks[k]] @ lift)
+    return out
+
+
+def same_array(got, want):
+    """Bitwise equality of two arrays: dtype, shape, layout and every
+    bit, the sign of a zero and a NaN's position included."""
+    got, want = np.asarray(got), np.asarray(want)
+    return (got.dtype == want.dtype and got.shape == want.shape
+            and got.flags.f_contiguous == want.flags.f_contiguous
+            and got.flags.c_contiguous == want.flags.c_contiguous
+            and got.tobytes() == want.tobytes())
+
+
+def assert_ep_matches_reference(h0, poles, vectors, n_channels=1):
+    """ep_from_poles against ref_ep_from_poles, field by field and bit
+    for bit, and its raw amplitudes against the scatter's."""
+    got = ep_from_poles(h0, poles, vectors, n_channels=n_channels)
+    want = ref_ep_from_poles(h0, poles, vectors, n_channels)
+    for name in ("h0", "poles", "w", "ranks", "sizes", "raw_poles"):
+        assert same_array(getattr(got, name), getattr(want, name)), name
+    assert got.n_channels == want.n_channels
+    assert same_array(np.array([got.span, got.eps0]),
+                      np.array([want.span, want.eps0]))
+    assert len(got.lifts) == len(want.lifts)
+    assert all(same_array(a, b) for a, b in zip(got.lifts, want.lifts))
+    y = np.random.default_rng(5).standard_normal((3, got.w.shape[1]))
+    assert same_array(got.raw_amplitudes(y),
+                      ref_raw_amplitudes_scatter(want, y))
+    return got
+
+
 def assert_merge_matches_loop(h0, poles, vectors, n_channels=1):
     poles = np.asarray(poles, dtype=float)
     vectors = np.asarray(vectors, dtype=float)
-    ep = ep_from_poles(h0, poles, vectors, n_channels=n_channels)
+    ep = assert_ep_matches_reference(h0, poles, vectors, n_channels)
     merged, factors, lifts = ref_merge_poles(poles, vectors,
                                              POLE_MERGE_FACTOR * ep.span)
     factors = ref_leads(factors)
@@ -116,12 +210,12 @@ def assert_merge_matches_loop(h0, poles, vectors, n_channels=1):
     return ep
 
 
-def reduction_inputs(spec):
+def level_inputs(spec, level):
     """h0, poles and residue vectors as reduce_block hands them to
-    ep_from_poles."""
+    ep_from_poles at hierarchy level `level` (1 is the pipeline's)."""
     v = project_coupling(spec.modes, spec.coupling, spec.xi_grid)
-    op = block_operator(spec, v)
     n_g = spec.n_g
+    op = block_operator(spec, v)[(level - 1) * n_g:, (level - 1) * n_g:]
     poles, q = diagonalize_sym(op[n_g:, n_g:])
     return op[:n_g, :n_g], poles, op[:n_g, n_g:] @ q
 
@@ -129,7 +223,7 @@ def reduction_inputs(spec):
 class TestBatchedMerge:
     def test_random_instances_0_to_999(self):
         for seed in range(1000):
-            h0, poles, vectors = reduction_inputs(random_instance(seed))
+            h0, poles, vectors = level_inputs(random_instance(seed), 1)
             assert_merge_matches_loop(h0, poles, vectors)
 
     def test_synthetic_full_degree_potential(self):
@@ -142,7 +236,7 @@ class TestBatchedMerge:
         assert ep.ranks.tolist() == [n_g] * (n_e * n_g)
 
     def test_zero_coupling_every_rank_zero(self):
-        h0, poles, vectors = reduction_inputs(zero_coupling_instance())
+        h0, poles, vectors = level_inputs(zero_coupling_instance(), 1)
         ep = assert_merge_matches_loop(h0, poles, vectors, n_channels=2)
         assert ep.poles.size > 0 and not ep.ranks.any()
 
@@ -175,7 +269,7 @@ class TestBatchedMerge:
         # the battery's instances never merge or decouple a pole; this
         # family merges the two excited modes' poles pairwise
         spec = merged_cluster_spec(c2)
-        h0, poles, vectors = reduction_inputs(spec)
+        h0, poles, vectors = level_inputs(spec, 1)
         ep = assert_merge_matches_loop(h0, poles, vectors, n_channels=2)
         assert np.any(ep.sizes > 1)
 
@@ -183,6 +277,151 @@ class TestBatchedMerge:
         ep = assert_merge_matches_loop(np.eye(2), [], np.zeros((2, 0)))
         assert ep.to_dict()["residue_factors"] == [] and ep.ranks.size == 0
         assert ep.w.shape == (2, 0)
+
+    def test_battery_never_merges(self):
+        # so the battery takes the lone-pole path, without a sort, a
+        # cluster scan or a lift
+        for seed in range(100):
+            ep = solve_problem(random_instance(seed)).ep
+            assert not ep.lifts and np.all(ep.sizes == 1)
+
+    @pytest.mark.parametrize("c2", [0.0, 1e-6, 1e-5, 1.0])
+    def test_hierarchy_level_two_where_the_border_cancels(self, c2):
+        # the border is rounding: the absolute floor (eps span)^2, which
+        # ref_leads predates, decouples poles
+        ep = assert_ep_matches_reference(
+            *level_inputs(merged_cluster_spec(c2), 2), n_channels=1)
+        assert ep.poles.size and not ep.ranks.all()
+
+    def test_ladder_hierarchy_levels(self):
+        spec = build_problem(ladder_config(4, 32))
+        for level in (1, 2, 3):
+            assert_merge_matches_loop(*level_inputs(spec, level),
+                                      n_channels=spec.n_tot - level)
+
+    @pytest.mark.parametrize("poles", [[3.0, 2.0, 1.0], [1.0, 3.0, 2.0],
+                                       [1.0, 1.0, 2.0], [1.5, np.nan, 2.0]])
+    def test_poles_out_of_order(self, poles):
+        # the lone-pole path takes ascending poles only; these sort
+        vectors = np.random.default_rng(1).standard_normal((2, 3))
+        assert_ep_matches_reference(np.eye(2), poles, vectors)
+
+    def test_decoupled_lone_pole_between_coupled_ones(self):
+        ep = assert_merge_matches_loop(np.eye(2), [1.0, 2.0, 3.0],
+                                       np.array([[1.0, 1e-20, 0.5],
+                                                 [0.2, 0.0, 1.0]]))
+        assert not ep.lifts and ep.ranks.tolist() == [1, 0, 1]
+
+    def test_one_pole(self):
+        assert_merge_matches_loop(np.eye(2), [1.5], np.array([[1.0], [2.0]]))
+
+
+def ref_compare_spectra(a, b):
+    """compare_spectra as it paired every pair of spectra by the greedy
+    walk, on Python floats."""
+    a = np.asarray(a, dtype=float)
+    b = np.asarray(b, dtype=float)
+    with np.errstate(invalid="ignore"):
+        scale = max(np.max(np.abs(a), initial=0.0),
+                    np.max(np.abs(b), initial=0.0), 1e-300)
+        finite = bool(np.isfinite(a).all() and np.isfinite(b).all())
+        a, b = a.tolist(), b.tolist()
+        i = j = 0
+        devs = []
+        unmatched_a, unmatched_b = [], []
+        while i < len(a) and j < len(b):
+            left_a, left_b = len(a) - i, len(b) - j
+            if left_a > left_b and i + 1 < len(a) \
+                    and abs(a[i + 1] - b[j]) < abs(a[i] - b[j]):
+                unmatched_a.append(a[i])
+                i += 1
+                continue
+            if left_b > left_a and j + 1 < len(b) \
+                    and abs(a[i] - b[j + 1]) < abs(a[i] - b[j]):
+                unmatched_b.append(b[j])
+                j += 1
+                continue
+            devs.append(abs(a[i] - b[j]))
+            i += 1
+            j += 1
+        unmatched_a.extend(a[i:])
+        unmatched_b.extend(b[j:])
+        max_abs = float(np.max(devs, initial=0.0))
+        max_rel = max_abs / scale
+    passed = (finite and max_rel <= oracle.EP_EXACTNESS_TOL
+              and not unmatched_a and not unmatched_b)
+    return oracle.ComparisonReport(
+        max_abs_dev=max_abs, max_rel_dev=max_rel, matched_pairs=len(devs),
+        unmatched_a=tuple(unmatched_a), unmatched_b=tuple(unmatched_b),
+        passed=passed)
+
+
+def assert_report_matches_reference(a, b):
+    got, want = compare_spectra(a, b), ref_compare_spectra(a, b)
+    for name in ("max_abs_dev", "max_rel_dev"):
+        assert same_array(np.float64(getattr(got, name)),
+                          np.float64(getattr(want, name))), name
+    for name in ("unmatched_a", "unmatched_b"):
+        assert same_array(np.array(getattr(got, name), dtype=float),
+                          np.array(getattr(want, name), dtype=float)), name
+    assert got.matched_pairs == want.matched_pairs
+    assert got.passed is want.passed
+    return got
+
+
+def random_spectrum(gen, size):
+    """A sorted spectrum of `size` values: a spread of magnitudes,
+    sometimes a NaN, +-inf or a value near the float limit."""
+    values = gen.standard_normal(size) * 10.0 ** gen.integers(-3, 4)
+    if size and gen.random() < 0.3:
+        values[gen.integers(size)] = gen.choice(
+            [np.nan, np.inf, -np.inf, 1.5e308, -1.5e308])
+    return np.sort(values)
+
+
+class TestElementwisePairing:
+    """compare_spectra pairs equal lengths in one array operation and
+    walks only unequal ones; both must report what the walk reported."""
+
+    def test_battery_spectra(self):
+        for seed in range(100):
+            result = solve_problem(random_instance(seed))
+            report = assert_report_matches_reference(
+                verification.recovered_spectrum(result),
+                direct_energies(result.spec, result.v))
+            assert report.passed
+
+    def test_random_equal_lengths(self):
+        gen = np.random.default_rng(11)
+        for _ in range(2000):
+            a = random_spectrum(gen, int(gen.integers(0, 12)))
+            kind = int(gen.integers(3))  # b near a, unrelated, or a itself
+            if kind == 0:
+                b = np.sort(a + gen.normal(scale=1e-9, size=a.size))
+            else:
+                b = random_spectrum(gen, a.size) if kind == 1 else a.copy()
+            assert_report_matches_reference(a, b)
+
+    def test_random_unequal_lengths(self):
+        gen = np.random.default_rng(12)
+        for _ in range(2000):
+            a = random_spectrum(gen, int(gen.integers(0, 12)))
+            b = random_spectrum(gen, int(gen.integers(0, 12)))
+            if a.size == b.size:
+                b = np.append(b, gen.standard_normal())
+            assert_report_matches_reference(a, b)
+
+    @pytest.mark.parametrize("a, b", [
+        ([1.0, np.nan], [1.0, 2.0]),
+        ([np.inf, 1.0], [np.inf, 1.0]),
+        ([-np.inf], [np.inf]),
+        ([-1.5e308], [1.5e308]),
+        ([np.nan], [np.nan, 1.0]),
+        ([], []),
+        ([], [1.0, np.inf])])
+    def test_non_finite_values(self, a, b):
+        report = assert_report_matches_reference(a, b)
+        assert not report.passed or not (a or b)
 
 
 # sha256 of random_instance(seed)'s arrays and scalars for seeds 0-99,
@@ -314,8 +553,21 @@ class TestSharedOperator:
         assert checks[0].passed
 
     def test_grid_operator_built_once_per_solve(self):
+        """One h_g per problem: the solve's and the oracle's block
+        operators and the state residual read spec.h_g, a read-only
+        array built on first use."""
         assert calls_of(model.hamiltonian_g,
                         lambda: solve_problem(random_instance(4))) == 1
+        assert calls_of(model.hamiltonian_g,
+                        lambda: verification.check_instance(4)) == 1
+        spec = random_instance(4)
+        h = spec.h_g
+        assert spec.h_g is h and not h.flags.writeable
+        with pytest.raises(ValueError):
+            h[0, 0] = 1.0
+        assert np.array_equal(h, model.hamiltonian_g(spec))
+        assert calls_of(model.hamiltonian_g,
+                        lambda: verification.check_instance(4, spec)) == 0
 
     def test_state_residual_against_rebuilt_operator(self):
         gen = np.random.default_rng(3)

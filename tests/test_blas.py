@@ -122,6 +122,25 @@ def test_battery_instance_runs_on_one_thread_inside_a_large_command(
     assert seen == [1]
 
 
+def test_battery_runs_on_one_thread_inside_a_large_command(fake,
+                                                          monkeypatch):
+    """run_battery sets one thread once for all its instances, not once
+    per instance, and restores the command's count."""
+    seen = []
+    solve = verification.solve_problem
+
+    def recording(spec, pr_threshold=None):
+        seen.append(fake.count)
+        return solve(spec, pr_threshold)
+
+    monkeypatch.setattr(verification, "solve_problem", recording)
+    with threads_for(PARALLEL_MIN_DIM):
+        assert verification.run_battery(3)["all_passed"]
+        assert fake.count == 2
+    assert seen == [1, 1, 1]
+    assert fake.sets == [1, 2]
+
+
 def test_without_openblas_controls_the_policy_does_nothing(
         monkeypatch, tmp_path):
     monkeypatch.setattr(blas, "control", lambda: None)

@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+import warnings
 import os
 import subprocess
 import sys
@@ -514,7 +515,9 @@ class TestExitCodes:
         ("modes", "delta_eps", 1e200, "modes.delta_eps"),
         ("hg", "stiffness", 1e300, "hg.stiffness"),
         ("grid", "span", [0, 1e-150], "grid.span"),
-        ("coupling", "g", 1e200, "coupling.g")])
+        ("coupling", "g", 1e200, "coupling.g"),
+        # the kernel's 2 sigma^2 underflows to 0: 0/0 where q = xi
+        ("coupling", "sigma", 1e-200, "coupling.sigma")])
     def test_malformed_value_names_its_field(self, tmp_path, capsys, section,
                                              key, value, field):
         # grids and bump profiles are cached on success: a cached
@@ -529,6 +532,41 @@ class TestExitCodes:
                      "--out-dir", str(out)]) == 2
         assert f"config error: {field}:" in capsys.readouterr().err
         assert not out.exists()  # rejected before any artifact
+
+    @pytest.mark.parametrize("changes, field", [
+        ({"coupling.sigma": 1e-200}, "coupling.sigma"),
+        ({"modes.delta_eps": 1e308}, "modes.delta_eps"),
+        ({"grid.span": [0, 1e200]}, "hg.potential"),
+        # ** raised OverflowError on 2 sigma^2, and on the double well's
+        # 2 width^2 with its default width of 0.1 x the span: exit 1
+        ({"coupling.sigma": 1e200}, "coupling.sigma"),
+        ({"grid.span": [0, 1e200],
+          "hg.potential": {"kind": "double_well", "centers": [0.3, 0.7]}},
+         "hg.potential.width"),
+        # 2 width^2 underflows: the wells vanished, after two warnings
+        ({"hg.potential": {"kind": "double_well", "centers": [0.3, 0.7],
+                           "width": 1e-200}}, "hg.potential.width"),
+        ({"modes.q_span": [0, 1e200]}, "modes.phi"),
+        # 0 x inf is NaN in the potential, named as its own field
+        ({"grid.span": [0, 1e200],
+          "hg.potential": {"kind": "harmonic", "strength": 0.0}},
+         "hg.potential")], ids=[
+            "sigma-1e-200", "delta_eps-1e308", "harmonic-span-1e200",
+            "sigma-1e200", "double_well-span-1e200", "width-1e-200",
+            "q_span-1e200", "harmonic-strength-0-span-1e200"])
+    def test_out_of_range_refused_without_a_warning(self, tmp_path, capsys,
+                                                    changes, field):
+        doc = json.loads(json.dumps(BASE_CONFIG))
+        for name, value in changes.items():
+            section, key = name.split(".")
+            doc[section][key] = value
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(doc))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["solve", "--config", str(path),
+                         "--out-dir", str(tmp_path / "o")]) == 2
+        assert f"config error: {field}:" in capsys.readouterr().err
 
     @pytest.mark.parametrize("literal",
                              ["NaN", "Infinity", "-Infinity", "1e400"])

@@ -15,16 +15,15 @@ from .model import (Grid, ModeBasis, CouplingSpec, ProblemSpec,
                     gaussian_bump_basis, project_coupling)
 from .truncated import diagonalize_sym
 from .effective import (EffectivePotential, eval_ep, characteristic,
-                        root_count_below, ep_well_alignment, recurse_ep,
-                        ep_from_poles, reduce_block)
+                        root_count_below, recurse_ep, ep_from_poles,
+                        reduce_block)
 from .spectrum import (SpectrumResult, linearize_ep, find_roots,
                        count_accounting)
 from .assembly import (StateSet, reconstruct_all, participation_ratio,
                        schmidt_ranks, complexity_measure)
 from .realizations import (RealizationSet, RealizationGroup,
-                           group_realizations, probabilities, born_match,
-                           mix_density, realization_densities,
-                           default_pr_threshold)
+                           group_realizations, probabilities, mix_density,
+                           realization_densities, default_pr_threshold)
 from .beat import BeatTrajectory, simulate_beat, empirical_freqs
 from .oracle import (ComparisonReport, compare_spectra, direct_energies,
                      direct_spectrum)
@@ -38,12 +37,12 @@ __all__ = [
     "project_coupling",
     "diagonalize_sym",
     "EffectivePotential", "eval_ep", "characteristic", "root_count_below",
-    "ep_well_alignment", "recurse_ep", "ep_from_poles", "reduce_block",
+    "recurse_ep", "ep_from_poles", "reduce_block",
     "SpectrumResult", "linearize_ep", "find_roots", "count_accounting",
     "StateSet", "reconstruct_all", "participation_ratio", "schmidt_ranks",
     "complexity_measure",
     "RealizationSet", "RealizationGroup",
-    "group_realizations", "probabilities", "born_match", "mix_density",
+    "group_realizations", "probabilities", "mix_density",
     "realization_densities", "default_pr_threshold",
     "BeatTrajectory", "simulate_beat", "empirical_freqs",
     "ComparisonReport", "direct_spectrum", "direct_energies",

@@ -37,7 +37,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, NumericalError, PoleProximityError
+from .errors import ConfigError, PoleProximityError
 from .model import ProblemSpec
 from .truncated import diagonalize_sym
 
@@ -46,7 +46,6 @@ RESIDUE_RANK_TOL = 1e-10   # merged-residue eigenvalues kept, vs the largest
 DECOUPLED_FACTOR = 1e-13   # residue leads below this x the strongest: rank 0
 # Within rounding of a pole, eta - p_k has no significant digits.
 POLE_GUARD_FACTOR = float(np.finfo(float).eps)
-WELL_RESIDUAL_TOL = 1e-7
 EP_BATCH_BYTES = 1 << 24   # scaled residue columns eval_ep holds at once
 
 
@@ -139,10 +138,10 @@ def ep_from_poles(h0: np.ndarray, poles, residue_vectors, n_channels: int,
     array slice, so the Python loop runs over merged clusters alone: a
     merged cluster's factor W = V Lambda^{1/2} and lift
     M = Lambda^{-1/2} V^T C (C = W M) come from the eigendecomposition
-    V Lambda V^T of its summed residue matrix C C^T, truncated at the
-    numerical rank. Replicated pole values thus merge into higher-rank
-    residues, which is the route to synthetic full-degree instances;
-    decoupled poles keep no column.
+    V Lambda V^T (diagonalize_sym) of its summed residue matrix C C^T,
+    truncated at the numerical rank. Replicated pole values thus merge
+    into higher-rank residues, which is the route to synthetic
+    full-degree instances; decoupled poles keep no column.
     """
     h0 = np.array(h0, dtype=float, ndmin=2)
     poles = np.array(poles, dtype=float)
@@ -174,7 +173,7 @@ def ep_from_poles(h0: np.ndarray, poles, residue_vectors, n_channels: int,
     factors, lifts = [], []
     for k in clusters:
         cluster = vectors[:, starts[k]:starts[k] + sizes[k]]
-        vals, vecs = np.linalg.eigh(cluster @ cluster.T)
+        vals, vecs = diagonalize_sym(cluster @ cluster.T)
         keep = vals > RESIDUE_RANK_TOL * max(vals[-1], 0.0)
         factors.append(vecs[:, keep] * np.sqrt(vals[keep]))
         lifts.append((factors[-1].T @ cluster) / vals[keep, None])
@@ -288,39 +287,6 @@ def root_count_below(ep: EffectivePotential, eta):
     below = (ep.poles < etas[:, None]) @ ep.ranks
     counts = below + np.sum(_pivot_eigenvalues(ep, etas) < 0.0, axis=1)
     return int(counts[0]) if np.ndim(eta) == 0 else counts
-
-
-@dataclass(frozen=True)
-class WellAlignment:
-    """Where the interaction well bottoms out vs. where the state peaks."""
-
-    well_index: int
-    density_index: int
-    aligned: bool
-    profile: np.ndarray
-
-
-def ep_well_alignment(ep: EffectivePotential, root: float,
-                      state: np.ndarray, hg_diag: np.ndarray) -> WellAlignment:
-    """Check that the self-consistent well sits under the state's peak.
-
-    The interaction profile d(xi) = V_eff(root)(xi,xi) - h_g(xi,xi),
-    with hg_diag the bare grid-operator diagonal h_g(xi,xi), is the
-    well the pole terms dig at this root; alignment holds when its
-    argmin and the density argmax differ by at most one cell.
-    """
-    state = np.asarray(state, dtype=float)
-    m = eval_ep(ep, root)
-    resid = np.linalg.norm(m @ state - root * state)
-    if resid > WELL_RESIDUAL_TOL * ep.span * max(np.linalg.norm(state), 1e-300):
-        raise NumericalError(
-            f"well alignment: root {root!r} fails residual check "
-            f"({resid:.3e})")
-    profile = m.diagonal() - hg_diag
-    well = int(np.argmin(profile))
-    peak = int(np.argmax(state ** 2))
-    return WellAlignment(well_index=well, density_index=peak,
-                         aligned=abs(well - peak) <= 1, profile=profile)
 
 
 def recurse_ep(spec: ProblemSpec, op: np.ndarray,

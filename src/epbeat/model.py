@@ -31,7 +31,7 @@ from .errors import ConfigError
 BOUNDARIES = ("dirichlet", "periodic")
 COUPLING_KINDS = ("gaussian_attractive", "constant", "custom_sampled")
 
-DEFAULT_BUMP_WIDTH_FACTOR = 1.5
+BUMP_WIDTH_FACTOR = 1.5  # bump width over center spacing
 # Largest spread of a grid's computed steps, relative to the first:
 # hamiltonian_g builds the Laplacian from one spacing, so the points
 # must be even up to rounding (np.linspace steps differ in the last
@@ -223,7 +223,11 @@ class CouplingSpec:
         q = np.asarray(q_points)[:, None]
         xi = np.asarray(xi_points)[None, :]
         if self.kind == "gaussian_attractive":
-            return -self.strength * np.exp(-((q - xi) ** 2) / (2 * self.width ** 2))
+            # a far (q - xi)^2, or its quotient by a subnormal 2 sigma^2,
+            # overflows to inf: exp(-inf) = 0 is the float limit there
+            with np.errstate(over="ignore"):
+                return -self.strength * np.exp(-((q - xi) ** 2)
+                                               / (2 * self.width ** 2))
         if self.kind == "constant":
             return np.full((q.size, xi.size), -self.strength)
         if self.samples.shape != (q.size, xi.size):
@@ -292,27 +296,25 @@ def hamiltonian_g(spec: ProblemSpec) -> np.ndarray:
     return m
 
 
-def gaussian_bump_basis(n_modes: int, q_grid: Grid, delta_eps: float,
-                        width_factor: float = DEFAULT_BUMP_WIDTH_FACTOR) -> ModeBasis:
+def gaussian_bump_basis(n_modes: int, q_grid: Grid,
+                        delta_eps: float) -> ModeBasis:
     """Overlapping Gaussian bumps at evenly spaced centers.
 
     Centers sit at the midpoints of n_modes equal subdivisions of the
-    q span; the bump width is width_factor times the center spacing,
-    wide enough that neighboring modes overlap and cross couplings
-    survive projection. ModeBasis normalizes the bumps, and refuses
-    one too narrow to have a quadrature norm on q_grid. Energies are
-    eps_n = n * delta_eps. Bases on the same (n_modes, q_grid,
-    width_factor) share one read-only phi and overlap factor.
+    q span; the bump width is BUMP_WIDTH_FACTOR times the center
+    spacing, wide enough that neighboring modes overlap and cross
+    couplings survive projection. ModeBasis normalizes the bumps, and
+    refuses a row without a quadrature norm on q_grid (a span that
+    overflows). Energies are eps_n = n * delta_eps. Bases on the same
+    (n_modes, q_grid) share one read-only phi and overlap factor.
     """
     if n_modes < 2:
         raise ConfigError(f"modes.count: need at least 2 modes, got {n_modes}")
     if delta_eps < 0:
         raise ConfigError("modes.delta_eps: must be nonnegative")
-    if width_factor <= 0:
-        raise ConfigError("modes.width_factor: must be positive")
     # the shared profiles with this basis's energies: phi and the
     # overlap factor stay the cached basis's, already checked
-    basis = copy.copy(_bump_profiles(n_modes, q_grid, width_factor))
+    basis = copy.copy(_bump_profiles(n_modes, q_grid))
     with np.errstate(over="ignore"):  # an inf energy: build_problem refuses
         eps = delta_eps * np.arange(n_modes, dtype=float)
     object.__setattr__(basis, "eps", _freeze(eps))
@@ -320,20 +322,17 @@ def gaussian_bump_basis(n_modes: int, q_grid: Grid, delta_eps: float,
 
 
 @lru_cache(maxsize=64, typed=True)
-# a width that underflows reads x/0 or 0/0, a span that overflows inf;
-# ModeBasis refuses the rows
-@np.errstate(divide="ignore", invalid="ignore", over="ignore")
-def _bump_profiles(n_modes: int, q_grid: Grid,
-                   width_factor: float) -> ModeBasis:
+# a span that overflows reads inf or inf/inf; ModeBasis refuses the rows
+@np.errstate(invalid="ignore", over="ignore")
+def _bump_profiles(n_modes: int, q_grid: Grid) -> ModeBasis:
     """gaussian_bump_basis's profiles, normalized by ModeBasis, with
-    placeholder energies 0..n-1, built once per (n_modes, q grid,
-    width factor) together with their overlap factor, which every
-    copy shares."""
+    placeholder energies 0..n-1, built once per (n_modes, q grid)
+    together with their overlap factor, which every copy shares."""
     q = q_grid.points
     lo, hi = q[0], q[-1]
     spacing = (hi - lo) / n_modes
     centers = lo + spacing * (np.arange(n_modes) + 0.5)
-    width = width_factor * spacing
+    width = BUMP_WIDTH_FACTOR * spacing
     phi = np.exp(-((q[None, :] - centers[:, None]) ** 2) / (2 * width ** 2))
     basis = ModeBasis(np.arange(n_modes, dtype=float), phi, q_grid)
     basis.overlap_factor  # computed here, so the copies share it
@@ -512,7 +511,7 @@ def build_problem(config: Mapping) -> ProblemSpec:
 
     mdoc = config.get("modes", {})
     _check_keys(mdoc, ("count", "kind", "delta_eps", "q_n", "q_span",
-                       "width_factor", "eps", "phi"), "modes.")
+                       "eps", "phi"), "modes.")
     n_tot = _number(mdoc, "count", None, "modes.", integer=True)
     q_grid = Grid.uniform(_number(mdoc, "q_n", 32, "modes.", integer=True),
                           _array(mdoc.get("q_span", (0.0, 1.0)),
@@ -520,9 +519,7 @@ def build_problem(config: Mapping) -> ProblemSpec:
     kind = mdoc.get("kind", "bumps")
     if kind == "bumps":
         basis = gaussian_bump_basis(
-            n_tot, q_grid, _number(mdoc, "delta_eps", 1.0, "modes."),
-            _number(mdoc, "width_factor", DEFAULT_BUMP_WIDTH_FACTOR,
-                    "modes."))
+            n_tot, q_grid, _number(mdoc, "delta_eps", 1.0, "modes."))
     elif kind == "given":
         if "eps" not in mdoc or "phi" not in mdoc:
             raise ConfigError("modes.eps/modes.phi: required for kind 'given'")

@@ -176,35 +176,6 @@ def probabilities(rs: RealizationSet, mode: str,
     return tuple(masses / total)
 
 
-def born_match(rs: RealizationSet, psi0_intermediate: np.ndarray):
-    """Match an intermediate-state amplitude to realization weights.
-
-    The matching coefficient of cell j carries the cell's intensity
-    mass, C_j = s_j sqrt(sum_{cell j} w |psi0|^2) with s_j the sign of
-    the cell's mean amplitude, so |C_j|^2 reproduces exactly the
-    Born-mode weights for the density |psi0|^2. A homogeneous
-    amplitude over equal cells gives equal |C_j|^2.
-    """
-    psi = np.asarray(psi0_intermediate, dtype=float)
-    if psi.shape != (rs.xi_grid.n,):
-        raise ConfigError("born_match: state length must equal grid size")
-    w = rs.xi_grid.weights
-    total = float(np.sum(w * psi * psi))
-    if abs(total - 1.0) > 1e-6:
-        raise ConfigError(
-            f"born_match: state has weighted norm {total!r}, expected 1")
-    masses = _cell_masses(rs, psi * psi)
-    if np.all(masses == 0.0):
-        raise NumericalError("born_match: all matching coefficients vanish")
-    cells = rs.cells()
-    n_cells = len(rs.groups) if rs.groups else 1
-    mean_amp = np.zeros(n_cells)
-    np.add.at(mean_amp, cells, w * psi)
-    c = np.sign(np.where(mean_amp == 0.0, 1.0, mean_amp)) * np.sqrt(masses)
-    alpha = masses / masses.sum()
-    return tuple(float(x) for x in c), tuple(float(a) for a in alpha)
-
-
 def mix_density(rs: RealizationSet, group_densities,
                 mode: str) -> np.ndarray:
     """Expectation density: alpha-weighted mean of group densities.

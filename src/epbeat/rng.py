@@ -3,7 +3,7 @@
 The i-th output depends only on (seed, i), so streams are reproducible
 across implementations and trivially parallel:
 
-    value_at(seed, i) = mix64((seed + (i + 1) * GAMMA) mod 2^64)
+    value(seed, i) = mix64((seed + (i + 1) * GAMMA) mod 2^64)
 
 with GAMMA = 0x9E3779B97F4A7C15 and mix64 the SplitMix64 finalizer
 
@@ -16,7 +16,9 @@ sequence: for seed 0 the first three outputs are
 
     0xE220A8397B1DCDAF, 0x6E789E6AA1B965F4, 0x06C45D188009454F
 
-which are frozen as test vectors in the suite and in the README.
+which are frozen as test vectors in the suite and in the README. The
+suite also holds the scalar form of value above, the reference that
+uniform_block must match bit for bit.
 
 Uniform doubles take the top 53 bits: u = (value >> 11) * 2^-53, so
 u is in [0, 1). A categorical draw over weights alpha picks the
@@ -54,26 +56,6 @@ GUIDE_BITS = 12
 DRAW_CHUNK = 1 << 14
 
 
-def mix64(z: int) -> int:
-    """SplitMix64 finalizer on a 64-bit integer."""
-    z &= MASK64
-    z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & MASK64
-    z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & MASK64
-    return z ^ (z >> 31)
-
-
-def value_at(seed: int, index: int) -> int:
-    """The index-th raw 64-bit output of the stream keyed by seed."""
-    if index < 0:
-        raise ValueError("index must be nonnegative")
-    return mix64((seed + (index + 1) * GAMMA) & MASK64)
-
-
-def uniform_at(seed: int, index: int) -> float:
-    """The index-th uniform double in [0, 1)."""
-    return (value_at(seed, index) >> 11) * _INV53
-
-
 def _check_window(start: int, count: int) -> None:
     if start < 0:
         raise ValueError("index must be nonnegative")
@@ -84,8 +66,8 @@ def _check_window(start: int, count: int) -> None:
 def uniform_block(seed: int, start: int, count: int) -> np.ndarray:
     """Vectorized uniform doubles for indices start..start+count-1.
 
-    Bit-identical to calling uniform_at per index, with counters that
-    wrap mod 2^64 like its own; computed in place.
+    u_i = (value(seed, i) >> 11) * 2^-53, with the counters i + 1
+    wrapping mod 2^64; computed in place.
     """
     _check_window(start, count)
     z = np.arange(count, dtype=np.uint64)

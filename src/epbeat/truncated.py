@@ -5,7 +5,8 @@ reconstruction checks. effective.reduce_block applies it to the
 eliminated block L = op[N_g:, N_g:] (see model.block_operator), whose
 eigenvalues are the pole positions of the effective potential and
 whose eigenvectors carry the reconstructed channel tails;
-spectrum.find_roots applies it to the bordered linearization.
+effective.ep_from_poles to a merged pole cluster's summed residue
+matrix; spectrum.find_roots to the bordered linearization.
 """
 
 from __future__ import annotations

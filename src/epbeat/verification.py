@@ -21,7 +21,6 @@ from .effective import reduce_block
 from .model import (CouplingSpec, Grid, ModeBasis, ProblemSpec,
                     block_operator, gaussian_bump_basis)
 from .oracle import ComparisonReport, compare_spectra, direct_energies
-from .oracle import EP_EXACTNESS_TOL  # noqa: F401 (still importable here)
 from .pipeline import PipelineResult, solve_problem
 from .spectrum import count_accounting, find_roots
 
@@ -92,19 +91,6 @@ def two_well_instance() -> ProblemSpec:
     coupling = CouplingSpec(kind="custom_sampled", samples=samples)
     return ProblemSpec(xi_grid=xi_grid, modes=basis, coupling=coupling,
                        g_stiffness=0.02, g_potential=np.zeros(n_g))
-
-
-def zero_coupling_instance() -> ProblemSpec:
-    """Instance with an identically zero kernel (free fields), N_tot 3
-    by N_g 6."""
-    xi_grid = Grid.uniform(6, (0.0, 1.0))
-    q_grid = Grid.uniform(24, (0.0, 1.0))
-    basis = gaussian_bump_basis(3, q_grid, delta_eps=1.0)
-    coupling = CouplingSpec(kind="gaussian_attractive", strength=0.0,
-                            width=0.25)
-    return ProblemSpec(xi_grid=xi_grid, modes=basis, coupling=coupling,
-                       g_stiffness=0.2,
-                       g_potential=default_rng(0).uniform(-0.5, 0.5, 6))
 
 
 @dataclass(frozen=True)

@@ -12,16 +12,16 @@ import numpy as np
 import pytest
 
 from epbeat import (CouplingSpec, Grid, ProblemSpec, block_operator,
-                    born_match, complexity_measure, compare_spectra,
-                    count_accounting, ep_well_alignment, find_roots,
+                    complexity_measure, compare_spectra,
+                    count_accounting, find_roots,
                     ep_from_poles,
                     gaussian_bump_basis, hamiltonian_g, mix_density,
                     probabilities,
                     project_coupling, realization_densities, recurse_ep,
                     schmidt_ranks, simulate_beat, solve_problem)
 from epbeat.cli import main as cli_main
-from epbeat.verification import (check_instance, two_well_instance,
-                                 zero_coupling_instance)
+from epbeat.verification import check_instance, two_well_instance
+from instances import ep_well_alignment, zero_coupling_instance
 
 N_INSTANCES = 100
 RESIDUAL_TOL = 1e-6
@@ -143,7 +143,7 @@ def test_criterion_5_generalized_born_rule(two_well_result):
     sym_rs = RealizationSet(groups=groups, intermediate=(), xi_grid=sym_grid,
                             pr_threshold=2.0, alphas={})
     psi = np.ones(8) / np.sqrt(sym_grid.weights.sum())
-    _, alpha_h = born_match(sym_rs, psi)
+    alpha_h = probabilities(sym_rs, "born", psi ** 2)
     uniform_ok = np.abs(np.array(alpha_h) - 0.5).max() <= 1e-12
     verdict(5, bool(masses_ok and uniform_ok),
             "born alpha = intermediate-density cell masses within 1e-12; "

@@ -13,7 +13,8 @@ from epbeat import (CouplingSpec, Grid, ModeBasis, ProblemSpec, StateSet,
                     reduce_block, schmidt_ranks, solve_problem)
 from epbeat.verification import (STATE_RESIDUAL_TOL, check_instance,
                                  max_state_residual, random_instance,
-                                 recovered_spectrum, zero_coupling_instance)
+                                 recovered_spectrum)
+from instances import zero_coupling_instance
 
 
 def toy_states(phi, channels, q_grid, xi_grid):

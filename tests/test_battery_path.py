@@ -40,7 +40,8 @@ from epbeat.cli import main
 from epbeat.effective import (DECOUPLED_FACTOR, POLE_MERGE_FACTOR,
                               RESIDUE_RANK_TOL, EffectivePotential)
 from epbeat.verification import (max_state_residual, random_instance,
-                                 two_well_instance, zero_coupling_instance)
+                                 two_well_instance)
+from instances import zero_coupling_instance
 from test_assembly import merged_cluster_spec
 from test_ladder import ladder_config
 

@@ -517,7 +517,9 @@ class TestExitCodes:
         ("grid", "span", [0, 1e-150], "grid.span"),
         ("coupling", "g", 1e200, "coupling.g"),
         # the kernel's 2 sigma^2 underflows to 0: 0/0 where q = xi
-        ("coupling", "sigma", 1e-200, "coupling.sigma")])
+        ("coupling", "sigma", 1e-200, "coupling.sigma"),
+        # the bump width is a constant, not a config key
+        ("modes", "width_factor", 1.5, "modes.width_factor")])
     def test_malformed_value_names_its_field(self, tmp_path, capsys, section,
                                              key, value, field):
         # grids and bump profiles are cached on success: a cached
@@ -567,6 +569,39 @@ class TestExitCodes:
             assert main(["solve", "--config", str(path),
                          "--out-dir", str(tmp_path / "o")]) == 2
         assert f"config error: {field}:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("changes", [
+        # 2 sigma^2 = 2e-320 is subnormal: (q - xi)^2 over it overflows
+        {"coupling.sigma": 1e-160},
+        # xi reaches 1e200 and q only 1: (q - xi)^2 overflows
+        {"grid.span": [0, 1e200], "hg.potential": {"kind": "zero"}}],
+        ids=["sigma-1e-160", "zero-span-1e200"])
+    def test_gaussian_at_the_float_limit_solves_without_a_warning(
+            self, tmp_path, changes):
+        doc = json.loads(json.dumps(BASE_CONFIG))
+        for name, value in changes.items():
+            section, key = name.split(".")
+            doc[section][key] = value
+        path = tmp_path / "limit.json"
+        path.write_text(json.dumps(doc))
+        spec = build_problem(doc)
+        q, xi = spec.modes.q_grid.points, spec.xi_grid.points
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["solve", "--config", str(path),
+                         "--out-dir", str(tmp_path / "o")]) == 0
+            kernel = spec.coupling.kernel(q, xi)
+        # exp(-inf) = 0 wherever the exponent overflowed: with sigma
+        # 1e-160, -g exactly where q = xi; on the wide span, the
+        # Gaussian of q alone on the column xi = 0 (q spans [0, 1])
+        g, sigma = spec.coupling.strength, spec.coupling.width
+        if "coupling.sigma" in changes:
+            expected = np.where(q[:, None] == xi, -g, 0.0)
+        else:
+            expected = np.zeros_like(kernel)
+            expected[:, 0] = -g * np.exp(-q ** 2 / (2 * sigma ** 2))
+        assert np.count_nonzero(kernel) >= 2
+        assert np.array_equal(kernel, expected)
 
     @pytest.mark.parametrize("literal",
                              ["NaN", "Infinity", "-Infinity", "1e400"])

@@ -5,11 +5,11 @@ import pytest
 
 from epbeat import (ConfigError, CouplingSpec, Grid, PoleProximityError,
                     ProblemSpec, block_operator, characteristic,
-                    ep_well_alignment, eval_ep, find_roots, ep_from_poles,
+                    eval_ep, find_roots, ep_from_poles,
                     gaussian_bump_basis, hamiltonian_g, project_coupling,
                     recurse_ep, reduce_block)
-from epbeat.verification import (random_instance, two_well_instance,
-                                 zero_coupling_instance)
+from epbeat.verification import random_instance, two_well_instance
+from instances import ep_well_alignment, zero_coupling_instance
 from epbeat import effective
 from epbeat.effective import POLE_GUARD_FACTOR
 

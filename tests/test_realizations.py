@@ -3,13 +3,13 @@
 import numpy as np
 import pytest
 
-from epbeat import (ConfigError, Grid, born_match, build_problem,
+from epbeat import (ConfigError, Grid, build_problem,
                     group_realizations, hamiltonian_g, mix_density,
                     probabilities,
                     realization_densities, simulate_beat, solve_problem)
 from epbeat.realizations import RealizationGroup, RealizationSet
-from epbeat.verification import (random_instance, two_well_instance,
-                                 zero_coupling_instance)
+from epbeat.verification import random_instance, two_well_instance
+from instances import zero_coupling_instance
 
 
 def synthetic_set(n_g=8, centers=(2, 6), span=(0.0, 1.0), counts=(1, 1)):
@@ -128,24 +128,29 @@ class TestProbabilities:
 
 
 class TestBornMatch:
+    """Born weights of an intermediate amplitude psi: the cell masses
+    |C_j|^2 of its intensity psi^2."""
+
     def test_homogeneous_amplitude_uniform_weights(self):
         rs = synthetic_set(n_g=8, centers=(1, 6))
         w = rs.xi_grid.weights
         psi = np.ones(8) / np.sqrt(w.sum())
-        c, alpha = born_match(rs, psi)
-        assert abs(c[0] ** 2 - c[1] ** 2) < 1e-12
+        alpha = probabilities(rs, "born", psi ** 2)
         assert alpha[0] == pytest.approx(alpha[1], abs=1e-12)
 
     def test_exact_consistency_with_born_mode(self):
+        # a unit-norm amplitude's cell masses sum to 1, so they are the
+        # Born weights themselves
         rs = synthetic_set(n_g=9, centers=(2, 6))
         gen = np.random.default_rng(8)
         w = rs.xi_grid.weights
         psi = gen.uniform(0.2, 1.0, 9)
         psi /= np.sqrt(np.sum(w * psi ** 2))
-        _, alpha_match = born_match(rs, psi)
-        alpha_mode = probabilities(rs, "born", psi ** 2)
-        assert np.abs(np.array(alpha_match) - np.array(alpha_mode)).max() \
-            <= 1e-12
+        cells = rs.cells()
+        masses = np.array([np.sum(w[cells == j] * psi[cells == j] ** 2)
+                           for j in range(2)])
+        alpha = probabilities(rs, "born", psi ** 2)
+        assert np.abs(np.array(alpha) - masses).max() <= 1e-12
 
     def test_concentrated_state_dominates_own_cell(self):
         rs = synthetic_set(n_g=9, centers=(2, 6))
@@ -153,7 +158,7 @@ class TestBornMatch:
         psi = np.full(9, 0.05)
         psi[6] = 3.0
         psi /= np.sqrt(np.sum(w * psi ** 2))
-        _, alpha = born_match(rs, psi)
+        alpha = probabilities(rs, "born", psi ** 2)
         assert alpha[1] > 0.9
 
     def test_cell_mass_reproduction(self):

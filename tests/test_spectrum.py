@@ -7,8 +7,8 @@ from epbeat import (block_operator, characteristic, count_accounting,
                     direct_spectrum, ep_from_poles, find_roots,
                     linearize_ep, project_coupling, reduce_block,
                     root_count_below)
-from epbeat.verification import (random_instance, two_well_instance,
-                                 zero_coupling_instance)
+from epbeat.verification import random_instance, two_well_instance
+from instances import zero_coupling_instance
 
 
 def pipeline_upto_ep(spec):

@@ -28,8 +28,7 @@ from .beat import BeatTrajectory, simulate_beat, empirical_freqs
 from .oracle import (ComparisonReport, compare_spectra, direct_energies,
                      direct_spectrum)
 from .pipeline import PipelineResult, solve_problem, mean_intermediate_density
-from .errors import (ConfigError, NumericalError, PoleProximityError,
-                     VerificationError)
+from .errors import ConfigError, NumericalError, PoleProximityError
 
 __all__ = [
     "Grid", "ModeBasis", "CouplingSpec", "ProblemSpec", "block_operator",
@@ -49,5 +48,4 @@ __all__ = [
     "compare_spectra",
     "PipelineResult", "solve_problem", "mean_intermediate_density",
     "ConfigError", "NumericalError", "PoleProximityError",
-    "VerificationError",
 ]

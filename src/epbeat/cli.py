@@ -38,14 +38,14 @@ from . import __version__, rng
 from .assembly import complexity_measure, schmidt_ranks
 from .beat import simulate_beat
 from .blas import threads, threads_for
-from .effective import recurse_ep
-from .errors import ConfigError, NumericalError, VerificationError
+from .effective import check_depth, recurse_ep
+from .errors import ConfigError, NumericalError
 from .model import (ProblemSpec, _check_keys, block_operator, build_problem,
                     project_coupling)
 from .oracle import check_dimension, compare_spectra, direct_energies
 from .pipeline import mean_intermediate_density, solve_problem
-from .realizations import (PROBABILITY_MODES, mix_density,
-                           realization_densities)
+from .realizations import (PROBABILITY_MODES, check_pr_threshold,
+                           mix_density, realization_densities)
 from .spectrum import count_accounting, find_roots
 from .verification import check_instance, per_block_reading, run_battery
 
@@ -270,8 +270,9 @@ def load_config(path: str) -> dict:
 def _run_settings(doc: dict, args) -> dict:
     """The config's run block, the only reader of it: each key of
     RUN_KEYS from its command-line flag, else from the block, else
-    from its default. Unknown keys and every value are checked here,
-    before any artifact is written."""
+    from its default. Unknown keys and every value are checked here;
+    depth and pr_threshold, whose ranges depend on the problem's size,
+    again before any eigensolve reads them."""
     block = doc.get("run", {})
     _check_keys(block, RUN_KEYS, "run.")
     run = {}
@@ -325,19 +326,6 @@ class _Runner:
         write_json(self.out_dir / "manifest.json", manifest)
 
 
-def _spectrum_payload(result) -> dict:
-    sr = result.sr
-    return {
-        "roots": sr.roots,
-        "energies": sr.energies,
-        "excluded": [{"value": v, "reason": r} for v, r in sr.excluded],
-        "decoupled_poles": sr.decoupled_poles,
-        "residual_max": sr.residual_max,
-        "poles": result.ep.poles,
-        "accounting": count_accounting(result.ep, sr),
-    }
-
-
 def _solve_and_write(runner: _Runner, spec: ProblemSpec, run: dict):
     result = solve_problem(spec, run["pr_threshold"])
     mode = run["prob_mode"]
@@ -345,7 +333,16 @@ def _solve_and_write(runner: _Runner, spec: ProblemSpec, run: dict):
     if mode == "born":
         rs = rs.with_born(mean_intermediate_density(result))
         result = dataclasses.replace(result, rs=rs)
-    write_json(runner.path("spectrum.json"), _spectrum_payload(result))
+    sr = result.sr
+    write_json(runner.path("spectrum.json"), {
+        "roots": sr.roots,
+        "energies": sr.energies,
+        "excluded": [{"value": v, "reason": r} for v, r in sr.excluded],
+        "decoupled_poles": sr.decoupled_poles,
+        "residual_max": sr.residual_max,
+        "poles": result.ep.poles,
+        "accounting": count_accounting(result.ep, sr),
+    })
     write_json(runner.path("ep.json"), result.ep.to_dict())
     payload = rs.to_dict()
     payload["complexity"] = complexity_measure(rs.n_realizations)
@@ -413,6 +410,7 @@ def cmd_verify(runner: _Runner, spec: ProblemSpec, run: dict, args) -> dict:
 
 def cmd_hierarchy(runner: _Runner, spec: ProblemSpec, run: dict,
                   args) -> dict:
+    check_depth(run["depth"], spec.n_tot, "run.depth")
     v = project_coupling(spec.modes, spec.coupling, spec.xi_grid)
     # level 1 against the dense oracle (eta scale), capped before any
     # reduction; level k + 1 reduces level k's L, whose eigenvalues that
@@ -472,25 +470,30 @@ def cmd_report(out_dir: str) -> int:
     return EXIT_OK
 
 
-# subcommand -> (help, the run flags it reads); every subcommand also
-# takes --out-dir, and all but report take --config
-SUBCOMMANDS = {
-    "solve": ("compute spectrum, states, and realizations",
-              ("seed", "prob_mode")),
-    "beat": ("solve plus a simulated reduction-event stream",
-             ("seed", "cycles", "prob_mode")),
-    "verify": ("oracle comparisons and count accounting", ("seed",)),
-    "hierarchy": ("recursive effective potentials, depth >= 1",
-                  ("seed", "depth")),
-    "report": ("aggregate JSON summaries from an output dir", ()),
-}
-# each command writes its artifacts and returns its checks, name ->
+# flag -> its argparse options; a run key's flag is None unless given
+FLAGS = {"config": {"required": True, "help": "config JSON path"},
+         "out_dir": {"help": "output directory (default: run.out_dir, "
+                             "$EPBEAT_OUT_DIR or ./out)"},
+         "seed": {"type": int}, "cycles": {"type": int},
+         "prob_mode": {"choices": PROBABILITY_MODES},
+         "depth": {"type": int},
+         "instances": {"type": int, "default": 100,
+                       "help": "random instances in the battery"}}
+# subcommand -> (the function that runs it, help, the flags it takes).
+# Each but report writes its artifacts and returns its checks, name ->
 # "pass", "fail" or a note, which main records in the manifest
-COMMANDS = {"solve": cmd_solve, "beat": cmd_beat, "verify": cmd_verify,
-            "hierarchy": cmd_hierarchy}
-RUN_FLAGS = {"seed": {"type": int}, "cycles": {"type": int},
-             "prob_mode": {"choices": PROBABILITY_MODES},
-             "depth": {"type": int}}
+SUBCOMMANDS = {
+    "solve": (cmd_solve, "compute spectrum, states, and realizations",
+              ("config", "out_dir", "seed", "prob_mode")),
+    "beat": (cmd_beat, "solve plus a simulated reduction-event stream",
+             ("config", "out_dir", "seed", "cycles", "prob_mode")),
+    "verify": (cmd_verify, "oracle comparisons and count accounting",
+               ("config", "out_dir", "seed", "instances")),
+    "hierarchy": (cmd_hierarchy, "recursive effective potentials, depth >= 1",
+                  ("config", "out_dir", "seed", "depth")),
+    "report": (cmd_report, "aggregate JSON summaries from an output dir",
+               ("out_dir",)),
+}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -499,46 +502,39 @@ def build_parser() -> argparse.ArgumentParser:
         description="Effective-potential workbench for two coupled fields")
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="subcommand", required=True)
-    for name, (brief, flags) in SUBCOMMANDS.items():
+    for name, (_, brief, flags) in SUBCOMMANDS.items():
         p = sub.add_parser(name, help=brief)
-        if name != "report":
-            p.add_argument("--config", required=True, help="config JSON path")
-        p.add_argument("--out-dir", default=None,
-                       help="output directory (default: run.out_dir, "
-                            "$EPBEAT_OUT_DIR or ./out)")
         for flag in flags:
-            p.add_argument("--" + flag.replace("_", "-"), dest=flag,
-                           default=None, **RUN_FLAGS[flag])
-        if name == "verify":
-            p.add_argument("--instances", type=int, default=100,
-                           help="random instances in the battery")
+            p.add_argument("--" + flag.replace("_", "-"), **FLAGS[flag])
     return parser
 
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
+    command = SUBCOMMANDS[args.subcommand][0]
     spec = None
     try:
         if args.subcommand == "report":
-            return cmd_report(_run_settings({}, args)["out_dir"])
+            return command(_run_settings({}, args)["out_dir"])
         doc, raw = read_config(args.config)
         run = _run_settings(doc, args)
         spec = build_problem(doc)
+        check_pr_threshold(run["pr_threshold"], spec.n_g,
+                           "run.pr_threshold")
         with threads_for(spec.dim):
             runner = _Runner(raw, run["out_dir"], threads())
-            checks = COMMANDS[args.subcommand](runner, spec, run, args)
+            checks = command(runner, spec, run, args)
         runner.finish(args.subcommand, run["seed"], checks)
         failed = [name for name, verdict in checks.items() if verdict == "fail"]
         if failed:  # the last output is the command's report
-            raise VerificationError(f"{args.subcommand}: {', '.join(failed)} "
-                                    f"failed; see {runner.outputs[-1]}")
+            print(f"verification failure: {args.subcommand}: "
+                  f"{', '.join(failed)} failed; see {runner.outputs[-1]}",
+                  file=sys.stderr)
+            return EXIT_VERIFICATION
         return EXIT_OK
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except VerificationError as exc:
-        print(f"verification failure: {exc}", file=sys.stderr)
-        return EXIT_VERIFICATION
     except (NumericalError, OSError, ValueError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL

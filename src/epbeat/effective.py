@@ -289,6 +289,13 @@ def root_count_below(ep: EffectivePotential, eta):
     return int(counts[0]) if np.ndim(eta) == 0 else counts
 
 
+def check_depth(depth: int, n_tot: int, field: str) -> None:
+    """Refuse a depth that leaves a level no truncated sector."""
+    if not 1 <= depth <= n_tot - 1:
+        raise ConfigError(f"{field}: must be in 1..N_tot - 1 = "
+                          f"{n_tot - 1}, got {depth!r}")
+
+
 def recurse_ep(spec: ProblemSpec, op: np.ndarray,
                depth: int) -> tuple[EffectivePotential, ...]:
     """Effective potentials down the truncation hierarchy, one per level.
@@ -296,11 +303,9 @@ def recurse_ep(spec: ProblemSpec, op: np.ndarray,
     op is block_operator(spec, v). Level k reduces its trailing block
     op[(k-1) N_g:, (k-1) N_g:] onto that block's lowest mode, so level
     1 is the pipeline's reduction and level k + 1 reduces level k's L.
-    Each level must leave a truncated sector: 1 <= depth <= N_tot - 1.
+    Each level must leave a truncated sector (see check_depth).
     """
-    if not 1 <= depth <= spec.n_tot - 1:
-        raise ConfigError(f"depth {depth}: must be in 1..N_tot - 1 = "
-                          f"{spec.n_tot - 1}")
+    check_depth(depth, spec.n_tot, "depth")
     n_g, eps0 = spec.n_g, float(spec.modes.eps[0])
     return tuple(reduce_block(op[k * n_g:, k * n_g:], n_g, eps0)[1]
                  for k in range(depth))

@@ -1,8 +1,8 @@
 """Exception taxonomy shared across the package.
 
 The CLI maps these onto process exit codes: ConfigError -> 2,
-NumericalError (and I/O trouble or MemoryError) -> 3,
-VerificationError -> 4.
+NumericalError (and I/O trouble or MemoryError) -> 3; a run with a
+failing check exits 4.
 """
 
 
@@ -16,7 +16,3 @@ class NumericalError(RuntimeError):
 
 class PoleProximityError(NumericalError):
     """Evaluation point too close to an effective-potential pole."""
-
-
-class VerificationError(RuntimeError):
-    """A verification check did not pass."""

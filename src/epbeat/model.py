@@ -174,11 +174,18 @@ class ModeBasis:
             np.sqrt(self.q_grid.weights)[:, None] * self.phi.T, mode="r"))
 
 
+@np.errstate(over="ignore")
+def gaussian(x, center, width: float) -> np.ndarray:
+    """exp(-(x - center)^2 / (2 width^2)); where the exponent overflows
+    (a far x, a subnormal 2 width^2), exp(-inf) = 0 is the limit."""
+    return np.exp(-((x - center) ** 2) / (2 * width ** 2))
+
+
 def _check_gaussian_width(width: float, field: str) -> None:
-    """Refuse the width w of a Gaussian exp(-d^2 / (2 w^2)) unless w > 0
-    and 2 w^2, computed as the Gaussian computes it, is a positive
-    finite float: where it underflows to 0 the center reads 0/0, and
-    where it overflows, ** raises OverflowError."""
+    """Refuse the width w of a gaussian unless w > 0 and 2 w^2,
+    computed as gaussian computes it, is a positive finite float:
+    where it underflows to 0 the center reads 0/0, and where it
+    overflows, ** raises OverflowError."""
     if not width > 0:
         raise ConfigError(f"{field}: must be positive")
     try:
@@ -223,11 +230,7 @@ class CouplingSpec:
         q = np.asarray(q_points)[:, None]
         xi = np.asarray(xi_points)[None, :]
         if self.kind == "gaussian_attractive":
-            # a far (q - xi)^2, or its quotient by a subnormal 2 sigma^2,
-            # overflows to inf: exp(-inf) = 0 is the float limit there
-            with np.errstate(over="ignore"):
-                return -self.strength * np.exp(-((q - xi) ** 2)
-                                               / (2 * self.width ** 2))
+            return -self.strength * gaussian(q, xi, self.width)
         if self.kind == "constant":
             return np.full((q.size, xi.size), -self.strength)
         if self.samples.shape != (q.size, xi.size):
@@ -332,8 +335,7 @@ def _bump_profiles(n_modes: int, q_grid: Grid) -> ModeBasis:
     lo, hi = q[0], q[-1]
     spacing = (hi - lo) / n_modes
     centers = lo + spacing * (np.arange(n_modes) + 0.5)
-    width = BUMP_WIDTH_FACTOR * spacing
-    phi = np.exp(-((q[None, :] - centers[:, None]) ** 2) / (2 * width ** 2))
+    phi = gaussian(q[None, :], centers[:, None], BUMP_WIDTH_FACTOR * spacing)
     basis = ModeBasis(np.arange(n_modes, dtype=float), phi, q_grid)
     basis.overlap_factor  # computed here, so the copies share it
     return basis
@@ -458,7 +460,7 @@ def _named_potential(doc: Mapping, grid: Grid) -> np.ndarray:
         depths = (depth, depth + detune)
         out = np.zeros(grid.n)
         for c, d in zip(centers, depths):
-            out -= d * np.exp(-((xi - c) ** 2) / (2 * width ** 2))
+            out -= d * gaussian(xi, c, width)
         return out
     raise ConfigError(f"hg.potential.kind: unknown value {kind!r}")
 

@@ -94,6 +94,14 @@ def default_pr_threshold(n_g: int) -> float:
     return min(max(n_g / 3.0, 1.0 + 1e-6), n_g - 1e-6)
 
 
+def check_pr_threshold(tau: float | None, n_g: int, field: str) -> None:
+    """Refuse a localization threshold outside the open interval (1, N_g);
+    None stands for default_pr_threshold(n_g), which lies inside it."""
+    if tau is not None and not 1.0 < tau < n_g:
+        raise ConfigError(f"{field}: must lie strictly between 1 and "
+                          f"N_g={n_g}, got {tau!r}")
+
+
 def group_realizations(states: StateSet,
                        pr_threshold: float | None = None) -> RealizationSet:
     """Group states by center of reduction; delocalized ones go to the
@@ -107,11 +115,8 @@ def group_realizations(states: StateSet,
         raise ConfigError("group_realizations: empty state list")
     xi_grid = states.xi_grid
     n_g = xi_grid.n
+    check_pr_threshold(pr_threshold, n_g, "pr_threshold")
     tau = default_pr_threshold(n_g) if pr_threshold is None else float(pr_threshold)
-    if not 1.0 < tau < n_g:
-        raise ConfigError(
-            f"pr_threshold: must lie strictly between 1 and N_g={n_g}, "
-            f"got {tau!r}")
     # normalize so grouping depends only on the density's shape,
     # invariant under any common rescaling of the amplitudes
     marginal = states.marginal_xi / states.marginal_xi.sum(axis=1,

@@ -19,7 +19,7 @@ from numpy.random import default_rng
 from .blas import threads_for
 from .effective import reduce_block
 from .model import (CouplingSpec, Grid, ModeBasis, ProblemSpec,
-                    block_operator, gaussian_bump_basis)
+                    block_operator, gaussian, gaussian_bump_basis)
 from .oracle import ComparisonReport, compare_spectra, direct_energies
 from .pipeline import PipelineResult, solve_problem
 from .spectrum import count_accounting, find_roots
@@ -54,10 +54,6 @@ def random_instance(seed: int) -> ProblemSpec:
 TWO_WELL_CENTERS = (2, 6)  # grid cells hosting the interaction wells
 
 
-def _bump(xi: np.ndarray, center: float, width: float) -> np.ndarray:
-    return np.exp(-((xi - center) ** 2) / (2 * width ** 2))
-
-
 def two_well_instance() -> ProblemSpec:
     """Strong-coupling instance whose interaction digs two wells.
 
@@ -80,8 +76,8 @@ def two_well_instance() -> ProblemSpec:
     xi = xi_grid.points
     c1 = float(xi[TWO_WELL_CENTERS[0]])
     c2 = float(xi[TWO_WELL_CENTERS[1]])
-    v00 = -6.0 * (_bump(xi, c1, 0.05) + 0.892 * _bump(xi, c2, 0.05))
-    v11 = -(6.1 * _bump(xi, c1, 0.15) + 5.1 * _bump(xi, c2, 0.15))
+    v00 = -6.0 * (gaussian(xi, c1, 0.05) + 0.892 * gaussian(xi, c2, 0.05))
+    v11 = -(6.1 * gaussian(xi, c1, 0.15) + 5.1 * gaussian(xi, c2, 0.15))
     v01 = -0.9 * np.ones(n_g)
     # kernel -(a + b cos(pi q) + c cos(2 pi q)) projects onto the pair as
     # V_00 = -a, V_01 = -b/sqrt(2), V_11 = -a - c/2

@@ -294,10 +294,9 @@ def test_hierarchy_depth_n_tot_is_a_config_error(tmp_path, capsys):
     assert not (out / "hierarchy.json").exists()
 
 
-def test_hierarchy_refuses_dense_solve_above_cap(tmp_path, monkeypatch,
-                                                 capsys):
-    # the same DIMENSION_CAP as verify: 4x32 has dimension 128. The cap
-    # is the oracle's, called before any reduction: no eigensolve runs
+@pytest.fixture
+def eigensolves(monkeypatch):
+    """The shapes diagonalize_sym is called with, wherever it is imported."""
     solve, calls = truncated.diagonalize_sym, []
 
     def counted(*args):
@@ -308,7 +307,11 @@ def test_hierarchy_refuses_dense_solve_above_cap(tmp_path, monkeypatch,
                    if name.startswith("epbeat")]:
         if getattr(module, "diagonalize_sym", None) is solve:
             monkeypatch.setattr(module, "diagonalize_sym", counted)
-    monkeypatch.setattr(oracle, "DIMENSION_CAP", 127)
+    return calls
+
+
+@pytest.fixture
+def ladder_4x32(tmp_path):
     doc = {"grid": {"n": 32}, "modes": {"count": 4, "delta_eps": 0.7},
            "coupling": {"kind": "gaussian_attractive", "g": 1.0,
                         "sigma": 0.2},
@@ -317,17 +320,46 @@ def test_hierarchy_refuses_dense_solve_above_cap(tmp_path, monkeypatch,
                                 "width": 0.08, "centers": [0.3, 0.7]}}}
     path = tmp_path / "ladder.json"
     path.write_text(json.dumps(doc))
+    return path
+
+
+def test_hierarchy_refuses_dense_solve_above_cap(tmp_path, monkeypatch,
+                                                 capsys, eigensolves,
+                                                 ladder_4x32):
+    # the same DIMENSION_CAP as verify: 4x32 has dimension 128. The cap
+    # is the oracle's, called before any reduction: no eigensolve runs
+    monkeypatch.setattr(oracle, "DIMENSION_CAP", 127)
     out = tmp_path / "out"
-    assert main(["hierarchy", "--config", str(path), "--out-dir", str(out),
-                 "--depth", "2"]) == 3
+    assert main(["hierarchy", "--config", str(ladder_4x32),
+                 "--out-dir", str(out), "--depth", "2"]) == 3
     assert "dimension 128 exceeds cap 127" in capsys.readouterr().err
     assert not (out / "hierarchy.json").exists()
-    assert calls == []
+    assert eigensolves == []
     # at the cap the same run reduces, through the counted eigensolver
     monkeypatch.setattr(oracle, "DIMENSION_CAP", 128)
-    assert main(["hierarchy", "--config", str(path), "--out-dir", str(out),
-                 "--depth", "2"]) == 0
-    assert (3 * 32, 3 * 32) in calls
+    assert main(["hierarchy", "--config", str(ladder_4x32),
+                 "--out-dir", str(out), "--depth", "2"]) == 0
+    assert (3 * 32, 3 * 32) in eigensolves
+
+
+@pytest.mark.parametrize("depth", ["4", "99"])
+def test_hierarchy_refuses_a_bad_depth_before_any_eigensolve(
+        tmp_path, monkeypatch, capsys, eigensolves, ladder_4x32, depth):
+    # a depth outside 1..N_tot - 1 exits 2 at every size, the dense
+    # oracle's cap included: neither the oracle nor a reduction runs
+    def oracle_called(*args):
+        raise AssertionError("the oracle ran before the depth was checked")
+
+    monkeypatch.setattr(cli, "direct_energies", oracle_called)
+    monkeypatch.setattr(oracle, "DIMENSION_CAP", 127)
+    out = tmp_path / "out"
+    assert main(["hierarchy", "--config", str(ladder_4x32),
+                 "--out-dir", str(out), "--depth", depth]) == 2
+    assert capsys.readouterr().err == (
+        f"config error: run.depth: must be in 1..N_tot - 1 = 3, "
+        f"got {depth}\n")
+    assert eigensolves == []
+    assert not out.exists()
 
 
 # prints the heavy modules loaded by the import, the exit code of a
@@ -447,6 +479,31 @@ class TestExitCodes:
                      "--out-dir", str(out)]) == 2
         assert f"run.{key}" in capsys.readouterr().err
         assert not out.exists()  # rejected before any artifact
+
+    @pytest.mark.parametrize("command", ["solve", "beat", "verify",
+                                         "hierarchy"])
+    @pytest.mark.parametrize("threshold", [
+        0.5, 1, 6, 1e300, pytest.param(10 ** 400, id="int-past-float")])
+    def test_pr_threshold_out_of_range_refused_before_the_solve(
+            self, tmp_path, monkeypatch, capsys, command, threshold):
+        # BASE_CONFIG has N_g = 6: the threshold must lie in (1, 6); an
+        # integer past the float range is compared exactly, not converted
+        def solved(*args):
+            raise AssertionError("solved before run.pr_threshold was checked")
+
+        for name in ("solve_problem", "check_instance", "project_coupling"):
+            monkeypatch.setattr(cli, name, solved)
+        doc = dict(BASE_CONFIG,
+                   run={**BASE_CONFIG["run"], "pr_threshold": threshold})
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(doc))
+        out = tmp_path / "o"
+        assert main([command, "--config", str(path),
+                     "--out-dir", str(out)]) == 2
+        assert capsys.readouterr().err == (
+            "config error: run.pr_threshold: must lie strictly between 1 "
+            f"and N_g=6, got {threshold!r}\n")
+        assert not out.exists()
 
     def test_seed_below_two_to_the_64(self, config_path, tmp_path, capsys):
         # the generator reduces a seed mod 2^64, so 2^64 would replay seed 0
@@ -675,8 +732,8 @@ RUN_KEY_VALUES = {
 def test_run_key_flag_over_config_over_default(key, monkeypatch):
     default, in_config, in_flag = RUN_KEY_VALUES[key]
     # the first subcommand that takes the key's flag (all take --out-dir)
-    name = next((name for name, (_, flags) in cli.SUBCOMMANDS.items()
-                 if name != "report" and key in flags + ("out_dir",)), None)
+    name = next((name for name, (_, _, flags) in cli.SUBCOMMANDS.items()
+                 if name != "report" and key in flags), None)
 
     def read(flag, block):
         args = build_parser().parse_args(

@@ -6,6 +6,7 @@ import pytest
 from epbeat import (ConfigError, CouplingSpec, Grid, ModeBasis, ProblemSpec,
                     build_problem, gaussian_bump_basis, hamiltonian_g,
                     project_coupling)
+from epbeat.model import gaussian
 from epbeat.verification import random_instance, two_well_instance
 
 # <phi_0, phi_1> for 3 bump modes on [0,1], frozen from a 16385-point
@@ -212,6 +213,16 @@ class TestModeBases:
             errs.append(abs(overlap - BUMP_OVERLAP_FINE))
         assert errs == sorted(errs, reverse=True)  # monotone refinement
         assert errs[-1] < 5e-7
+
+
+def test_gaussian_reads_zero_at_the_float_limit_without_a_warning():
+    # the exponent overflows for a far x, or for any x off the center
+    # once 2 w^2 is subnormal; exp(-inf) = 0
+    x = np.array([0.0, 1e-150, 1e200])
+    assert gaussian(x, 0.0, 1.0).tolist() == [1.0, 1.0, 0.0]
+    assert gaussian(x, 0.0, 1e-160).tolist() == [1.0, 0.0, 0.0]
+    assert gaussian(x[:, None], x[None, :], 1.0).diagonal().tolist() \
+        == [1.0, 1.0, 1.0]
 
 
 class TestProjectCoupling:

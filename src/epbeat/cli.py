@@ -14,16 +14,17 @@ byte-identical CSV/JSON files (timestamps live only in the manifest).
 
 JSON layout: two-space indent, one scalar per line; floats as .17g,
 non-finite floats as null; Python and numpy bools as true/false. A
-numpy array is written as nested lists, the same bytes as its
-tolist(): its template is joined once per axis and filled with one %
-over the flat elements, then inf/-inf/nan become null. Density CSVs
-fill a repeated row template the same way.
+file is one template (% doubled in keys and strings, an array's joined
+once per axis), filled by % FILL_CHUNK or more array elements at a
+time. A density CSV is one fill, and a run formats each distinct
+density (bit for bit) once.
 """
 
 from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import hashlib
 import json
 import math
@@ -63,74 +64,67 @@ _DIGIT_PAIRS = np.array([b"%02d" % i for i in range(100)]).view(np.uint16)
 
 
 def _fmt_float(x: float) -> str:
-    if x != x or x in (float("inf"), float("-inf")):
-        return "null"
-    return format(float(x), ".17g")
+    return format(float(x), ".17g") if math.isfinite(x) else "null"
 
 
-# %-conversion of an array element per dtype kind; a bool is filled
-# from its JSON text
-_CONVERSIONS = {"f": "%.17g", "i": "%d", "u": "%d", "b": "%s"}
-
-
-def _fill(template: str, a: np.ndarray) -> str:
-    """template % the elements of a, row-major, in one call.
-
-    A non-finite float prints as inf, -inf or nan; no finite .17g
-    string holds those letters, so each is then replaced by null.
-    """
-    values = a.ravel().tolist()
-    if a.dtype.kind == "b":
-        values = [("false", "true")[x] for x in values]
-    text = template % tuple(values)
-    if a.dtype.kind == "f" and not np.isfinite(a).all():
-        for word in ("-inf", "inf", "nan"):
-            text = text.replace(word, "null")
+def _array_template(conversion, shape, pad):
+    """Nested-list text of an array of shape, each element conversion;
+    built innermost axis first, one join per axis (blocks are equal)."""
+    text = conversion
+    for axis in reversed(range(len(shape))):
+        p = pad + "  " * axis
+        text = (f"[\n{p}  " + f",\n{p}  ".join([text] * shape[axis])
+                + f"\n{p}]" if shape[axis] else "[]")
     return text
 
 
-def _array_json(a: np.ndarray, indent: int) -> str:
-    """_to_json(a.tolist(), indent) from one template and one fill.
-
-    Every block along an axis has the same text, so the template is
-    built innermost axis first with one join per axis.
-    """
-    if a.dtype.kind not in _CONVERSIONS:
-        return _to_json(a.tolist(), indent)
-    text = _CONVERSIONS[a.dtype.kind]
-    for axis in range(a.ndim - 1, -1, -1):
-        n = a.shape[axis]
-        pad = "  " * (indent + axis)
-        text = (f"[\n{pad}  " + f",\n{pad}  ".join([text] * n) + f"\n{pad}]"
-                if n else "[]")
-    return _fill(text, a)
+# array elements per % fill (one float object each alive until it ends)
+FILL_CHUNK = 1024
 
 
-def _to_json(obj, indent: int = 0) -> str:
-    pad = "  " * indent
-    inner = "  " * (indent + 1)
-    if isinstance(obj, dict):
-        if not obj:
-            return "{}"
-        items = [f'{inner}{json.dumps(str(k))}: {_to_json(v, indent + 1)}'
-                 for k, v in obj.items()]
-        return "{\n" + ",\n".join(items) + f"\n{pad}}}"
-    if isinstance(obj, (list, tuple)):
-        if len(obj) == 0:
-            return "[]"
-        items = [f"{inner}{_to_json(v, indent + 1)}" for v in obj]
-        return "[\n" + ",\n".join(items) + f"\n{pad}]"
-    if isinstance(obj, np.ndarray):
-        return _array_json(obj, indent)
-    if isinstance(obj, (bool, np.bool_)):
-        return "true" if obj else "false"
-    if obj is None:
-        return "null"
-    if isinstance(obj, (int, np.integer)):
-        return str(int(obj))
-    if isinstance(obj, (float, np.floating)):
-        return _fmt_float(float(obj))
-    return json.dumps(str(obj))
+def _template(obj, pad, out):
+    """Append obj's JSON text, indented by pad, to out = (parts, values,
+    done): int and finite float array elements as % conversions, their
+    values in values, % doubled elsewhere; filled into done by chunks."""
+    parts, values, done = out
+    if isinstance(obj, (dict, list, tuple)):
+        keyed = isinstance(obj, dict)
+        ends = "{}" if keyed else "[]"
+        sep = f"{ends[0]}\n{pad}  "
+        for k, v in obj.items() if keyed else enumerate(obj):
+            parts.append(f"{sep}{json.dumps(str(k))}: ".replace("%", "%%")
+                         if keyed else sep)
+            _template(v, pad + "  ", out)
+            sep = f",\n{pad}  "
+        parts.append(f"\n{pad}{ends[1]}" if obj else ends)
+    elif isinstance(obj, np.ndarray):
+        kind = obj.dtype.kind
+        if kind in "iu" or kind == "f" and np.isfinite(obj).all():
+            parts.append(_array_template("%.17g" if kind == "f" else "%d",
+                                         obj.shape, pad))
+            values.extend(obj.ravel().tolist())
+            if len(values) >= FILL_CHUNK:
+                done.append("".join(parts) % tuple(values))
+                del parts[:], values[:]
+        else:  # bools, non-finite floats, other dtypes: element by element
+            _template(obj.tolist(), pad, out)
+    elif isinstance(obj, (bool, np.bool_)):
+        parts.append("true" if obj else "false")
+    elif obj is None:
+        parts.append("null")
+    elif isinstance(obj, (int, np.integer)):
+        parts.append(str(int(obj)))
+    elif isinstance(obj, (float, np.floating)):
+        parts.append(_fmt_float(obj))
+    else:
+        parts.append(json.dumps(str(obj)).replace("%", "%%"))
+
+
+def _to_json(obj) -> str:
+    parts, values, done = out = [], [], []
+    _template(obj, "", out)
+    done.append("".join(parts) % tuple(values))
+    return "".join(done)
 
 
 def write_json(path: Path, obj) -> None:
@@ -138,16 +132,22 @@ def write_json(path: Path, obj) -> None:
 
 
 def write_density_csv(path: Path, rho: np.ndarray, q_points: np.ndarray,
-                      xi_points: np.ndarray) -> None:
-    """Density matrix CSV: rows are xi points, columns q points.
+                      xi_points: np.ndarray, text: str | None = None) -> str:
+    """Density matrix CSV: rows are xi points, columns q points; writes
+    text if given, else formats it with one % fill. Returns the text.
 
     Header carries the q coordinates; the first column carries xi.
+    inf, -inf and nan, which no finite .17g string holds, become null.
     """
-    rows = np.column_stack([xi_points, rho.T])
-    header = _fill(",".join(["%.17g"] * q_points.size), q_points)
-    row = ",".join(["%.17g"] * rows.shape[1]) + "\n"
-    path.write_text(f"xi,{header}\n" + _fill(row * rows.shape[0], rows),
-                    encoding="utf-8")
+    if text is None:
+        cells = ",%.17g" * len(q_points) + "\n"
+        rows = np.column_stack([xi_points, rho.T]).ravel().tolist()
+        text = (f"xi{cells}" + f"%.17g{cells}" * len(xi_points)) % (
+            *q_points.tolist(), *rows)
+        for word in ("-inf", "inf", "nan"):
+            text = text.replace(word, "null")
+    path.write_text(text, encoding="utf-8")
+    return text
 
 
 def _write_ticks(rows: np.ndarray, a: int, b: int) -> None:
@@ -322,7 +322,6 @@ class _Runner:
             "elapsed_seconds": time.time() - self.t0,
             "timestamp": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
         }
-        self.out_dir.mkdir(parents=True, exist_ok=True)
         write_json(self.out_dir / "manifest.json", manifest)
 
 
@@ -348,14 +347,15 @@ def _solve_and_write(runner: _Runner, spec: ProblemSpec, run: dict):
     payload["complexity"] = complexity_measure(rs.n_realizations)
     payload["schmidt_ranks"] = schmidt_ranks(result.states)
     write_json(runner.path("realizations.json"), payload)
-    q_pts = spec.modes.q_grid.points
-    xi_pts = spec.xi_grid.points
     densities = realization_densities(rs, result.states)
-    for j, rho in enumerate(densities):
-        write_density_csv(runner.path(f"density_realization_{j}.csv"),
-                          rho, q_pts, xi_pts)
-    write_density_csv(runner.path(f"density_mixed_{mode}.csv"),
-                      mix_density(rs, densities, mode), q_pts, xi_pts)
+    names = [f"density_realization_{j}.csv" for j in range(len(densities))]
+    texts = {}  # rho.tobytes() -> its CSV; bitwise, as -0.0 == 0.0
+    for name, rho in zip(names + [f"density_mixed_{mode}.csv"],
+                         [*densities, mix_density(rs, densities, mode)]):
+        key = rho.tobytes()
+        texts[key] = write_density_csv(runner.path(name), rho,
+                                       spec.modes.q_grid.points,
+                                       spec.xi_grid.points, texts.get(key))
     return result
 
 
@@ -443,29 +443,28 @@ def cmd_report(out_dir: str) -> int:
         p = out_dir / name
         if p.exists():
             summary[name] = json.loads(p.read_text(encoding="utf-8"))
+    for key in ("elapsed_seconds", "timestamp"):  # only in manifest.json
+        summary.get("manifest.json", {}).pop(key, None)
     if not summary:
         raise NumericalError(f"report: no artifacts found in {out_dir}")
-    lines = []
     if "spectrum.json" in summary:
         a = summary["spectrum.json"]["accounting"]
-        lines.append(f"roots: {a['measured_roots']} (rank accounting "
-                     f"{a['rank_accounting']}, degree bound "
-                     f"{a['degree_bound']}, full-degree count "
-                     f"{a['full_degree_count']}, linear {a['linear_count']})")
+        print(f"roots: {a['measured_roots']} (rank accounting "
+              f"{a['rank_accounting']}, degree bound "
+              f"{a['degree_bound']}, full-degree count "
+              f"{a['full_degree_count']}, linear {a['linear_count']})")
     if "realizations.json" in summary:
         r = summary["realizations.json"]
         n_groups = len(r["groups"])
         label = (f"{n_groups} regular group(s)" if n_groups
                  else "intermediate only")
-        lines.append(f"realizations: {r['n_realizations']} ({label}), "
-                     f"{len(r['intermediate'])} intermediate state(s), "
-                     f"complexity {r['complexity']}")
+        print(f"realizations: {r['n_realizations']} ({label}), "
+              f"{len(r['intermediate'])} intermediate state(s), "
+              f"complexity {r['complexity']}")
     if "beat_summary.json" in summary:
         b = summary["beat_summary.json"]
-        lines.append(f"beat: {b['cycles']} cycles, mode {b['mode']}, "
-                     f"empirical {b['empirical']}")
-    for line in lines:
-        print(line)
+        print(f"beat: {b['cycles']} cycles, mode {b['mode']}, "
+              f"empirical {b['empirical']}")
     write_json(out_dir / "report.json", summary)
     return EXIT_OK
 
@@ -496,6 +495,7 @@ SUBCOMMANDS = {
 }
 
 
+@functools.cache  # one parser per process; each parse starts afresh
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="epbeat",

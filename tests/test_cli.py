@@ -427,6 +427,23 @@ def test_report_subcommand(config_path, tmp_path, capsys):
     assert (out / "report.json").exists()
 
 
+def test_report_json_is_byte_identical_across_reruns(config_path, tmp_path):
+    # the manifest's timings stay in manifest.json alone
+    reports = []
+    for run in ("a", "b"):
+        out = tmp_path / run
+        assert main(["solve", "--config", config_path,
+                     "--out-dir", str(out)]) == 0
+        assert main(["report", "--out-dir", str(out)]) == 0
+        reports.append((out / "report.json").read_bytes())
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert {"elapsed_seconds", "timestamp"} <= set(manifest)
+        copied = json.loads(reports[-1])["manifest.json"]
+        assert copied == {k: v for k, v in manifest.items()
+                          if k not in ("elapsed_seconds", "timestamp")}
+    assert reports[0] == reports[1]
+
+
 class TestExitCodes:
     def test_invalid_grid_size(self, tmp_path):
         path = tmp_path / "bad.json"
@@ -774,6 +791,50 @@ def test_each_subcommand_takes_its_flags(argv, read):
     assert args.out_dir == "d"
     assert {k: v for k, v in vars(args).items()
             if k not in ("subcommand", "config", "out_dir")} == read
+
+
+def test_parser_is_built_once_per_process():
+    assert build_parser() is build_parser()
+
+
+def artifacts(out):
+    """Every file of an output dir, the manifest without its timings."""
+    files = {p.name: p.read_bytes() for p in out.iterdir()}
+    manifest = json.loads(files.pop("manifest.json"))
+    del manifest["elapsed_seconds"], manifest["timestamp"]
+    return files, manifest
+
+
+def test_one_process_runs_as_fresh_processes(config_path, tmp_path, capsys):
+    # the parser is shared by every main call of a process: no flag value
+    # may carry over from one call, nor from one that failed, to the next
+    runs = [["solve", "--seed", "5", "--prob-mode", "born"], ["solve"],
+            ["beat", "--cycles", "9", "--seed", "3", "--no-such-flag"],
+            ["verify"]]
+    src = str(Path(epbeat.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [src] + [p for p in [env.get("PYTHONPATH")] if p])
+    for j, argv in enumerate(runs):
+        argv = argv[:1] + ["--config", config_path] + argv[1:]
+        here, fresh = tmp_path / f"here_{j}", tmp_path / f"fresh_{j}"
+        if "--no-such-flag" in argv:
+            with pytest.raises(SystemExit) as exc:
+                main(argv + ["--out-dir", str(here)])
+            assert exc.value.code == 2
+            assert "unrecognized arguments" in capsys.readouterr().err
+            assert not here.exists()
+            continue
+        assert main(argv + ["--out-dir", str(here)]) == 0
+        subprocess.run([sys.executable, "-m", "epbeat.cli", *argv,
+                        "--out-dir", str(fresh)], env=env, check=True,
+                       capture_output=True)
+        assert artifacts(here) == artifacts(fresh), argv
+    seeds = [json.loads((tmp_path / f"here_{j}" / "manifest.json")
+                        .read_text())["seed"] for j in (0, 1, 3)]
+    assert seeds == [5, 7, 7]
+    assert (tmp_path / "here_0" / "density_mixed_born.csv").exists()
+    assert (tmp_path / "here_1" / "density_mixed_uniform.csv").exists()
 
 
 def test_float_seventeen_digit_roundtrip(config_path, tmp_path):

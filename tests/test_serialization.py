@@ -14,6 +14,7 @@ import numpy as np
 import pytest
 
 import epbeat.cli as cli
+from epbeat import build_problem
 from epbeat.cli import _to_json, main, write_density_csv, write_json
 from epbeat.effective import ep_from_poles
 from epbeat.verification import two_well_instance
@@ -107,6 +108,34 @@ EDGE_CASES = {
     "same_shape_bool_int": [np.array([True, False]), np.array([1, 0])],
     "same_shape_int_float": [np.array([2 ** 60, -3]), np.array([0.5, 2.0])],
     "zero_middle_axis": np.zeros((2, 0, 3)),
+    # a file is filled by %: % in keys and strings must come out as is
+    "percent_text": {"100%": "%d%%", "%(x)s": ["%", "%s", "a %.17g b"],
+                     "%d": np.array([1.5, 2.0]), "%%": np.arange(2)},
+    # a non-finite array is written element by element; "inf" and "nan"
+    # in keys and strings are text, never replaced by null
+    "mixed_finite_nonfinite": {
+        "info": "nan", "inf": [np.array([1.0, np.inf]), np.array([2.0, 3.0]),
+                               np.array([np.nan]), "-inf", np.eye(2),
+                               np.array([-np.inf, 0.5], dtype=np.float32)]},
+    "int_extremes": [np.array([-2 ** 63, 2 ** 63 - 1], dtype=np.int64),
+                     np.array([2 ** 63, 2 ** 64 - 1], dtype=np.uint64),
+                     np.uint64(2 ** 64 - 1), np.int64(-2 ** 63)],
+    "zero_d_each_dtype": [np.array(False), np.array(7, dtype=np.int64),
+                          np.array(2 ** 64 - 1, dtype=np.uint64),
+                          np.array(0.1, dtype=np.float32), np.array(-0.0),
+                          np.array(-np.inf, dtype=np.float32)],
+    "bool_and_float32": [np.array([[True], [False]]),
+                         np.array([0.1, 1e-45, 3.4e38], dtype=np.float32)],
+    "empty_columns": [np.zeros((6, 0)), np.ones((6, 1)), np.zeros((6, 0))],
+    "no_conversion": [np.array([1 + 2j, -0.5j]), np.array(["a%", "inf"]),
+                      np.array([None, 1.5], dtype=object)],
+    "python_scalars": [1, -2, 10 ** 30, 0, 0.1, -0.0, 1e300, True, False,
+                       None, [1, 2.5, True], (False, -7)],
+    # more elements than one fill takes, with % text and non-finite
+    # arrays on both sides of each fill's end
+    "several_fills": {"%d": list(np.random.default_rng(9).standard_normal(
+        (60, 40, 1))) + [np.array([np.nan]), "100%", np.arange(700)],
+        "%s%%": [np.array([-np.inf]), np.ones((30, 40))]},
     "nested": {
         "factors": [np.ones((3, 2)), np.zeros((3, 0)),
                     np.random.default_rng(5).standard_normal((3, 1))],
@@ -122,6 +151,14 @@ def test_edge_cases_match_reference(name):
     obj = EDGE_CASES[name]
     assert _to_json(obj) == ref_to_json(as_scalars(obj))
     assert _to_json({"a": [obj]}) == ref_to_json(as_scalars({"a": [obj]}))
+
+
+@pytest.mark.parametrize("chunk", [1, 3, 40])
+def test_small_fills_write_the_same_text(chunk, monkeypatch):
+    # a fill ends after the array that reaches FILL_CHUNK elements
+    monkeypatch.setattr(cli, "FILL_CHUNK", chunk)
+    for name, obj in EDGE_CASES.items():
+        assert _to_json(obj) == ref_to_json(as_scalars(obj)), name
 
 
 def test_decoupled_factor_prints_one_empty_list_per_row():
@@ -223,9 +260,9 @@ def test_real_payloads_match_reference(run, tmp_path, monkeypatch):
         jsons.append((path, obj))
         write_json(path, obj)
 
-    def record_csv(path, rho, q_points, xi_points):
+    def record_csv(path, rho, q_points, xi_points, text=None):
         csvs.append((path, rho, q_points, xi_points))
-        write_density_csv(path, rho, q_points, xi_points)
+        return write_density_csv(path, rho, q_points, xi_points, text)
 
     monkeypatch.setattr(cli, "write_json", record_json)
     monkeypatch.setattr(cli, "write_density_csv", record_csv)
@@ -242,3 +279,73 @@ def test_real_payloads_match_reference(run, tmp_path, monkeypatch):
     for path, rho, q_points, xi_points in csvs:
         assert path.read_text(encoding="utf-8") \
             == ref_density_csv(rho, q_points, xi_points), path.name
+
+
+def record_density_writes(monkeypatch):
+    """Wrap cli.write_density_csv: (file name, formatted here) per call."""
+    calls = []
+
+    def record(path, rho, q_points, xi_points, text=None):
+        calls.append((path.name, text is None))
+        return write_density_csv(path, rho, q_points, xi_points, text)
+
+    monkeypatch.setattr(cli, "write_density_csv", record)
+    return calls
+
+
+def test_one_realization_mixture_is_formatted_once(tmp_path, monkeypatch):
+    # at 3x8 there is one realization, and 0 + 1.0 * rho_0 is rho_0 bit
+    # for bit: the mixed CSV reuses the realization's text
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(ladder_config(3, 8)))
+    mixtures, mix_density = [], cli.mix_density
+
+    def record_mix(rs, densities, mode):
+        mixtures.append(mix_density(rs, densities, mode))
+        return mixtures[-1]
+
+    monkeypatch.setattr(cli, "mix_density", record_mix)
+    calls = record_density_writes(monkeypatch)
+    out = tmp_path / "out"
+    assert main(["solve", "--config", str(config), "--out-dir", str(out)]) == 0
+    assert calls == [("density_realization_0.csv", True),
+                     ("density_mixed_uniform.csv", False)]
+    spec = build_problem(ladder_config(3, 8))
+    mixed = (out / "density_mixed_uniform.csv").read_bytes()
+    assert mixed == (out / "density_realization_0.csv").read_bytes()
+    assert mixed.decode("utf-8") == ref_density_csv(
+        mixtures[0], spec.modes.q_grid.points, spec.xi_grid.points)
+
+
+def test_densities_apart_only_by_a_negative_zero_are_formatted_apart(
+        tmp_path, monkeypatch):
+    # -0.0 == 0.0, but the two print apart, so reuse compares bytes
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(ladder_config(3, 8)))
+    made, realization_densities = [], cli.realization_densities
+
+    def two_densities(rs, states):
+        rho = np.array(realization_densities(rs, states)[0])
+        rho[0, 0] = 0.0
+        negative = rho.copy()
+        negative[0, 0] = -0.0
+        made.extend([rho, negative])
+        return rho, negative
+
+    monkeypatch.setattr(cli, "realization_densities", two_densities)
+    monkeypatch.setattr(cli, "mix_density",
+                        lambda rs, densities, mode: densities[0].copy())
+    calls = record_density_writes(monkeypatch)
+    out = tmp_path / "out"
+    assert main(["solve", "--config", str(config), "--out-dir", str(out)]) == 0
+    assert calls == [("density_realization_0.csv", True),
+                     ("density_realization_1.csv", True),
+                     ("density_mixed_uniform.csv", False)]
+    spec = build_problem(ladder_config(3, 8))
+    q, xi = spec.modes.q_grid.points, spec.xi_grid.points
+    texts = [(out / f"density_realization_{j}.csv").read_text(encoding="utf-8")
+             for j in (0, 1)]
+    assert texts[0] != texts[1]
+    assert texts == [ref_density_csv(rho, q, xi) for rho in made]
+    assert (out / "density_mixed_uniform.csv").read_text(
+        encoding="utf-8") == texts[0]

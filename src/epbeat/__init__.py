@@ -10,9 +10,12 @@ chaotic realization-switching beat process.
 
 __version__ = "0.1.0"
 
-from .model import (Grid, ModeBasis, CouplingSpec, ProblemSpec,
-                    block_operator, build_problem, hamiltonian_g,
-                    gaussian_bump_basis, project_coupling)
+from .blas import loading_openblas
+
+with loading_openblas():  # model imports numpy first
+    from .model import (Grid, ModeBasis, CouplingSpec, ProblemSpec,
+                        block_operator, build_problem, hamiltonian_g,
+                        gaussian_bump_basis, project_coupling)
 from .truncated import diagonalize_sym
 from .effective import (EffectivePotential, eval_ep, characteristic,
                         root_count_below, recurse_ep, ep_from_poles,

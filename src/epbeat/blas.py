@@ -1,4 +1,5 @@
-"""The BLAS thread policy: one thread below PARALLEL_MIN_DIM.
+"""The BLAS thread policy: OpenBLAS starts on one thread, and only a
+solve at dimension PARALLEL_MIN_DIM or above runs on more.
 
 OpenBLAS wakes its second thread for eigh from n = 26 and for GEMM
 from about n = 100, and the thread then spin-waits between calls. On a
@@ -7,6 +8,20 @@ gain, and in fresh processes it sometimes stalls a small call by about
 1 s. Large solves do gain: epbeat solve at 16x128 takes 3.1 s at two
 threads against 5.4 s at one. So the thread count follows the
 problem's dimension N_tot * N_g (see PARALLEL_MIN_DIM).
+
+OpenBLAS takes its start count from OPENBLAS_NUM_THREADS,
+GOTO_NUM_THREADS or OMP_NUM_THREADS when it loads; with none set it
+starts a thread per core, and the extra ones spin-wait through the
+import. epbeat imports this module first and its first numpy import
+inside loading_openblas. When numpy is not loaded yet and the caller
+set none of the three variables, that import runs with
+OPENBLAS_NUM_THREADS=1 and the variable is removed once numpy has
+loaded, so OpenBLAS starts with no worker thread and child processes
+see the caller's environment. threads_for then raises the count to the
+host's CPU count for solves at PARALLEL_MIN_DIM and above. When the
+caller set one of the variables, or imported numpy before epbeat, the
+start count is the caller's: threads_for lowers it to one below the
+threshold and leaves it alone at and above.
 
 The OpenBLAS controls are looked up on first use through numpy's
 linalg extension, whose linked libraries include the BLAS numpy calls.
@@ -17,9 +32,9 @@ from __future__ import annotations
 
 import ctypes
 import functools
+import os
+import sys
 from contextlib import contextmanager
-
-from numpy.linalg import _umath_linalg
 
 # Dimension from which epbeat solve is faster at the host's default
 # thread count. Median wall time on a 2-core host, two threads against
@@ -37,11 +52,44 @@ _CONTROLS = (("scipy_openblas_get_num_threads64_",
              ("openblas_get_num_threads", "openblas_set_num_threads"))
 
 
+def _host_cpus() -> int:
+    """The CPUs this process may run on (OpenBLAS's own default)."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+# The count a solve at PARALLEL_MIN_DIM and above runs on: the host's
+# CPU count when epbeat chooses OpenBLAS's start count (numpy is not
+# loaded yet and the caller set none of the variables), else None, the
+# count on entry to threads_for
+_LARGE_SOLVE_THREADS = (
+    None if "numpy" in sys.modules or not os.environ.keys().isdisjoint(
+        ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS"))
+    else _host_cpus())
+
+
+@contextmanager
+def loading_openblas():
+    """Run the body, whose first numpy import loads OpenBLAS, with
+    OPENBLAS_NUM_THREADS=1 when epbeat chooses the start count."""
+    if _LARGE_SOLVE_THREADS is None:
+        yield
+        return
+    os.environ["OPENBLAS_NUM_THREADS"] = "1"
+    try:
+        yield
+    finally:
+        del os.environ["OPENBLAS_NUM_THREADS"]
+
+
 @functools.cache
 def control():
     """(get, set) thread-count functions of numpy's OpenBLAS, or None.
     A lookup on the handle of numpy's linalg extension searches it and
     the libraries it links, never another copy (scipy's, say)."""
+    # imported here: this module loads before numpy (loading_openblas)
+    from numpy.linalg import _umath_linalg
     try:
         lib = ctypes.CDLL(_umath_linalg.__file__)
     except OSError:  # no dynamic loading of the extension
@@ -63,19 +111,24 @@ def threads() -> int | None:
 
 @contextmanager
 def threads_for(dim: int):
-    """Run the body on one BLAS thread if dim < PARALLEL_MIN_DIM.
+    """Run the body on the BLAS threads dimension dim calls for: one
+    below PARALLEL_MIN_DIM; at or above it the host's CPU count when
+    epbeat chose OpenBLAS's start count, else the count on entry.
 
-    The count on entry is restored on exit, also when the body raises,
-    so uses nest. At or above the threshold the count is left alone:
-    the host default and OPENBLAS_NUM_THREADS govern large solves.
+    The count is set only when it differs from the count on entry,
+    which is restored on exit, also when the body raises, so uses nest.
     """
     ctl = control()
-    if ctl is None or dim >= PARALLEL_MIN_DIM:
+    if ctl is None:
         yield
         return
     get, set_ = ctl
     entry = get()
-    set_(1)
+    count = 1 if dim < PARALLEL_MIN_DIM else _LARGE_SOLVE_THREADS or entry
+    if count == entry:
+        yield
+        return
+    set_(count)
     try:
         yield
     finally:

@@ -7,6 +7,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .assembly import StateSet, reconstruct_all
+from .blas import threads_for
 from .effective import EffectivePotential, reduce_block
 from .errors import NumericalError
 from .model import ProblemSpec, block_operator, project_coupling
@@ -31,17 +32,20 @@ class PipelineResult:
 
 def solve_problem(spec: ProblemSpec,
                   pr_threshold: float | None = None) -> PipelineResult:
-    """Run the full chain from a problem spec to grouped realizations.
+    """Run the full chain from a problem spec to grouped realizations,
+    on the BLAS threads the spec's dimension calls for (see
+    blas.threads_for).
 
     The block operator is a temporary of the reduction: it is freed
     when reduce_block returns, before the linearization eigensolve.
     """
-    v = project_coupling(spec.modes, spec.coupling, spec.xi_grid)
-    q, ep = reduce_block(block_operator(spec, v), spec.n_g,
-                         float(spec.modes.eps[0]))
-    sr = find_roots(ep)
-    states = reconstruct_all(sr, ep, q, spec.modes, spec.xi_grid)
-    rs = group_realizations(states, pr_threshold)
+    with threads_for(spec.dim):
+        v = project_coupling(spec.modes, spec.coupling, spec.xi_grid)
+        q, ep = reduce_block(block_operator(spec, v), spec.n_g,
+                             float(spec.modes.eps[0]))
+        sr = find_roots(ep)
+        states = reconstruct_all(sr, ep, q, spec.modes, spec.xi_grid)
+        rs = group_realizations(states, pr_threshold)
     return PipelineResult(spec=spec, v=v, ep=ep, sr=sr, states=states, rs=rs)
 
 

@@ -172,7 +172,8 @@ def check_instance(seed: int, spec: ProblemSpec | None = None,
 
 def _check(seed: int, spec: ProblemSpec,
            pr_threshold: float | None) -> InstanceCheck:
-    """check_instance on the BLAS threads of the caller."""
+    """check_instance on the BLAS threads of the caller (solve_problem
+    applies the policy to the solve, which sets nothing when they match)."""
     result = solve_problem(spec, pr_threshold)
     energies = direct_energies(spec, result.v)
     return InstanceCheck(

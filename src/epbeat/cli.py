@@ -43,7 +43,7 @@ from .effective import check_depth, recurse_ep
 from .errors import ConfigError, NumericalError
 from .model import (ProblemSpec, _check_keys, block_operator, build_problem,
                     project_coupling)
-from .oracle import check_dimension, compare_spectra, direct_energies
+from .oracle import compare_spectra, direct_energies
 from .pipeline import mean_intermediate_density, solve_problem
 from .realizations import (PROBABILITY_MODES, check_pr_threshold,
                            mix_density, realization_densities)
@@ -383,7 +383,6 @@ def cmd_verify(runner: _Runner, spec: ProblemSpec, run: dict, args) -> dict:
     if args.instances < 1:
         raise ConfigError(
             f"instances: need K >= 1 random instances, got {args.instances}")
-    check_dimension("verify", spec)
     check = check_instance(run["seed"], spec, run["pr_threshold"])
     battery = run_battery(n_instances=args.instances, seed0=run["seed"])
     del battery["instances"]  # keep the report small; flags carry the verdict

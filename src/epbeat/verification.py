@@ -20,7 +20,8 @@ from .blas import threads_for
 from .effective import reduce_block
 from .model import (CouplingSpec, Grid, ModeBasis, ProblemSpec,
                     block_operator, gaussian, gaussian_bump_basis)
-from .oracle import ComparisonReport, compare_spectra, direct_energies
+from .oracle import (ComparisonReport, check_dimension, compare_spectra,
+                     direct_energies)
 from .pipeline import PipelineResult, solve_problem
 from .spectrum import count_accounting, find_roots
 
@@ -161,26 +162,21 @@ def max_state_residual(result: PipelineResult) -> float:
 def check_instance(seed: int, spec: ProblemSpec | None = None,
                    pr_threshold: float | None = None) -> InstanceCheck:
     """Run the full battery on one instance (random_instance(seed)
-    unless spec is given), on the BLAS threads its own dimension
-    calls for: a small battery instance runs on one thread even when
-    verify's configured instance is large."""
+    unless spec is given). Refuses past oracle.DIMENSION_CAP before it
+    solves, then solves, checks and scores on the BLAS threads the
+    instance's own dimension calls for: a small battery instance runs
+    on one thread even when verify's configured instance is large."""
     if spec is None:
         spec = random_instance(seed)
+    check_dimension("verify", spec)
     with threads_for(spec.dim):
-        return _check(seed, spec, pr_threshold)
-
-
-def _check(seed: int, spec: ProblemSpec,
-           pr_threshold: float | None) -> InstanceCheck:
-    """check_instance on the BLAS threads of the caller (solve_problem
-    applies the policy to the solve, which sets nothing when they match)."""
-    result = solve_problem(spec, pr_threshold)
-    energies = direct_energies(spec, result.v)
-    return InstanceCheck(
-        seed=seed, result=result, energies=energies,
-        exactness=compare_spectra(recovered_spectrum(result), energies),
-        accounting=count_accounting(result.ep, result.sr),
-        state_residual_max=max_state_residual(result))
+        result = solve_problem(spec, pr_threshold)
+        energies = direct_energies(spec, result.v)
+        return InstanceCheck(
+            seed=seed, result=result, energies=energies,
+            exactness=compare_spectra(recovered_spectrum(result), energies),
+            accounting=count_accounting(result.ep, result.sr),
+            state_residual_max=max_state_residual(result))
 
 
 def per_block_reading(check: InstanceCheck) -> dict:
@@ -205,14 +201,14 @@ def per_block_reading(check: InstanceCheck) -> dict:
 
 
 def run_battery(n_instances: int = 100, seed0: int = 0) -> dict:
-    """Batch verification over seeded random instances, all on the
-    BLAS threads the largest one calls for (one thread: the random
-    instances are far below blas.PARALLEL_MIN_DIM). Each check is kept
-    as its to_dict, so no solve outlives its instance."""
+    """Batch verification over seeded random instances, each through
+    check_instance. Every instance is drawn before the first solve
+    (drawing each just before its solve costs about 10% more per
+    battery). Each check is kept as its to_dict, so no solve outlives
+    its instance."""
     specs = [random_instance(seed0 + k) for k in range(n_instances)]
-    with threads_for(max((spec.dim for spec in specs), default=0)):
-        rows = [_check(seed0 + k, spec, None).to_dict()
-                for k, spec in enumerate(specs)]
+    rows = [check_instance(seed0 + k, spec).to_dict()
+            for k, spec in enumerate(specs)]
     return {
         "n_instances": n_instances,
         "all_passed": all(r["passed"] for r in rows),

@@ -14,8 +14,10 @@ built its own. The
 state residual, which applies H from its factors, and the
 eigenvalue-only oracle are checked against operators rebuilt from
 scratch; a layout error shared by the reduction and the oracle must
-fail the state residual; and the battery's worst deviation must keep
-a NaN.
+fail the state residual; every instance verify checks, configured or
+random, must go through check_instance, which refuses past the cap
+before it solves, and the battery must draw every instance before its
+first solve; and the battery's worst deviation must keep a NaN.
 """
 
 import dataclasses
@@ -628,6 +630,54 @@ class TestSharedOperator:
 
         # the cap is checked before the operator is built
         assert calls_of(model.block_operator, energies) == 0
+
+
+class TestOneInstanceCheck:
+    """check_instance is the only per-instance check: verify's
+    configured instance and every battery instance go through it, and
+    it refuses past the cap before it solves."""
+
+    def test_verify_checks_every_instance_through_check_instance(
+            self, tmp_path):
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(ladder_config(3, 8)))
+
+        def verify():
+            assert main(["verify", "--config", str(path), "--out-dir",
+                         str(tmp_path / "o"), "--instances", "3"]) == 0
+
+        # the configured instance and the 3 battery instances
+        assert calls_of(verification.check_instance, verify) == 4
+
+    def test_check_instance_refuses_past_the_cap_before_it_solves(
+            self, monkeypatch):
+        spec = random_instance(0)
+        monkeypatch.setattr(oracle, "DIMENSION_CAP", spec.dim - 1)
+
+        def check():
+            with pytest.raises(NumericalError,
+                               match=r"^verify: .* exceeds cap"):
+                verification.check_instance(0, spec)
+
+        assert calls_of(model.block_operator, check) == 0
+
+    def test_battery_draws_every_instance_before_the_first_solve(
+            self, monkeypatch):
+        events = []
+        draw, solve = verification.random_instance, verification.solve_problem
+
+        def drawing(seed):
+            events.append("draw")
+            return draw(seed)
+
+        def solving(spec, pr_threshold=None):
+            events.append("solve")
+            return solve(spec, pr_threshold)
+
+        monkeypatch.setattr(verification, "random_instance", drawing)
+        monkeypatch.setattr(verification, "solve_problem", solving)
+        assert verification.run_battery(3)["all_passed"]
+        assert events == ["draw"] * 3 + ["solve"] * 3
 
 
 MUTANT_INSTANCES = {

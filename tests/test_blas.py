@@ -238,8 +238,10 @@ def test_battery_instance_runs_on_one_thread_inside_a_large_command(
 
 def test_battery_runs_on_one_thread_inside_a_large_command(fake,
                                                           monkeypatch):
-    """run_battery sets one thread once for all its instances, not once
-    per instance, and restores the command's count."""
+    """Each battery instance goes through check_instance, whose own
+    scope lowers the command's count to one thread for the instance
+    and restores it after, so the sets are one lower-and-restore per
+    instance, and the command's count holds again after the battery."""
     seen = []
     solve = verification.solve_problem
 
@@ -252,7 +254,7 @@ def test_battery_runs_on_one_thread_inside_a_large_command(fake,
         assert verification.run_battery(3)["all_passed"]
         assert fake.count == 2
     assert seen == [1, 1, 1]
-    assert fake.sets == [1, 2]
+    assert fake.sets == [1, 2, 1, 2, 1, 2]
 
 
 def test_without_openblas_controls_the_policy_does_nothing(

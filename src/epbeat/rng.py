@@ -1,7 +1,13 @@
-"""Counter-based 64-bit pseudo-random generator (SplitMix64).
+"""The package's two pseudo-random streams.
 
-The i-th output depends only on (seed, i), so streams are reproducible
-across implementations and trivially parallel:
+The beat draws from SplitMix64, a counter-based generator (below). The
+verification battery draws its random instances from PCG64, a
+bit-exact copy of numpy.random.default_rng(seed) for the draws it
+makes (class PCG64 at the end), so the battery's instances stay the
+ones numpy drew without importing numpy.random.
+
+SplitMix64. The i-th output depends only on (seed, i), so streams are
+reproducible across implementations and trivially parallel:
 
     value(seed, i) = mix64((seed + (i + 1) * GAMMA) mod 2^64)
 
@@ -35,6 +41,8 @@ of all draws) and any past a cum[-1] < 1.
 """
 
 from __future__ import annotations
+
+import operator
 
 import numpy as np
 
@@ -120,3 +128,142 @@ def categorical_block(seed: int, start: int, count: int,
             out[hit] = np.minimum(np.searchsorted(cum, u[hit], side="right"),
                                   last)
     return ids
+
+
+# numpy.random.SeedSequence's constants (all arithmetic mod 2^32)
+MASK32 = (1 << 32) - 1
+POOL_SIZE = 4
+INIT_A, MULT_A = 0x43B0D7E5, 0x931E8875
+INIT_B, MULT_B = 0x8B51F9DD, 0x58F38DED
+MIX_MULT_L, MIX_MULT_R = 0xCA01F9DD, 0x4973F715
+# PCG64's 128-bit LCG multiplier
+PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+MASK128 = (1 << 128) - 1
+
+
+def _hash_schedule(h: int, mult: int, n: int) -> tuple:
+    """The (xor, multiplier) pairs of n successive hashes: SeedSequence's
+    hash constant h is xored in, then multiplied by mult and used as
+    the multiplier, so the pairs depend on the call count alone."""
+    pairs = []
+    for _ in range(n):
+        x, h = h, h * mult & MASK32
+        pairs.append((x, h))
+    return tuple(pairs)
+
+
+def _mix_steps(fill: tuple, n: int) -> tuple:
+    """(src, dst, xor, multiplier) of each mix after the pool's fill:
+    every pool word into every other, then each of the n - POOL_SIZE
+    words past the pool into every pool word."""
+    pairs = [(src, dst) for src in range(max(n, POOL_SIZE))
+             for dst in range(POOL_SIZE) if src != dst]
+    return tuple(p + h for p, h in zip(pairs, fill[POOL_SIZE:]))
+
+
+# A seed of w words hashes POOL_SIZE * max(POOL_SIZE, w) times into the
+# pool: the schedule of a seed below 2^128 is fixed, and so is that of
+# the 8 state words, each hashed from pool word i % POOL_SIZE.
+_FILL = _hash_schedule(INIT_A, MULT_A, POOL_SIZE * POOL_SIZE)
+_STEPS = _mix_steps(_FILL, POOL_SIZE)
+_OUT = tuple((i % POOL_SIZE,) + h
+             for i, h in enumerate(_hash_schedule(INIT_B, MULT_B, 8)))
+
+
+def seed_state(seed: int) -> list:
+    """SeedSequence(seed).generate_state(4, np.uint64), as Python ints.
+
+    The seed's 32-bit little-endian words (at least one, zero-padded
+    to POOL_SIZE) are hashed into a pool; every pool word is mixed into
+    every other, then each word past the pool into every pool word;
+    8 hashed pool words pair into 4 uint64, low word first. The
+    hashmix (xor, multiply, v ^= v >> 16) and mix steps are written
+    out in the loops: this runs once per battery instance.
+    """
+    seed = operator.index(seed)  # a numpy int would wrap in the products
+    if seed < 0:
+        raise ValueError("seed must be nonnegative")
+    words = [seed & MASK32]
+    while seed >> 32:
+        seed >>= 32
+        words.append(seed & MASK32)
+    n = len(words)
+    if n <= POOL_SIZE:
+        fill, steps = _FILL, _STEPS
+    else:
+        fill = _hash_schedule(INIT_A, MULT_A, POOL_SIZE * n)
+        steps = _mix_steps(fill, n)
+    pool = words + [0] * (POOL_SIZE - n)
+    for i in range(POOL_SIZE):
+        x, m = fill[i]
+        v = (pool[i] ^ x) * m & MASK32
+        pool[i] = v ^ v >> 16
+    # pool[src] is read as mixed so far; the words past the pool,
+    # pool[POOL_SIZE:], are never written
+    for src, dst, x, m in steps:
+        v = (pool[src] ^ x) * m & MASK32
+        v = (MIX_MULT_L * pool[dst] - MIX_MULT_R * (v ^ v >> 16)) & MASK32
+        pool[dst] = v ^ v >> 16
+    out = []
+    for src, x, m in _OUT:
+        v = (pool[src] ^ x) * m & MASK32
+        out.append(v ^ v >> 16)
+    return [lo | hi << 32 for lo, hi in zip(out[::2], out[1::2])]
+
+
+class PCG64:
+    """numpy.random.default_rng(seed)'s stream, bit for bit, for the
+    draws the verification battery makes: integers(low, high),
+    random() and uniform(low, high, size).
+
+    PCG64 (O'Neill 2014) is a 128-bit LCG, s <- s * PCG_MULT + inc,
+    whose output is the XSL-RR of the new state. Its state is seeded
+    from seed_state's u0..u3: inc = 2 (u2 2^64 + u3) + 1, and s steps
+    once from 0, adds u0 2^64 + u1 and steps again. A 32-bit draw takes
+    the low half of a 64-bit output and keeps the high half for the
+    next 32-bit draw, as numpy's PCG64 does; 64-bit draws leave that
+    half alone.
+    """
+
+    def __init__(self, seed: int):
+        u0, u1, u2, u3 = seed_state(seed)
+        self.inc = ((u2 << 64 | u3) << 1 | 1) & MASK128
+        state = (self.inc + (u0 << 64 | u1)) & MASK128
+        self.state = (state * PCG_MULT + self.inc) & MASK128
+        self.half = None  # the buffered high half of a 32-bit draw
+
+    def next64(self) -> int:
+        s = self.state = (self.state * PCG_MULT + self.inc) & MASK128
+        hi = s >> 64
+        x, rot = (hi ^ s) & MASK64, hi >> 58
+        return (x >> rot | x << (64 - rot)) & MASK64
+
+    def next32(self) -> int:
+        if self.half is not None:
+            word, self.half = self.half, None
+            return word
+        value = self.next64()
+        self.half = value >> 32
+        return value & MASK32
+
+    def integers(self, low: int, high: int) -> int:
+        """Uniform int in [low, high) for high - low < 2^32, by
+        Lemire's multiply-and-reject method on 32-bit words."""
+        n = high - low
+        m = self.next32() * n
+        if m & MASK32 < n:
+            threshold = (MASK32 + 1 - n) % n
+            while m & MASK32 < threshold:
+                m = self.next32() * n
+        return low + (m >> 32)
+
+    def random(self) -> float:
+        return (self.next64() >> 11) * _INV53
+
+    def uniform(self, low: float, high: float, size: int | None = None):
+        """low + (high - low) u for u = random(): a float, or an array of
+        size draws."""
+        span = high - low
+        if size is None:
+            return low + span * self.random()
+        return np.array([low + span * self.random() for _ in range(size)])

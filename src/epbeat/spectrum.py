@@ -81,9 +81,10 @@ def find_roots(ep: EffectivePotential) -> SpectrumResult:
 
     Every eigenpair (x_j, y_j) of the linearization is a root. Its
     division-free residual R_j = ||h0 x_j + W y_j - eta_j x_j|| / ||x_j||,
-    from one product for all roots, must clear ROOT_RESIDUAL_FACTOR
-    times the span, or NumericalError is raised. residual_max is the
-    largest R_j. Eigenvectors are scaled in place to ||x_j|| = 1.
+    from one product for all roots, must be at most ROOT_RESIDUAL_FACTOR
+    times the span, or NumericalError is raised; a NaN residual or span
+    fails. residual_max is the largest R_j. Eigenvectors are scaled in
+    place to ||x_j|| = 1.
     """
     vals, vecs = diagonalize_sym(linearize_ep(ep))
     n_g = ep.n_g
@@ -92,12 +93,12 @@ def find_roots(ep: EffectivePotential) -> SpectrumResult:
     # column norms, as np.linalg.norm(., axis=0) sums them
     resid, nx = np.sqrt((r * r).sum(axis=0)), np.sqrt((x * x).sum(axis=0))
     bound = ROOT_RESIDUAL_FACTOR * ep.span
-    failed = np.flatnonzero(resid > bound * nx)
+    failed = np.flatnonzero(~(resid <= bound * nx))
     if failed.size:
         j = failed[0]
         raise NumericalError(
             f"find_roots: root {float(vals[j])!r} failed certification "
-            f"(residual {resid[j]:.3e} > {bound:.3e} x channel-0 weight "
+            f"(residual {resid[j]:.3e}, bound {bound:.3e} x channel-0 weight "
             f"{nx[j]:.3e})")
     vecs /= nx
     return SpectrumResult(

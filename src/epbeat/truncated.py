@@ -25,23 +25,28 @@ def diagonalize_sym(m: np.ndarray):
     """Full eigendecomposition of a real symmetric matrix.
 
     Returns (values sorted ascending, orthonormal eigenvector columns).
-    Raises NumericalError for non-square or non-symmetric input, or
-    if the eigenpairs do not reconstruct the matrix to
+    Raises NumericalError for non-square, non-finite or non-symmetric
+    input, or unless the eigenpairs reconstruct the matrix to
     RECONSTRUCTION_TOL relative to its norm. The error
     ||V (V diag(values))^T - A||_F is one product, whose two n x n
     temporaries stay below the ~3.2 n^2 workspace of LAPACK's eigh.
+    Both tests pass only on a `<=`, so a NaN fails them.
     """
     a = np.asarray(m, dtype=float)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise NumericalError("diagonalize_sym: matrix must be square")
     norm = _frobenius(a)
-    if _frobenius(a - a.T) > SYMMETRY_TOL * max(norm, 1.0):
+    # a NaN or inf entry makes the norm non-finite; so may a finite
+    # entry near the float limit, which the scan tells apart
+    if not math.isfinite(norm) and not np.isfinite(a).all():
+        raise NumericalError("diagonalize_sym: input is not finite")
+    if not _frobenius(a - a.T) <= SYMMETRY_TOL * max(norm, 1.0):
         raise NumericalError("diagonalize_sym: input is not symmetric")
     vals, vecs = np.linalg.eigh(a)
     r = vecs @ (vecs * vals).T
     r -= a
     recon = _frobenius(r)
-    if recon > RECONSTRUCTION_TOL * max(norm, np.finfo(float).tiny):
+    if not recon <= RECONSTRUCTION_TOL * max(norm, np.finfo(float).tiny):
         raise NumericalError(
             f"diagonalize_sym: reconstruction error {recon:.3e} exceeds "
             f"tolerance")

@@ -362,29 +362,41 @@ def test_hierarchy_refuses_a_bad_depth_before_any_eigensolve(
     assert not out.exists()
 
 
-# prints the heavy modules loaded by the import, the exit code of a
-# solve, and the heavy modules loaded after it
+# prints the heavy modules loaded by the import, the exit code of the
+# CLI command given as arguments, and the heavy modules loaded after it
 STARTUP_PROBE = """
 import sys
 import epbeat.cli
-heavy = ("scipy", "numpy.ma")
+heavy = ("scipy", "numpy.ma", "numpy.random")
 print([m for m in heavy if m in sys.modules])
-print(epbeat.cli.main(["solve", "--config", sys.argv[1],
-                       "--out-dir", sys.argv[2]]))
+print(epbeat.cli.main(sys.argv[1:]))
 print([m for m in heavy if m in sys.modules])
 """
 
 
-def test_startup_loads_neither_scipy_nor_numpy_ma(config_path, tmp_path):
+def probe_startup(argv: list) -> list:
+    """STARTUP_PROBE's output lines for one CLI command, run in a fresh
+    interpreter (this one has imported numpy.random for the tests)."""
     src = str(Path(epbeat.__file__).resolve().parents[1])
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         [src] + [p for p in [env.get("PYTHONPATH")] if p])
-    done = subprocess.run(
-        [sys.executable, "-c", STARTUP_PROBE, config_path,
-         str(tmp_path / "out")],
-        env=env, capture_output=True, text=True, check=True)
-    assert done.stdout.splitlines() == ["[]", "0", "[]"]
+    done = subprocess.run([sys.executable, "-c", STARTUP_PROBE, *argv],
+                          env=env, capture_output=True, text=True, check=True)
+    return done.stdout.splitlines()
+
+
+def test_startup_loads_neither_scipy_nor_numpy_ma(config_path, tmp_path):
+    assert probe_startup(["solve", "--config", config_path,
+                          "--out-dir", str(tmp_path / "out")]) == [
+        "[]", "0", "[]"]
+
+
+def test_verify_runs_without_numpy_random(config_path, tmp_path):
+    # the battery draws from rng.PCG64, not numpy.random.default_rng
+    assert probe_startup(["verify", "--config", config_path,
+                          "--out-dir", str(tmp_path / "out"),
+                          "--instances", "3"]) == ["[]", "0", "[]"]
 
 
 def test_beat_born_mode_end_to_end(tmp_path):

@@ -1,5 +1,7 @@
 """Root enumeration, certification, and count accounting."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -116,6 +118,24 @@ class TestFindRoots:
         monkeypatch.setattr(spectrum, "ROOT_RESIDUAL_FACTOR", 1e-30)
         with pytest.raises(NumericalError, match="failed certification"):
             find_roots(ep)
+
+    def test_non_finite_potential_is_refused(self):
+        # a NaN in h0 used to come back as a certified NaN root, with
+        # residual_max and span NaN
+        from epbeat import NumericalError
+        ep = ep_from_poles(np.array([[np.nan, 0.0], [0.0, 1.0]]),
+                           [0.5, 2.0], np.array([[0.0, 0.0], [0.1, 0.4]]),
+                           n_channels=1)
+        with pytest.raises(NumericalError, match="not finite"):
+            find_roots(ep)
+
+    def test_nan_bound_fails_certification(self):
+        # certification passes a residual only if it is <= its bound
+        from epbeat import NumericalError
+        _, _, ep = pipeline_upto_ep(random_instance(8))
+        find_roots(ep)
+        with pytest.raises(NumericalError, match="failed certification"):
+            find_roots(dataclasses.replace(ep, span=np.nan))
 
     def test_residual_max_matches_per_root_oracle(self):
         # one root at a time, over the linearization's eigenpairs:

@@ -1,5 +1,7 @@
 """The block operator, the LAPACK-backed eigensolver, and the reduction."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -119,6 +121,32 @@ class TestDiagonalizeSym:
     def test_rejects_nonsymmetric(self):
         with pytest.raises(NumericalError, match="symmetric"):
             diagonalize_sym(np.array([[1.0, 2.0], [0.0, 1.0]]))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_rejects_non_finite(self, bad):
+        # the x > tol comparisons were False for NaN: a NaN diagonal
+        # came back as a NaN eigenvalue, an inf one as all-NaN values
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NumericalError, match="not finite"):
+                diagonalize_sym(np.diag([bad, 1.0, 1.0]))
+
+    def test_accepts_finite_entries_past_the_norm_limit(self):
+        # the norm overflows to inf, but every entry is finite
+        with np.errstate(over="ignore"):
+            vals, _ = diagonalize_sym(np.diag([1e200, 1.0, 1.0]))
+        assert vals.tolist() == [1.0, 1.0, 1e200]
+
+    def test_nan_reconstruction_fails(self, monkeypatch):
+        eigh = np.linalg.eigh
+
+        def nan_values(m):
+            vals, vecs = eigh(m)
+            return np.full_like(vals, np.nan), vecs
+
+        monkeypatch.setattr(np.linalg, "eigh", nan_values)
+        with pytest.raises(NumericalError, match="reconstruction error nan"):
+            diagonalize_sym(np.eye(3))
 
     def test_agrees_with_lapack(self):
         gen = np.random.default_rng(11)

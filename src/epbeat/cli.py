@@ -433,37 +433,59 @@ def cmd_hierarchy(runner: _Runner, spec: ProblemSpec, run: dict,
     return {"hierarchy": "pass" if passed else "fail"}
 
 
+def _roots_line(spectrum: dict) -> str:
+    a = spectrum["accounting"]
+    return (f"roots: {a['measured_roots']} (rank accounting "
+            f"{a['rank_accounting']}, degree bound "
+            f"{a['degree_bound']}, full-degree count "
+            f"{a['full_degree_count']}, linear {a['linear_count']})")
+
+
+def _realizations_line(r: dict) -> str:
+    n_groups = len(r["groups"])
+    label = (f"{n_groups} regular group(s)" if n_groups
+             else "intermediate only")
+    return (f"realizations: {r['n_realizations']} ({label}), "
+            f"{len(r['intermediate'])} intermediate state(s), "
+            f"complexity {r['complexity']}")
+
+
+def _beat_line(b: dict) -> str:
+    return (f"beat: {b['cycles']} cycles, mode {b['mode']}, "
+            f"empirical {b['empirical']}")
+
+
+# artifact -> the summary line report prints from it, if any
+REPORTED = {"manifest.json": None, "spectrum.json": _roots_line,
+            "realizations.json": _realizations_line,
+            "beat_summary.json": _beat_line,
+            "verify_report.json": None, "hierarchy.json": None}
+
+
 def cmd_report(out_dir: str) -> int:
     out_dir = Path(out_dir)
-    summary = {}
-    for name in ("manifest.json", "spectrum.json", "realizations.json",
-                 "beat_summary.json", "verify_report.json",
-                 "hierarchy.json"):
+    summary, lines = {}, []
+    for name, line in REPORTED.items():
         p = out_dir / name
-        if p.exists():
-            summary[name] = json.loads(p.read_text(encoding="utf-8"))
-    for key in ("elapsed_seconds", "timestamp"):  # only in manifest.json
-        summary.get("manifest.json", {}).pop(key, None)
+        if not p.exists():
+            continue
+        # artifacts come from outside the run: a malformed one exits 3
+        # naming its file, before anything is printed or written
+        try:
+            doc = summary[name] = json.loads(p.read_text(encoding="utf-8"))
+            if name == "manifest.json":  # the timings stay out
+                for key in ("elapsed_seconds", "timestamp"):
+                    doc.pop(key, None)
+            if line:
+                lines.append(line(doc))
+        except (LookupError, TypeError, AttributeError, ValueError,
+                RecursionError) as exc:
+            raise NumericalError(f"report: malformed {p}: "
+                                 f"{type(exc).__name__}: {exc}") from None
     if not summary:
         raise NumericalError(f"report: no artifacts found in {out_dir}")
-    if "spectrum.json" in summary:
-        a = summary["spectrum.json"]["accounting"]
-        print(f"roots: {a['measured_roots']} (rank accounting "
-              f"{a['rank_accounting']}, degree bound "
-              f"{a['degree_bound']}, full-degree count "
-              f"{a['full_degree_count']}, linear {a['linear_count']})")
-    if "realizations.json" in summary:
-        r = summary["realizations.json"]
-        n_groups = len(r["groups"])
-        label = (f"{n_groups} regular group(s)" if n_groups
-                 else "intermediate only")
-        print(f"realizations: {r['n_realizations']} ({label}), "
-              f"{len(r['intermediate'])} intermediate state(s), "
-              f"complexity {r['complexity']}")
-    if "beat_summary.json" in summary:
-        b = summary["beat_summary.json"]
-        print(f"beat: {b['cycles']} cycles, mode {b['mode']}, "
-              f"empirical {b['empirical']}")
+    for text in lines:
+        print(text)
     write_json(out_dir / "report.json", summary)
     return EXIT_OK
 

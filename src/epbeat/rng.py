@@ -141,44 +141,17 @@ PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
 MASK128 = (1 << 128) - 1
 
 
-def _hash_schedule(h: int, mult: int, n: int) -> tuple:
-    """The (xor, multiplier) pairs of n successive hashes: SeedSequence's
-    hash constant h is xored in, then multiplied by mult and used as
-    the multiplier, so the pairs depend on the call count alone."""
-    pairs = []
-    for _ in range(n):
-        x, h = h, h * mult & MASK32
-        pairs.append((x, h))
-    return tuple(pairs)
-
-
-def _mix_steps(fill: tuple, n: int) -> tuple:
-    """(src, dst, xor, multiplier) of each mix after the pool's fill:
-    every pool word into every other, then each of the n - POOL_SIZE
-    words past the pool into every pool word."""
-    pairs = [(src, dst) for src in range(max(n, POOL_SIZE))
-             for dst in range(POOL_SIZE) if src != dst]
-    return tuple(p + h for p, h in zip(pairs, fill[POOL_SIZE:]))
-
-
-# A seed of w words hashes POOL_SIZE * max(POOL_SIZE, w) times into the
-# pool: the schedule of a seed below 2^128 is fixed, and so is that of
-# the 8 state words, each hashed from pool word i % POOL_SIZE.
-_FILL = _hash_schedule(INIT_A, MULT_A, POOL_SIZE * POOL_SIZE)
-_STEPS = _mix_steps(_FILL, POOL_SIZE)
-_OUT = tuple((i % POOL_SIZE,) + h
-             for i, h in enumerate(_hash_schedule(INIT_B, MULT_B, 8)))
-
-
 def seed_state(seed: int) -> list:
-    """SeedSequence(seed).generate_state(4, np.uint64), as Python ints.
+    """SeedSequence(seed).generate_state(4, np.uint64), as Python ints,
+    in the loops of numpy's mix_entropy and generate_state.
 
     The seed's 32-bit little-endian words (at least one, zero-padded
     to POOL_SIZE) are hashed into a pool; every pool word is mixed into
     every other, then each word past the pool into every pool word;
-    8 hashed pool words pair into 4 uint64, low word first. The
-    hashmix (xor, multiply, v ^= v >> 16) and mix steps are written
-    out in the loops: this runs once per battery instance.
+    8 hashed pool words pair into 4 uint64, low word first. A hash
+    xors the hash constant h in, steps h = h * MULT, multiplies by the
+    new h and does v ^= v >> 16; h runs on from INIT_A through the
+    pool's fill and mix, and from INIT_B through the output's 8 hashes.
     """
     seed = operator.index(seed)  # a numpy int would wrap in the products
     if seed < 0:
@@ -187,26 +160,25 @@ def seed_state(seed: int) -> list:
     while seed >> 32:
         seed >>= 32
         words.append(seed & MASK32)
-    n = len(words)
-    if n <= POOL_SIZE:
-        fill, steps = _FILL, _STEPS
-    else:
-        fill = _hash_schedule(INIT_A, MULT_A, POOL_SIZE * n)
-        steps = _mix_steps(fill, n)
-    pool = words + [0] * (POOL_SIZE - n)
+    # pool[:POOL_SIZE] is the pool; the words past it are never written
+    pool = words + [0] * (POOL_SIZE - len(words))
+    h = INIT_A
     for i in range(POOL_SIZE):
-        x, m = fill[i]
-        v = (pool[i] ^ x) * m & MASK32
+        x, h = pool[i] ^ h, h * MULT_A & MASK32
+        v = x * h & MASK32
         pool[i] = v ^ v >> 16
-    # pool[src] is read as mixed so far; the words past the pool,
-    # pool[POOL_SIZE:], are never written
-    for src, dst, x, m in steps:
-        v = (pool[src] ^ x) * m & MASK32
-        v = (MIX_MULT_L * pool[dst] - MIX_MULT_R * (v ^ v >> 16)) & MASK32
-        pool[dst] = v ^ v >> 16
-    out = []
-    for src, x, m in _OUT:
-        v = (pool[src] ^ x) * m & MASK32
+    for src in range(len(pool)):
+        for dst in range(POOL_SIZE):
+            if src != dst:
+                x, h = pool[src] ^ h, h * MULT_A & MASK32
+                v = x * h & MASK32
+                v = (MIX_MULT_L * pool[dst] - MIX_MULT_R * (v ^ v >> 16)
+                     ) & MASK32
+                pool[dst] = v ^ v >> 16
+    h, out = INIT_B, []
+    for i in range(8):
+        x, h = pool[i % POOL_SIZE] ^ h, h * MULT_B & MASK32
+        v = x * h & MASK32
         out.append(v ^ v >> 16)
     return [lo | hi << 32 for lo, hi in zip(out[::2], out[1::2])]
 

@@ -112,14 +112,10 @@ class InstanceCheck:
         return self.state_residual_max <= STATE_RESIDUAL_TOL
 
     @property
-    def realizations_bounded(self) -> bool:
-        return self.result.rs.n_realizations <= self.result.spec.n_g
-
-    @property
     def passed(self) -> bool:
         return (self.exactness.passed
                 and self.accounting["measured_equals_rank_accounting"]
-                and self.residual_pass and self.realizations_bounded)
+                and self.residual_pass)
 
     def to_dict(self) -> dict:
         spec, acc = self.result.spec, self.accounting
@@ -132,7 +128,6 @@ class InstanceCheck:
             "rank_accounting": acc["rank_accounting"],
             "state_residual_max": float(self.state_residual_max),
             "residual_pass": self.residual_pass,
-            "realizations_bounded": self.realizations_bounded,
             "passed": self.passed,
         }
 

@@ -705,6 +705,25 @@ class TestExitCodes:
     def test_report_empty_dir_numerical_failure(self, tmp_path):
         assert main(["report", "--out-dir", str(tmp_path / "empty")]) == 3
 
+    @pytest.mark.parametrize("name, content", [
+        ("manifest.json", b"[1, 2]"),
+        ("spectrum.json", b'{"x": 1}'),
+        ("realizations.json", b'{"n_realizations": 1}'),
+        ("manifest.json", b"\xff\xfe"),
+        ("manifest.json", b'{"version": '),
+        ("hierarchy.json", b"[" * 100_000),  # nested past json's depth
+    ])
+    def test_report_malformed_artifact_numerical_failure(
+            self, tmp_path, capsys, name, content):
+        # one stderr line naming the file; nothing printed or written
+        (tmp_path / name).write_bytes(content)
+        assert main(["report", "--out-dir", str(tmp_path)]) == 3
+        captured = capsys.readouterr()
+        assert captured.err.count("\n") == 1
+        assert str(tmp_path / name) in captured.err
+        assert captured.out == ""
+        assert not (tmp_path / "report.json").exists()
+
     def test_large_stiffness_in_range_solves(self, tmp_path):
         # 4 stiffness / h^2 = 1e142: dimension 18 x (2 x scale)^2 is finite
         doc = json.loads(json.dumps(BASE_CONFIG))

@@ -15,10 +15,11 @@ from epbeat import rng, verification
 from epbeat.cli import main
 
 # seeds past 2^64 take two or more 32-bit words, past 2^128 more
-# words than SeedSequence's pool holds
+# words than SeedSequence's pool holds: 2^128 - 1 is the last seed
+# that fits the pool, 2^128 the first that does not
 WIDE_SEEDS = ([2 ** 64 + k for k in range(200)]
               + [2 ** 32 + 5, 2 ** 63 + 7, 2 ** 64 - 1, 2 ** 96 + 3,
-                 2 ** 128 + 1, 2 ** 200 + 17])
+                 2 ** 128 - 1, 2 ** 128, 2 ** 128 + 1, 2 ** 200 + 17])
 SEEDS = list(range(10_000)) + WIDE_SEEDS
 
 # integers(2, 9) draws from 7 values: a 32-bit word w is rejected when

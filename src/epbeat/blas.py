@@ -103,6 +103,14 @@ def control():
     return None
 
 
+def _os_threads() -> int | None:
+    """The OS threads of this process, or None without /proc/self/task."""
+    try:
+        return len(os.listdir("/proc/self/task"))
+    except OSError:
+        return None
+
+
 def threads() -> int | None:
     """The current OpenBLAS thread count, or None without the controls."""
     ctl = control()
@@ -117,6 +125,13 @@ def threads_for(dim: int):
 
     The count is set only when it differs from the count on entry,
     which is restored on exit, also when the body raises, so uses nest.
+    OpenBLAS starts the threads of a raised count as it is set, without
+    checking that each started (a thread stack past the address-space
+    limit fails), and its next threaded call then hangs. So a raise the
+    OS thread count does not reach is undone: the body runs on the
+    entry count. The OS count holds every thread of the process, so
+    this sees a failed start only when OpenBLAS's are its only threads
+    (the CLI's case); a caller's own threads can hide one.
     """
     ctl = control()
     if ctl is None:
@@ -129,6 +144,11 @@ def threads_for(dim: int):
         yield
         return
     set_(count)
+    started = _os_threads() if count > entry else None
+    if started is not None and started < count:
+        set_(entry)
+        yield
+        return
     try:
         yield
     finally:

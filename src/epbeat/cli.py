@@ -22,9 +22,7 @@ density (bit for bit) once.
 
 from __future__ import annotations
 
-import argparse
 import dataclasses
-import functools
 import hashlib
 import json
 import math
@@ -32,6 +30,7 @@ import os
 import sys
 import time
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -48,7 +47,9 @@ from .pipeline import mean_intermediate_density, solve_problem
 from .realizations import (PROBABILITY_MODES, check_pr_threshold,
                            mix_density, realization_densities)
 from .spectrum import count_accounting, find_roots
-from .verification import check_instance, per_block_reading, run_battery
+from .verification import (check_instance, max_state_residual,
+                           per_block_reading, run_battery,
+                           state_residual_passes)
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -218,7 +219,7 @@ def write_events_csv(path: Path, traj) -> None:
 
 # run key -> (default, accepts the value, what it must be); out_dir's
 # default is a callable, called when the run starts. Values come from
-# JSON or argparse, so an exact type() test keeps booleans out.
+# JSON or parse_args, so an exact type() test keeps booleans out.
 RUN_KEYS = {
     "seed": (0, lambda x: type(x) is int and 0 <= x < 1 << 64,
              "in [0, 2^64)"),
@@ -296,6 +297,8 @@ class _Runner:
     carries their sha256, whatever the file holds by then.
     blas_threads is the OpenBLAS thread count the command's main work
     runs with (None without OpenBLAS controls; see blas.threads_for).
+    state_residual_max is the max_state_residual of the states solve
+    and beat write, kept for the manifest alone (None: not measured).
     """
 
     def __init__(self, config: bytes, out_dir: str, blas_threads: int | None):
@@ -303,6 +306,7 @@ class _Runner:
         self.out_dir = Path(out_dir)
         self.blas_threads = blas_threads
         self.outputs: list[str] = []
+        self.state_residual_max: float | None = None
         self.t0 = time.time()
 
     def path(self, name: str) -> Path:
@@ -322,11 +326,16 @@ class _Runner:
             "elapsed_seconds": time.time() - self.t0,
             "timestamp": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
         }
+        if self.state_residual_max is not None:
+            manifest["state_residual_max"] = self.state_residual_max
         write_json(self.out_dir / "manifest.json", manifest)
 
 
 def _solve_and_write(runner: _Runner, spec: ProblemSpec, run: dict):
+    """Solve, write the solve's artifacts and certify the states they
+    hold: (the result, its state_residual check)."""
     result = solve_problem(spec, run["pr_threshold"])
+    resid = runner.state_residual_max = max_state_residual(result)
     mode = run["prob_mode"]
     rs = result.rs
     if mode == "born":
@@ -356,16 +365,16 @@ def _solve_and_write(runner: _Runner, spec: ProblemSpec, run: dict):
         texts[key] = write_density_csv(runner.path(name), rho,
                                        spec.modes.q_grid.points,
                                        spec.xi_grid.points, texts.get(key))
-    return result
+    return result, "pass" if state_residual_passes(resid, spec) else "fail"
 
 
 def cmd_solve(runner: _Runner, spec: ProblemSpec, run: dict, args) -> dict:
-    _solve_and_write(runner, spec, run)
-    return {"beat": "not run"}
+    _, state_residual = _solve_and_write(runner, spec, run)
+    return {"beat": "not run", "state_residual": state_residual}
 
 
 def cmd_beat(runner: _Runner, spec: ProblemSpec, run: dict, args) -> dict:
-    result = _solve_and_write(runner, spec, run)
+    result, state_residual = _solve_and_write(runner, spec, run)
     traj = simulate_beat(result.rs, run["cycles"], run["seed"],
                          run["prob_mode"])
     write_events_csv(runner.path("events.csv"), traj)
@@ -376,7 +385,7 @@ def cmd_beat(runner: _Runner, spec: ProblemSpec, run: dict, args) -> dict:
         "alpha": np.asarray(result.rs.alphas[traj.mode]),
         "empirical": np.asarray(traj.empirical),
     })
-    return {"beat": "run"}
+    return {"beat": "run", "state_residual": state_residual}
 
 
 def cmd_verify(runner: _Runner, spec: ProblemSpec, run: dict, args) -> dict:
@@ -490,7 +499,8 @@ def cmd_report(out_dir: str) -> int:
     return EXIT_OK
 
 
-# flag -> its argparse options; a run key's flag is None unless given
+# flag -> its type, choices, default, required and help; a run key's
+# flag is None unless given
 FLAGS = {"config": {"required": True, "help": "config JSON path"},
          "out_dir": {"help": "output directory (default: run.out_dir, "
                              "$EPBEAT_OUT_DIR or ./out)"},
@@ -516,22 +526,103 @@ SUBCOMMANDS = {
 }
 
 
-@functools.cache  # one parser per process; each parse starts afresh
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="epbeat",
-        description="Effective-potential workbench for two coupled fields")
-    parser.add_argument("--version", action="version", version=__version__)
-    sub = parser.add_subparsers(dest="subcommand", required=True)
-    for name, (_, brief, flags) in SUBCOMMANDS.items():
-        p = sub.add_parser(name, help=brief)
-        for flag in flags:
-            p.add_argument("--" + flag.replace("_", "-"), **FLAGS[flag])
-    return parser
+def _flag_text(flag: str) -> str:
+    choices = FLAGS[flag].get("choices")
+    return "--" + flag.replace("_", "-") + " " + (
+        "{" + ",".join(choices) + "}" if choices else flag.upper())
+
+
+def _usage(name: str | None) -> str:
+    """The usage line of subcommand name, or of epbeat (None)."""
+    if name is None:
+        return ("usage: epbeat [-h] [--version] {" + ",".join(SUBCOMMANDS)
+                + "} ...")
+    return f"usage: epbeat {name} [-h] " + " ".join(
+        _flag_text(f) if FLAGS[f].get("required") else f"[{_flag_text(f)}]"
+        for f in SUBCOMMANDS[name][2])
+
+
+def _exit(code: int, text: str):
+    """Print text, to stderr unless code is 0, and exit with code."""
+    print(text, file=sys.stderr if code else sys.stdout)
+    raise SystemExit(code)
+
+
+def _refuse(name: str | None, message: str):
+    _exit(EXIT_CONFIG, f"{_usage(name)}\nepbeat: error: {message}")
+
+
+def _help(name: str | None):
+    if name is None:
+        about = "Effective-potential workbench for two coupled fields"
+        rows = [("--version", "print the version and exit")] + [
+            (sub, brief) for sub, (_, brief, _) in SUBCOMMANDS.items()]
+    else:
+        about = SUBCOMMANDS[name][1]
+        rows = [(_flag_text(f), FLAGS[f].get("help", ""))
+                for f in SUBCOMMANDS[name][2]]
+    rows.insert(0, ("-h, --help", "show this help message and exit"))
+    _exit(EXIT_OK, "\n".join([_usage(name), "", about, ""] + [
+        f"  {text:<34} {what}".rstrip() for text, what in rows]))
+
+
+def parse_args(argv=None) -> SimpleNamespace:
+    """The subcommand argv names (default sys.argv[1:]) and each flag
+    it takes: the value given last, else the flag's default or None.
+
+    A flag is given as --flag VALUE or --flag=VALUE, spelled in full.
+    -h/--help and --version print and exit 0. A malformed line prints
+    the usage line and one error line to stderr and exits 2.
+    """
+    tokens = iter(sys.argv[1:] if argv is None else argv)
+    name = next(tokens, None)
+    if name in ("-h", "--help"):
+        _help(None)
+    if name == "--version":
+        _exit(EXIT_OK, __version__)
+    if name is None:
+        _refuse(None, "the following arguments are required: subcommand")
+    if name not in SUBCOMMANDS:
+        _refuse(None, f"argument subcommand: invalid choice: {name!r} "
+                      f"(choose from {', '.join(map(repr, SUBCOMMANDS))})")
+    options = {"--" + f.replace("_", "-"): f for f in SUBCOMMANDS[name][2]}
+    values = {f: FLAGS[f].get("default") for f in options.values()}
+    extras = []
+    for token in tokens:
+        if token in ("-h", "--help"):
+            _help(name)
+        option, eq, value = token.partition("=")
+        flag = options.get(option)
+        if flag is None:
+            extras.append(token)
+            continue
+        if not eq:
+            value = next(tokens, None)
+            # as in argparse, "-" and negative numbers are values
+            if value is None or value[:1] == "-" and value != "-" and not (
+                    value[1:].replace(".", "", 1).isdecimal()):
+                _refuse(name, f"argument {option}: expected one argument")
+        kind, choices = FLAGS[flag].get("type"), FLAGS[flag].get("choices")
+        try:
+            values[flag] = value = value if kind is None else kind(value)
+        except ValueError:
+            _refuse(name, f"argument {option}: invalid {kind.__name__} "
+                          f"value: {value!r}")
+        if choices and value not in choices:
+            _refuse(name, f"argument {option}: invalid choice: {value!r} "
+                          f"(choose from {', '.join(map(repr, choices))})")
+    missing = [option for option, flag in options.items()
+               if FLAGS[flag].get("required") and values[flag] is None]
+    if missing:
+        _refuse(name, "the following arguments are required: "
+                      + ", ".join(missing))
+    if extras:
+        _refuse(name, "unrecognized arguments: " + " ".join(extras))
+    return SimpleNamespace(subcommand=name, **values)
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = parse_args(argv)
     command = SUBCOMMANDS[args.subcommand][0]
     spec = None
     try:
@@ -547,9 +638,12 @@ def main(argv=None) -> int:
             checks = command(runner, spec, run, args)
         runner.finish(args.subcommand, run["seed"], checks)
         failed = [name for name, verdict in checks.items() if verdict == "fail"]
-        if failed:  # the last output is the command's report
+        if failed:  # the residual is in the manifest, the rest in the
+            # command's report, its last output
+            report = ("manifest.json" if "state_residual" in failed
+                      else runner.outputs[-1])
             print(f"verification failure: {args.subcommand}: "
-                  f"{', '.join(failed)} failed; see {runner.outputs[-1]}",
+                  f"{', '.join(failed)} failed; see {report}",
                   file=sys.stderr)
             return EXIT_VERIFICATION
         return EXIT_OK

@@ -465,18 +465,18 @@ def _named_potential(doc: Mapping, grid: Grid) -> np.ndarray:
     raise ConfigError(f"hg.potential.kind: unknown value {kind!r}")
 
 
-def _check_scale(spec: ProblemSpec, energies_field: str) -> None:
-    """Refuse an operator whose squares overflow. Its Gershgorin radius
-    G bounds every eigenvalue, pole and root, and the solve squares
-    the span 2G and Frobenius norms up to sqrt(dim) 2G, so dim (2G)^2
-    must be finite. G is at most the sum of the terms below (|V_nn'|
-    <= max |kernel| over unit modes); the largest names the field, the
-    Laplacian's by the larger of stiffness and 1/h^2."""
+def scale_terms(spec: ProblemSpec,
+                energies_field: str = "modes.eps") -> dict:
+    """The terms whose sum bounds G, the Gershgorin radius of the
+    coupled operator shifted by eps_0, each keyed by the config field
+    that sets it (|V_nn'| <= max |kernel| over unit modes; the
+    Laplacian's field is the larger of stiffness and 1/h^2). G bounds
+    every eigenvalue, pole and root, and so the operator's norm."""
     h, samples = spec.xi_grid.spacing, spec.coupling.samples
     h2 = h * h  # Python floats: inf on overflow, where ** raises
     kernel = (spec.coupling.strength if samples is None
               else float(np.max(np.abs(samples), initial=0.0)))
-    terms = {
+    return {
         "hg.stiffness" if spec.g_stiffness * h2 >= 1 else "grid.span":
             4 * spec.g_stiffness / h2,
         "hg.potential": float(np.max(np.abs(spec.g_potential))),
@@ -484,6 +484,13 @@ def _check_scale(spec: ProblemSpec, energies_field: str) -> None:
         "coupling.g" if samples is None else "coupling.samples":
             spec.n_tot * kernel,
     }
+
+
+def _check_scale(spec: ProblemSpec, energies_field: str) -> None:
+    """Refuse an operator whose squares overflow. The solve squares the
+    span 2G and Frobenius norms up to sqrt(dim) 2G (G: scale_terms), so
+    dim (2G)^2 must be finite. The largest term names the field."""
+    terms = scale_terms(spec, energies_field)
     bound = sum(terms.values())
     if not math.isfinite(spec.dim * 4 * bound * bound):
         # a NaN term (0 x inf in a named potential) is named first

@@ -63,11 +63,14 @@ def scanned_numpy_openblas():
 
 
 class FakeBlas:
-    """A thread count behind get/set, recording every set."""
+    """A thread count behind get/set, recording every set, and the OS
+    threads it runs: those it started, kept when the count is lowered
+    (as OpenBLAS does). With starts False no thread starts."""
 
     def __init__(self, count):
-        self.count = count
+        self.count = self.os_threads = count
         self.sets = []
+        self.starts = True
 
     def get(self):
         return self.count
@@ -75,26 +78,32 @@ class FakeBlas:
     def set(self, count):
         self.sets.append(count)
         self.count = count
+        if self.starts:
+            self.os_threads = max(self.os_threads, count)
+
+
+def fake_blas(monkeypatch, count):
+    """FakeBlas(count) behind blas's controls and OS thread counter."""
+    lib = FakeBlas(count)
+    monkeypatch.setattr(blas, "control", lambda: (lib.get, lib.set))
+    monkeypatch.setattr(blas, "_os_threads", lambda: lib.os_threads)
+    return lib
 
 
 @pytest.fixture
 def fake(monkeypatch):
     """Controls at count 2, chosen by the caller (or numpy imported
     before epbeat): a large solve keeps the count on entry."""
-    lib = FakeBlas(2)
-    monkeypatch.setattr(blas, "control", lambda: (lib.get, lib.set))
     monkeypatch.setattr(blas, "_LARGE_SOLVE_THREADS", None)
-    return lib
+    return fake_blas(monkeypatch, 2)
 
 
 @pytest.fixture
 def one_thread_start(monkeypatch):
     """Controls at count 1, the start epbeat chose on a 2-CPU host: a
     large solve runs on 2 threads."""
-    lib = FakeBlas(1)
-    monkeypatch.setattr(blas, "control", lambda: (lib.get, lib.set))
     monkeypatch.setattr(blas, "_LARGE_SOLVE_THREADS", 2)
-    return lib
+    return fake_blas(monkeypatch, 1)
 
 
 def fresh(code, **variables):
@@ -199,6 +208,47 @@ def test_a_matching_count_is_not_set(one_thread_start):
         with threads_for(30):
             assert one_thread_start.count == 1
     assert one_thread_start.sets == []
+
+
+def test_a_raise_whose_threads_start_runs_raised(one_thread_start,
+                                                monkeypatch):
+    read = []
+    monkeypatch.setattr(blas, "_os_threads",
+                        lambda: read.append(1) or one_thread_start.os_threads)
+    with threads_for(PARALLEL_MIN_DIM):
+        assert threads() == 2
+        with threads_for(8):  # a lowering reads no OS thread count
+            assert threads() == 1
+        assert len(read) == 1
+    assert one_thread_start.sets == [2, 1, 2, 1]
+    assert one_thread_start.os_threads == 2
+
+
+def test_a_raise_whose_threads_do_not_start_runs_on_the_entry_count(
+        one_thread_start):
+    one_thread_start.starts = False
+    with threads_for(PARALLEL_MIN_DIM):
+        assert threads() == 1
+    assert one_thread_start.sets == [2, 1]
+    with pytest.raises(MemoryError):  # nothing is left to restore
+        with threads_for(PARALLEL_MIN_DIM):
+            raise MemoryError
+    assert one_thread_start.sets == [2, 1, 2, 1]
+
+
+@pytest.mark.parametrize("starts", [True, False])
+def test_manifest_records_the_count_a_raise_ran_on(one_thread_start,
+                                                   monkeypatch, tmp_path,
+                                                   starts):
+    one_thread_start.starts = starts
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(LADDER_3X8))
+    monkeypatch.setattr(blas, "PARALLEL_MIN_DIM", 24)  # dimension 3 x 8
+    out = tmp_path / "out"
+    assert main(["solve", "--config", str(path), "--out-dir", str(out)]) == 0
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["blas_threads"] == (2 if starts else 1)
+    assert one_thread_start.count == 1
 
 
 def test_solve_problem_applies_the_policy_to_its_dimension(

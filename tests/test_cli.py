@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+import math
 import warnings
 import os
 import subprocess
@@ -12,8 +13,10 @@ import numpy as np
 import pytest
 
 import epbeat
-from epbeat import build_problem, cli, oracle, truncated
-from epbeat.cli import build_parser, main
+from epbeat import build_problem, cli, oracle, pipeline, truncated
+from epbeat.assembly import StateSet
+from epbeat.cli import main, parse_args
+from epbeat.verification import STATE_RESIDUAL_TOL, state_residual_passes
 
 BASE_CONFIG = {
     "grid": {"n": 6, "span": [0.0, 1.0], "boundary": "dirichlet"},
@@ -48,7 +51,8 @@ def test_solve_writes_artifacts(config_path, tmp_path):
     manifest = json.loads((out / "manifest.json").read_text())
     for name in manifest["outputs"]:
         assert (out / name).exists()
-    assert manifest["checks"]["beat"] == "not run"
+    assert manifest["checks"] == {"beat": "not run", "state_residual": "pass"}
+    assert 0.0 <= manifest["state_residual_max"] <= STATE_RESIDUAL_TOL
     spectrum = json.loads((out / "spectrum.json").read_text())
     assert spectrum["accounting"]["measured_roots"] == 18
     assert "counts" not in spectrum
@@ -241,6 +245,61 @@ def test_hierarchy_mismatch_is_a_verification_failure(config_path, tmp_path,
     assert manifest["outputs"] == ["hierarchy.json"]
 
 
+RECONSTRUCT_ALL = pipeline.reconstruct_all
+
+
+def tails_zeroed(*args):
+    """reconstruct_all, with state 0's tails (modes 1 and up) zeroed."""
+    states = RECONSTRUCT_ALL(*args)
+    channels = states.channels.copy()
+    channels[0, 1:] = 0.0
+    return StateSet(channels=channels, energies=states.energies,
+                    basis=states.basis, xi_grid=states.xi_grid)
+
+
+@pytest.mark.parametrize("command", ["solve", "beat"])
+def test_solve_and_beat_certify_the_states_they_write(
+        config_path, tmp_path, monkeypatch, capsys, command):
+    monkeypatch.setattr(pipeline, "reconstruct_all", tails_zeroed)
+    out = tmp_path / "out"
+    assert main([command, "--config", config_path,
+                 "--out-dir", str(out)]) == 4
+    assert capsys.readouterr().err == (
+        f"verification failure: {command}: state_residual failed; "
+        "see manifest.json\n")
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["checks"]["state_residual"] == "fail"
+    assert manifest["state_residual_max"] > 1e3 * STATE_RESIDUAL_TOL
+    # the artifacts are written all the same
+    assert all((out / name).exists() for name in manifest["outputs"])
+
+
+def test_a_nan_state_residual_fails(config_path, tmp_path, monkeypatch):
+    monkeypatch.setattr(cli, "max_state_residual", lambda result: math.nan)
+    out = tmp_path / "out"
+    assert main(["solve", "--config", config_path,
+                 "--out-dir", str(out)]) == 4
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["checks"]["state_residual"] == "fail"
+    assert manifest["state_residual_max"] is None
+
+
+def test_state_residual_bound_is_absolute_above_rounding():
+    # STATE_RESIDUAL_TOL, unless rounding at the operator's scale leaves
+    # more: dim x eps x G = 18 x 2.2e-16 x 1e142 = 4.0e127 at stiffness
+    # 1e140, where the solve's residual is 2.5e126
+    spec = build_problem(BASE_CONFIG)
+    assert state_residual_passes(STATE_RESIDUAL_TOL, spec)
+    assert not state_residual_passes(2 * STATE_RESIDUAL_TOL, spec)
+    assert not state_residual_passes(math.nan, spec)
+    doc = json.loads(json.dumps(BASE_CONFIG))
+    doc["hg"]["stiffness"] = 1e140
+    stiff = build_problem(doc)
+    assert state_residual_passes(1e127, stiff)
+    assert not state_residual_passes(1e128, stiff)
+    assert not state_residual_passes(math.nan, stiff)
+
+
 def test_hierarchy_adds_back_decoupled_poles(tmp_path):
     # with no coupling every pole at both levels is decoupled: it is an
     # eigenvalue of the level operator but never a root
@@ -367,7 +426,8 @@ def test_hierarchy_refuses_a_bad_depth_before_any_eigensolve(
 STARTUP_PROBE = """
 import sys
 import epbeat.cli
-heavy = ("scipy", "numpy.ma", "numpy.random")
+heavy = ("scipy", "numpy.ma", "numpy.random", "argparse", "gettext",
+         "locale")
 print([m for m in heavy if m in sys.modules])
 print(epbeat.cli.main(sys.argv[1:]))
 print([m for m in heavy if m in sys.modules])
@@ -397,6 +457,13 @@ def test_verify_runs_without_numpy_random(config_path, tmp_path):
     assert probe_startup(["verify", "--config", config_path,
                           "--out-dir", str(tmp_path / "out"),
                           "--instances", "3"]) == ["[]", "0", "[]"]
+
+
+def test_hierarchy_runs_without_argparse_or_locale(config_path, tmp_path):
+    # argparse's messages go through gettext, which imports locale
+    assert probe_startup(["hierarchy", "--config", config_path,
+                          "--out-dir", str(tmp_path / "out"),
+                          "--depth", "2"]) == ["[]", "0", "[]"]
 
 
 def test_beat_born_mode_end_to_end(tmp_path):
@@ -733,6 +800,19 @@ class TestExitCodes:
         assert main(["solve", "--config", str(path),
                      "--out-dir", str(tmp_path / "o")]) == 0
 
+    def test_large_stiffness_in_range_verifies(self, tmp_path):
+        # its configured instance's state residual, 2.5e126, is rounding
+        # at operator norm 1e142, so no check fails
+        doc = json.loads(json.dumps(BASE_CONFIG))
+        doc["hg"]["stiffness"] = 1e140
+        path = tmp_path / "stiff.json"
+        path.write_text(json.dumps(doc))
+        out = tmp_path / "o"
+        assert main(["verify", "--config", str(path), "--instances", "1",
+                     "--out-dir", str(out)]) == 0
+        report = json.loads((out / "verify_report.json").read_text())
+        assert report["configured_instance"]["state_residual_max"] > 1e126
+
     def test_out_of_memory_is_a_numerical_failure(self, config_path, tmp_path,
                                                   monkeypatch, capsys):
         def exhausted(*args, **kwargs):
@@ -784,8 +864,7 @@ def test_run_key_flag_over_config_over_default(key, monkeypatch):
                  if name != "report" and key in flags), None)
 
     def read(flag, block):
-        args = build_parser().parse_args(
-            [name or "solve", "--config", "c.json"] + flag)
+        args = parse_args([name or "solve", "--config", "c.json"] + flag)
         return cli._run_settings({} if block is None else {"run": block},
                                  args)[key]
 
@@ -817,15 +896,114 @@ def test_run_key_flag_over_config_over_default(key, monkeypatch):
     (["report"], {})])
 def test_each_subcommand_takes_its_flags(argv, read):
     config = [] if argv[0] == "report" else ["--config", "c.json"]
-    args = build_parser().parse_args(
+    args = parse_args(
         argv[:1] + config + ["--out-dir", "d"] + argv[1:])
     assert args.out_dir == "d"
     assert {k: v for k, v in vars(args).items()
             if k not in ("subcommand", "config", "out_dir")} == read
 
 
-def test_parser_is_built_once_per_process():
-    assert build_parser() is build_parser()
+def config_never_read(monkeypatch):
+    def read(path):
+        raise AssertionError(f"config {path} read")
+
+    monkeypatch.setattr(cli, "read_config", read)
+
+
+# (a malformed command line, what its error line says); C is the config
+MALFORMED = {
+    "no subcommand": ([], "the following arguments are required: subcommand"),
+    "unknown subcommand": (["solv", "--config", "C"],
+                           "invalid choice: 'solv'"),
+    "unknown flag": (["solve", "--config", "C", "--no-such-flag"],
+                     "unrecognized arguments: --no-such-flag"),
+    "foreign flag": (["solve", "--config", "C", "--depth", "2"],
+                     "unrecognized arguments: --depth 2"),
+    "abbreviation": (["solve", "--conf", "C"],
+                     "the following arguments are required: --config"),
+    "version after the subcommand": (["beat", "--config", "C", "--version"],
+                                     "unrecognized arguments: --version"),
+    "missing value": (["solve", "--config"],
+                      "argument --config: expected one argument"),
+    "flag for a value": (["solve", "--out-dir", "--config", "C"],
+                         "argument --out-dir: expected one argument"),
+    "non-integer": (["beat", "--config", "C", "--cycles", "2.5"],
+                    "argument --cycles: invalid int value: '2.5'"),
+    "non-integer after =": (["verify", "--config=C", "--seed=x"],
+                            "argument --seed: invalid int value: 'x'"),
+    "bad choice": (["solve", "--config", "C", "--prob-mode", "Born"],
+                   "argument --prob-mode: invalid choice: 'Born'"),
+    "no config": (["hierarchy", "--depth", "2"],
+                  "the following arguments are required: --config"),
+    "stray positional": (["hierarchy", "--config", "C", "2"],
+                         "unrecognized arguments: 2"),
+}
+
+
+@pytest.mark.parametrize("argv,error", MALFORMED.values(), ids=MALFORMED)
+def test_malformed_command_line_exits_2_before_the_config(
+        config_path, tmp_path, monkeypatch, capsys, argv, error):
+    # every output dir would land in the empty working directory
+    config_never_read(monkeypatch)
+    monkeypatch.delenv("EPBEAT_OUT_DIR", raising=False)
+    work = tmp_path / "work"
+    work.mkdir()
+    monkeypatch.chdir(work)
+    with pytest.raises(SystemExit) as exc:
+        main([config_path if a == "C" else a.replace("=C", "=" + config_path)
+              for a in argv])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    usage, line = captured.err.splitlines()
+    assert usage.startswith("usage: epbeat ")
+    assert line.startswith("epbeat: error: ") and error in line
+    assert captured.out == ""
+    assert list(work.iterdir()) == []
+
+
+@pytest.mark.parametrize("argv", [
+    ["--version"], ["-h"], ["--help"], ["solve", "-h"], ["report", "--help"],
+    ["verify", "--config", "c.json", "--seed", "3", "-h"]])
+def test_version_and_help_exit_0_without_a_config(monkeypatch, capsys, argv):
+    config_never_read(monkeypatch)
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 0
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    if argv == ["--version"]:
+        assert captured.out == epbeat.__version__ + "\n"
+        return
+    usage, *lines = captured.out.splitlines()
+    name = argv[0] if argv[0] in cli.SUBCOMMANDS else None
+    assert usage == cli._usage(name)
+    # a line per subcommand, or per flag, ending in its help text
+    if name is None:
+        rows = [(sub, brief) for sub, (_, brief, _) in cli.SUBCOMMANDS.items()]
+    else:
+        rows = [("--" + f.replace("_", "-"), cli.FLAGS[f].get("help", ""))
+                for f in cli.SUBCOMMANDS[name][2]]
+    by_word = {line.split()[0]: line for line in lines if line}
+    for word, text in rows:
+        assert by_word[word].endswith(text), word
+
+
+def test_flag_equals_value_parses_as_flag_space_value():
+    spaced = ["beat", "--config", "c.json", "--out-dir", "d", "--seed", "3",
+              "--cycles", "5", "--prob-mode", "born"]
+    joined = spaced[:1] + [f"{flag}={value}" for flag, value
+                           in zip(spaced[1::2], spaced[2::2])]
+    assert parse_args(joined) == parse_args(spaced)
+    assert vars(parse_args(spaced)) == {
+        "subcommand": "beat", "config": "c.json", "out_dir": "d", "seed": 3,
+        "cycles": 5, "prob_mode": "born"}
+
+
+def test_last_repeat_wins_and_dash_values_pass():
+    args = parse_args(["verify", "--config", "a.json", "--seed", "1",
+                       "--instances=-3", "--seed=2", "--config", "-"])
+    assert vars(args) == {"subcommand": "verify", "config": "-",
+                          "out_dir": None, "seed": 2, "instances": -3}
 
 
 def artifacts(out):
@@ -837,8 +1015,8 @@ def artifacts(out):
 
 
 def test_one_process_runs_as_fresh_processes(config_path, tmp_path, capsys):
-    # the parser is shared by every main call of a process: no flag value
-    # may carry over from one call, nor from one that failed, to the next
+    # no flag value may carry over from one main call of a process, nor
+    # from one that failed, to the next
     runs = [["solve", "--seed", "5", "--prob-mode", "born"], ["solve"],
             ["beat", "--cycles", "9", "--seed", "3", "--no-such-flag"],
             ["verify"]]
